@@ -11,14 +11,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from typing import Optional, Sequence
 
 from .bitsets import bits
 from .graphs import SimpleGraph, enumerate_max_cliques
 from .linalg import affine_dim, lp_feasible
-from .parallel import pair_chunks, worker_count
-from .skeleton import Skeleton, ZeroOnePolytope
+from .skeleton import Skeleton, ZeroOnePolytope, _split_pairs
 
 
 class SizeLimitError(ValueError):
@@ -27,13 +26,14 @@ class SizeLimitError(ValueError):
 
 @dataclass(frozen=True)
 class Inequality:
-    """c . x <= rhs. Nonnegativity of x_v is stored as -x_v <= 0."""
+    """c . x <= rhs over the integers. Nonnegativity of x_v is stored as
+    -x_v <= 0."""
 
-    coeffs: tuple[Fraction, ...]
-    rhs: Fraction
+    coeffs: tuple[int, ...]
+    rhs: int
 
-    def evaluate(self, mask: int) -> Fraction:
-        return sum((self.coeffs[i] for i in bits(mask)), Fraction(0))
+    def evaluate(self, mask: int) -> int:
+        return sum(self.coeffs[i] for i in bits(mask))
 
     def holds(self, mask: int) -> bool:
         return self.evaluate(mask) <= self.rhs
@@ -43,25 +43,29 @@ class Inequality:
 
 
 def make_inequality(coeffs: Sequence, rhs) -> Inequality:
-    return Inequality(tuple(Fraction(c) for c in coeffs), Fraction(rhs))
+    """Rational coefficients times the lcm of their denominators."""
+    vals = [Fraction(c) for c in coeffs] + [Fraction(rhs)]
+    scale = lcm(*(v.denominator for v in vals))
+    ints = [v.numerator * (scale // v.denominator) for v in vals]
+    return Inequality(tuple(ints[:-1]), ints[-1])
 
 
 def nonnegativity(n: int, v: int) -> Inequality:
     if not 0 <= v < n:
         raise ValueError("coordinate out of range")
-    coeffs = [Fraction(0)] * n
-    coeffs[v] = Fraction(-1)
-    return Inequality(tuple(coeffs), Fraction(0))
+    coeffs = [0] * n
+    coeffs[v] = -1
+    return Inequality(tuple(coeffs), 0)
 
 
 def clique_inequality(n: int, clique: int) -> Inequality:
     """sum of x_v over the clique <= 1."""
     if clique <= 0 or clique >> n:
         raise ValueError("clique mask must be a nonempty subset of the ground set")
-    coeffs = [Fraction(0)] * n
+    coeffs = [0] * n
     for v in bits(clique):
-        coeffs[v] = Fraction(1)
-    return Inequality(tuple(coeffs), Fraction(1))
+        coeffs[v] = 1
+    return Inequality(tuple(coeffs), 1)
 
 
 def always_facet_inequalities(g: SimpleGraph) -> list[Inequality]:
@@ -73,30 +77,28 @@ def always_facet_inequalities(g: SimpleGraph) -> list[Inequality]:
 
 
 def normalized_int_form(q: Inequality) -> tuple[tuple[int, ...], int]:
-    """Scale by a positive rational to primitive integers (gcd 1)."""
-    vals = list(q.coeffs) + [q.rhs]
-    mult = 1
-    for v in vals:
-        mult = mult * v.denominator // gcd(mult, v.denominator)
-    ints = [int(v * mult) for v in vals]
-    g = 0
-    for v in ints:
-        g = gcd(g, v)
+    """Divide by the positive gcd to primitive integers (gcd 1)."""
+    g = gcd(q.rhs, *q.coeffs)
     if g > 1:
-        ints = [v // g for v in ints]
-    return tuple(ints[:-1]), ints[-1]
+        return tuple(c // g for c in q.coeffs), q.rhs // g
+    return q.coeffs, q.rhs
 
 
 def oracle_is_edge(
     p: ZeroOnePolytope, a: int, b: int, prefilter: bool = True
 ) -> bool:
-    """Geometric adjacency of vertices a and b by exact LP.
+    """Geometric adjacency of vertices a and b: a checked witness, else LP.
 
     Non-adjacency is witnessed by a nonnegative solution of
     sum_k g_k (w_k - v_b) = v_a - v_b over the other vertices w_k; any
     such solution is automatically nonzero because v_a != v_b.
 
-    With prefilter on, candidate columns are cut to vertices sandwiched
+    A second split e_C + e_D = e_A + e_B is such a solution (g_C = g_D = 1),
+    so when the subset walk finds one, the pair is re-checked here and
+    settled without an LP. Every other pair, every edge included, goes to
+    the LP.
+
+    With prefilter on, candidate LP columns are cut to vertices sandwiched
     between the intersection and the union of a and b, which any support
     of a witness must respect; the reported adjacency is unchanged.
     """
@@ -106,8 +108,12 @@ def oracle_is_edge(
     if a == b:
         raise ValueError("edge test needs two distinct vertices")
     va, vb = p.vertices[a], p.vertices[b]
+    inter, union = va & vb, va | vb
+    for c, d in _split_pairs(p.index, va, vb, limit=2):
+        vc, vd = p.vertices[c], p.vertices[d]
+        if {c, d} != {a, b} and vc & vd == inter and vc | vd == union:
+            return False
     if prefilter:
-        inter, union = va & vb, va | vb
         cols = [
             w
             for k, w in enumerate(p.vertices)
@@ -117,8 +123,6 @@ def oracle_is_edge(
     else:
         cols = [w for k, w in enumerate(p.vertices) if k != a and k != b]
         coords = list(range(p.n))
-    if not cols:
-        return True
     lhs = [
         [((w >> c) & 1) - ((vb >> c) & 1) for w in cols]
         for c in coords
@@ -127,23 +131,15 @@ def oracle_is_edge(
     return not lp_feasible(lhs, rhs)
 
 
-def build_skeleton_oracle(
-    p: ZeroOnePolytope,
-    threads: Optional[int] = None,
-    prefilter: bool = True,
-) -> Skeleton:
+def build_skeleton_oracle(p: ZeroOnePolytope, prefilter: bool = True) -> Skeleton:
     """Skeleton under the LP adjacency oracle, all vertex pairs."""
     nv = len(p.vertices)
-
-    def run(span: range) -> list[tuple[int, int]]:
-        found = []
-        for a in span:
-            for b in range(a + 1, nv):
-                if oracle_is_edge(p, a, b, prefilter=prefilter):
-                    found.append((a, b))
-        return found
-
-    edges = pair_chunks(nv, run, worker_count(threads))
+    edges = [
+        (a, b)
+        for a in range(nv)
+        for b in range(a + 1, nv)
+        if oracle_is_edge(p, a, b, prefilter=prefilter)
+    ]
     return Skeleton.make(nv, edges, "oracle")
 
 
@@ -241,8 +237,7 @@ def enumerate_facets(
 
     out = []
     for ray in rays:
-        coeffs = tuple(Fraction(-c) for c in ray[1:])
-        out.append(Inequality(coeffs, Fraction(ray[0])))
+        out.append(Inequality(tuple(-c for c in ray[1:]), ray[0]))
     out.sort(key=lambda q: (q.coeffs, q.rhs))
     return out
 

@@ -1,13 +1,15 @@
 """Exact rational linear algebra: rank, affine dimension, LP feasibility.
 
 Every geometric decision downstream (adjacency oracle, facet tests) is a
-yes/no question, so this module works over fractions.Fraction throughout
-and never touches floating point.
+yes/no question, so this module works in exact arithmetic (Fraction for
+rank, a fraction-free integer tableau for the simplex) and never touches
+floating point.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 from typing import Optional, Sequence, Union
 
 Scalar = Union[int, Fraction]
@@ -84,38 +86,38 @@ def nonnegative_certificate(
     Phase-one simplex with Bland's smallest-index anti-cycling rule, exact
     arithmetic. A system with zero columns is feasible only for a zero
     right-hand side; a system with zero rows is trivially feasible.
-    """
-    rows = _as_rows(eq_lhs)
-    b = [Fraction(x) for x in eq_rhs]
-    if len(rows) != len(b):
-        raise ValueError(
-            f"lhs has {len(rows)} rows but rhs has {len(b)} entries"
-        )
-    m = len(rows)
-    n = len(rows[0]) if rows else 0
-    if n == 0:
-        return () if all(x == 0 for x in b) else None
-    if m == 0:
-        return (Fraction(0),) * n
 
-    # Tableau columns: n structural, m artificial, then the rhs. Rows are
-    # sign-flipped so the rhs is nonnegative and the artificial basis is
-    # feasible from the start.
-    zero = Fraction(0)
-    tab: list[list[Fraction]] = []
-    for i in range(m):
-        sign = -1 if b[i] < 0 else 1
-        row = [sign * x for x in rows[i]]
-        row.extend(Fraction(1) if k == i else zero for k in range(m))
-        row.append(sign * b[i])
-        tab.append(row)
+    The tableau is kept fraction-free (Edmonds; Bareiss): integer entries
+    over one positive common denominator det, which after each pivot is
+    the pivot entry itself, so every row update divides exactly.
+    """
+    if len(eq_lhs) != len(eq_rhs):
+        raise ValueError(
+            f"lhs has {len(eq_lhs)} rows but rhs has {len(eq_rhs)} entries"
+        )
+    # Tableau columns: n structural, then the rhs. Rows are sign-flipped so
+    # the rhs is nonnegative and the artificial basis is feasible from the
+    # start. The artificial columns are never read, so they are not stored;
+    # basis[i] = n + i marks row i's artificial as basic. One global lcm
+    # clears denominators: it keeps every sign and every ratio between
+    # entries, so the pivots are those of the rational tableau.
+    rows = _as_rows([[*row, x] for row, x in zip(eq_lhs, eq_rhs)])
+    scale = lcm(1, *(x.denominator for row in rows for x in row))
+    tab = [[x.numerator * (scale // x.denominator) for x in row] for row in rows]
+    m = len(tab)
+    n = len(tab[0]) - 1 if tab else 0
+    if n == 0:
+        return () if all(row[-1] == 0 for row in tab) else None
+    for row in tab:
+        if row[-1] < 0:
+            row[:] = [-x for x in row]
     basis = [n + i for i in range(m)]
+    det = 1
 
     # Phase-one objective: minimize the artificial sum. With the artificial
     # basis, the reduced-cost row is the column sum of the constraint rows;
     # pivoting keeps it current. z[-1] is the current objective value.
-    width = n + m + 1
-    z = [sum(tab[i][j] for i in range(m)) for j in range(width)]
+    z = [sum(col) for col in zip(*tab)]
 
     cap = pivot_cap if pivot_cap is not None else 1000 + 50 * (m + n) * (m + n)
     pivots = 0
@@ -124,38 +126,30 @@ def nonnegative_certificate(
         if enter is None:
             break
         leave = None
-        best_ratio = None
-        best_var = None
         for i in range(m):
             a = tab[i][enter]
             if a > 0:
-                ratio = tab[i][-1] / a
-                if (
-                    best_ratio is None
-                    or ratio < best_ratio
-                    or (ratio == best_ratio and basis[i] < best_var)
-                ):
-                    best_ratio, best_var, leave = ratio, basis[i], i
+                if leave is None:
+                    leave = i
+                    continue
+                # ratio tab[i][-1] / a against the chosen row's, cross-multiplied
+                here = tab[i][-1] * tab[leave][enter]
+                best = tab[leave][-1] * a
+                if here < best or (here == best and basis[i] < basis[leave]):
+                    leave = i
         if leave is None:
             raise AssertionError(
                 "phase-one objective unbounded; input invariants violated"
             )
         prow = tab[leave]
-        pval = prow[enter]
-        if pval != 1:
-            for j in range(width):
-                prow[j] /= pval
+        p = prow[enter]
         for row in tab:
-            if row is prow:
-                continue
-            f = row[enter]
-            if f != 0:
-                for j in range(width):
-                    row[j] -= f * prow[j]
+            if row is not prow:
+                f = row[enter]
+                row[:] = [(x * p - f * y) // det for x, y in zip(row, prow)]
         f = z[enter]
-        if f != 0:
-            for j in range(width):
-                z[j] -= f * prow[j]
+        z = [(x * p - f * y) // det for x, y in zip(z, prow)]
+        det = p
         basis[leave] = enter
         pivots += 1
         if pivots > cap:
@@ -165,10 +159,10 @@ def nonnegative_certificate(
 
     if z[-1] != 0:
         return None
-    x = [zero] * n
+    x = [Fraction(0)] * n
     for i, bv in enumerate(basis):
         if bv < n:
-            x[bv] = tab[i][-1]
+            x[bv] = Fraction(tab[i][-1], det)
     return tuple(x)
 
 

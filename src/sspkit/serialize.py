@@ -35,7 +35,47 @@ def encode_label(lab: Label) -> Any:
 def decode_label(obj: Any) -> Label:
     if isinstance(obj, list):
         return tuple(decode_label(x) for x in obj)
+    if isinstance(obj, dict):
+        raise ValueError("a label must be a number, a string or a list")
     return obj
+
+
+def _object(obj: Any) -> dict:
+    if not isinstance(obj, dict):
+        raise ValueError(f"expected a JSON object, got {type(obj).__name__}")
+    return obj
+
+
+def _list(val: Any, what: str) -> list:
+    if not isinstance(val, list):
+        raise ValueError(f"{what} must be a list, got {type(val).__name__}")
+    return val
+
+
+def _int(val: Any, what: str) -> int:
+    if not isinstance(val, int) or isinstance(val, bool):
+        raise ValueError(f"{what} must be an integer, got {val!r}")
+    return val
+
+
+def _labels(obj: dict, key: str) -> list[Label]:
+    return [decode_label(x) for x in _list(obj[key], f"field {key!r}")]
+
+
+def _label_lists(obj: dict, key: str) -> list[list[Label]]:
+    return [
+        [decode_label(x) for x in _list(item, f"each entry of {key!r}")]
+        for item in _list(obj[key], f"field {key!r}")
+    ]
+
+
+def _pairs(obj: dict, key: str) -> list[tuple[Label, Label]]:
+    out = []
+    for item in _label_lists(obj, key):
+        if len(item) != 2:
+            raise ValueError(f"each entry of {key!r} must have two elements")
+        out.append((item[0], item[1]))
+    return out
 
 
 def graph_to_json(g: SimpleGraph) -> dict:
@@ -50,9 +90,8 @@ def graph_to_json(g: SimpleGraph) -> dict:
 
 
 def graph_from_json(obj: dict) -> SimpleGraph:
-    labels = [decode_label(x) for x in obj["labels"]]
-    edges = [(decode_label(a), decode_label(b)) for a, b in obj["edges"]]
-    return SimpleGraph.from_edges(labels, edges)
+    obj = _object(obj)
+    return SimpleGraph.from_edges(_labels(obj, "labels"), _pairs(obj, "edges"))
 
 
 def polytope_to_json(p: ZeroOnePolytope) -> dict:
@@ -73,20 +112,17 @@ def polytope_to_json(p: ZeroOnePolytope) -> dict:
 
 
 def polytope_from_json(obj: dict) -> ZeroOnePolytope:
-    ground = GroundSet(decode_label(x) for x in obj["ground"])
-    vertices = [
-        ground.mask_of(decode_label(x) for x in subset)
-        for subset in obj["vertices"]
-    ]
+    obj = _object(obj)
+    ground = GroundSet(_labels(obj, "ground"))
+    vertices = [ground.mask_of(subset) for subset in _label_lists(obj, "vertices")]
     graph = None
     if "graph" in obj:
-        edges = [
-            (decode_label(a), decode_label(b)) for a, b in obj["graph"]["edges"]
-        ]
+        edges = _pairs(_object(obj["graph"]), "edges")
         graph = SimpleGraph.from_edges(ground.labels, edges)
-    return ZeroOnePolytope(
-        ground, vertices, obj["kind"], graph=graph, rank=obj.get("rank")
-    )
+    rank = obj.get("rank")
+    if rank is not None:
+        rank = _int(rank, "field 'rank'")
+    return ZeroOnePolytope(ground, vertices, obj["kind"], graph=graph, rank=rank)
 
 
 def skeleton_to_json(p: ZeroOnePolytope, s: Skeleton) -> dict:
@@ -103,13 +139,13 @@ def skeleton_to_json(p: ZeroOnePolytope, s: Skeleton) -> dict:
 
 
 def skeleton_from_json(obj: dict) -> tuple[list[tuple[Label, ...]], Skeleton]:
-    verts = [
-        tuple(decode_label(x) for x in subset) for subset in obj["vertices"]
+    obj = _object(obj)
+    verts = [tuple(subset) for subset in _label_lists(obj, "vertices")]
+    edges = [
+        (_int(i, "an edge end"), _int(j, "an edge end"))
+        for i, j in _pairs(obj, "edges")
     ]
-    s = Skeleton.make(
-        len(verts), [(i, j) for i, j in obj["edges"]], obj["provenance"]
-    )
-    return verts, s
+    return verts, Skeleton.make(len(verts), edges, obj["provenance"])
 
 
 def facets_to_json(facets: Sequence[Inequality]) -> dict:
@@ -122,7 +158,8 @@ def facets_to_json(facets: Sequence[Inequality]) -> dict:
 
 def facets_from_json(obj: dict) -> list[Inequality]:
     return [
-        make_inequality(item["coeffs"], item["rhs"]) for item in obj["facets"]
+        make_inequality(_list(item["coeffs"], "field 'coeffs'"), item["rhs"])
+        for item in map(_object, _list(_object(obj)["facets"], "field 'facets'"))
     ]
 
 
@@ -137,32 +174,30 @@ def matroid_to_json(m: Matroid) -> dict:
 
 
 def matroid_from_json(obj: dict) -> Matroid:
+    obj = _object(obj)
     if "uniform" in obj:
-        n, k = obj["uniform"]
-        return build_uniform(n, k)
+        nk = _list(obj["uniform"], "field 'uniform'")
+        if len(nk) != 2:
+            raise ValueError("field 'uniform' must be [n, k]")
+        return build_uniform(*(_int(x, "field 'uniform'") for x in nk))
     if "partition" in obj:
-        return build_partition(list(obj["partition"]))
+        sizes = _list(obj["partition"], "field 'partition'")
+        return build_partition([_int(x, "a block size") for x in sizes])
     if "graphic" in obj:
-        edges = [tuple(decode_label(x) for x in e) for e in obj["graphic"]]
-        return build_graphic(edges)
-    ground = GroundSet(decode_label(x) for x in obj["ground"])
-    fam = [
-        ground.mask_of(decode_label(x) for x in subset)
-        for subset in obj["independents"]
-    ]
+        return build_graphic(_pairs(obj, "graphic"))
+    ground = GroundSet(_labels(obj, "ground"))
+    fam = [ground.mask_of(subset) for subset in _label_lists(obj, "independents")]
     return Matroid(ground, fam)
 
 
 def relation_graph_from_json(obj: dict) -> SimpleGraph:
-    labels = [decode_label(x) for x in obj["labels"]]
-    pairs = [(decode_label(a), decode_label(b)) for a, b in obj["pairs"]]
-    return build_relation_graph(labels, pairs)
+    obj = _object(obj)
+    return build_relation_graph(_labels(obj, "labels"), _pairs(obj, "pairs"))
 
 
 def poset_from_json(obj: dict) -> Poset:
-    labels = [decode_label(x) for x in obj["labels"]]
-    pairs = [(decode_label(a), decode_label(b)) for a, b in obj["less_than"]]
-    return Poset.from_relation(labels, pairs)
+    obj = _object(obj)
+    return Poset.from_relation(_labels(obj, "labels"), _pairs(obj, "less_than"))
 
 
 def _dot_name(subset: Sequence[Label]) -> str:

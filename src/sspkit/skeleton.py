@@ -17,7 +17,6 @@ from typing import Iterable, Optional, Sequence
 
 from .bitsets import bits
 from .graphs import GroundSet, SimpleGraph, enumerate_stable_sets
-from .parallel import pair_chunks, worker_count
 
 KINDS = ("stable-set", "birkhoff", "matroid-independence", "matroid-bases", "raw")
 
@@ -212,21 +211,16 @@ class Skeleton:
         return adj
 
 
-def build_skeleton_E(p: ZeroOnePolytope, threads: Optional[int] = None) -> Skeleton:
+def build_skeleton_E(p: ZeroOnePolytope) -> Skeleton:
     """Skeleton under the unique-decomposition edge test, all vertex pairs."""
     nv = len(p.vertices)
     index, verts = p.index, p.vertices
-
-    def run(span: range) -> list[tuple[int, int]]:
-        found = []
-        for a in span:
-            va = verts[a]
-            for b in range(a + 1, nv):
-                if len(_split_pairs(index, va, verts[b], limit=2)) == 1:
-                    found.append((a, b))
-        return found
-
-    edges = pair_chunks(nv, run, worker_count(threads))
+    edges = []
+    for a in range(nv):
+        va = verts[a]
+        for b in range(a + 1, nv):
+            if len(_split_pairs(index, va, verts[b], limit=2)) == 1:
+                edges.append((a, b))
     return Skeleton.make(nv, edges, "condition-E")
 
 

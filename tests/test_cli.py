@@ -83,6 +83,19 @@ class TestBuild:
         assert code == 2
         assert "pairs" in err
 
+    @pytest.mark.parametrize(
+        "payload",
+        [[], {"labels": 5, "pairs": []}, {"labels": [1], "pairs": [3]}],
+        ids=["not-an-object", "labels-not-a-list", "pair-not-a-list"],
+    )
+    def test_malformed_payload_is_error(self, tmp_path, capsys, payload):
+        rel = tmp_path / "rel.json"
+        rel.write_text(json.dumps(payload))
+        code, _, err = run(capsys, "build", "--family", "relation",
+                           "--input", str(rel))
+        assert code == 2
+        assert err.startswith("error:") and "Traceback" not in err
+
 
 class TestSkeletonCmd:
     @pytest.fixture()
@@ -131,6 +144,17 @@ class TestDiameterCmd:
         assert data["diameter"] == 3
         assert data["rank"] == 3
         assert data["bound_holds"] is True
+
+    def test_non_integer_rank_is_error(self, tmp_path, capsys):
+        p = tmp_path / "p.json"
+        run(capsys, "build", "--family", "bell", "--n", "3",
+            "--output", str(p))
+        data = json.loads(p.read_text())
+        data["rank"] = "x"
+        p.write_text(json.dumps(data))
+        code, _, err = run(capsys, "diameter", "--input", str(p))
+        assert code == 2
+        assert "rank" in err and "Traceback" not in err
 
 
 class TestFacetsCmd:

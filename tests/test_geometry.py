@@ -10,12 +10,19 @@ from fractions import Fraction
 
 import pytest
 
+from sspkit import geometry
+from sspkit.counterexample import (
+    maximal_family_polytope,
+    modified_cube,
+    remark_graph,
+)
 from sspkit.families import (
     build_bell_graph,
     build_complete_graph,
     build_empty_graph,
     build_noncrossing_graph,
     build_nonnesting_graph,
+    build_rook_graph,
 )
 from sspkit.geometry import (
     SizeLimitError,
@@ -33,7 +40,9 @@ from sspkit.geometry import (
     polytope_dim,
 )
 from sspkit.graphs import SimpleGraph, enumerate_max_cliques
-from sspkit.skeleton import ZeroOnePolytope, build_skeleton_E
+from sspkit.linalg import lp_feasible
+from sspkit.matroids import basis_polytope, build_uniform
+from sspkit.skeleton import ZeroOnePolytope, birkhoff_restrict, build_skeleton_E
 from sspkit.verify import random_graph
 
 
@@ -63,6 +72,57 @@ class TestOracle:
         _, p = path3_polytope()
         with pytest.raises(ValueError):
             oracle_is_edge(p, 2, 2)
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: ZeroOnePolytope.from_graph(build_bell_graph(4)),
+            lambda: birkhoff_restrict(build_rook_graph(4)),
+            lambda: basis_polytope(build_uniform(4, 2)),
+            modified_cube,
+            lambda: maximal_family_polytope(remark_graph()),
+        ],
+        ids=["bell4", "B4", "uniform-2-4-bases", "modified-cube", "remark-4.3"],
+    )
+    def test_matches_unfiltered_lp(self, make):
+        # The reference route: the LP over every other vertex and every
+        # coordinate, with no witness and no prefilter.
+        p = make()
+        for a, va in enumerate(p.vertices):
+            for b, vb in enumerate(p.vertices[a + 1 :], a + 1):
+                cols = [w for k, w in enumerate(p.vertices) if k not in (a, b)]
+                lhs = [
+                    [((w >> c) & 1) - ((vb >> c) & 1) for w in cols]
+                    for c in range(p.n)
+                ]
+                rhs = [((va >> c) & 1) - ((vb >> c) & 1) for c in range(p.n)]
+                assert oracle_is_edge(p, a, b) == (not lp_feasible(lhs, rhs))
+
+    def test_witness_pairs_are_rechecked(self, monkeypatch):
+        # A split walk that offers every vertex pair as a second split must
+        # not change a verdict: the oracle keeps only genuine splits.
+        p = ZeroOnePolytope.from_graph(build_bell_graph(4))
+        want = build_skeleton_E(p).edges
+        every_pair = [
+            (c, d)
+            for c in range(len(p.vertices))
+            for d in range(c + 1, len(p.vertices))
+        ]
+        monkeypatch.setattr(geometry, "_split_pairs", lambda *a, **k: every_pair)
+        assert build_skeleton_oracle(p).edges == want
+
+    def test_witnesses_settle_every_non_edge_on_nc5(self, monkeypatch):
+        results = []
+
+        def counted(lhs, rhs):
+            results.append(lp_feasible(lhs, rhs))
+            return results[-1]
+
+        monkeypatch.setattr(geometry, "lp_feasible", counted)
+        p = ZeroOnePolytope.from_graph(build_noncrossing_graph(5))
+        s = build_skeleton_oracle(p)
+        assert len(results) == len(s.edges)
+        assert not any(results)
 
 
 class TestInequality:

@@ -144,6 +144,18 @@ def _scipy_feasible(lhs, rhs):
     return res.status == 0
 
 
+def _check_against_scipy(lhs, rhs):
+    """Feasibility agrees with scipy, and a certificate solves the system
+    exactly; returns whether the system was feasible."""
+    cert = nonnegative_certificate(lhs, rhs)
+    assert (cert is not None) == _scipy_feasible(lhs, rhs)
+    if cert is not None:
+        assert all(x >= 0 for x in cert)
+        for row, want in zip(lhs, rhs):
+            assert sum(a * x for a, x in zip(row, cert)) == want
+    return cert is not None
+
+
 def test_feasibility_matches_scipy_on_random_systems():
     scipy = pytest.importorskip("scipy")  # noqa: F841
     rng = random.Random(20260816)
@@ -153,6 +165,32 @@ def test_feasibility_matches_scipy_on_random_systems():
         n = rng.randrange(1, 6)
         lhs = [[rng.randrange(-3, 4) for _ in range(n)] for _ in range(m)]
         rhs = [rng.randrange(-4, 5) for _ in range(m)]
-        assert lp_feasible(lhs, rhs) == _scipy_feasible(lhs, rhs)
+        _check_against_scipy(lhs, rhs)
         agree += 1
     assert agree == 120
+
+
+def _random_entry(rng):
+    if rng.random() < 0.3:
+        return Fraction(rng.randrange(-6, 7), rng.randrange(1, 5))
+    return rng.randrange(-3, 4)
+
+
+def test_feasibility_matches_scipy_on_wider_rational_systems():
+    """Systems up to 6x10 take several pivots, so an inexact division in
+    the integer tableau would show in a certificate."""
+    scipy = pytest.importorskip("scipy")  # noqa: F841
+    rng = random.Random(20261018)
+    feasible = 0
+    for k in range(120):
+        m = rng.randrange(1, 7)
+        n = rng.randrange(1, 11)
+        lhs = [[_random_entry(rng) for _ in range(n)] for _ in range(m)]
+        if k % 2:
+            # a planted nonnegative solution makes half the systems feasible
+            g = [rng.choice((0, 0, 1, 2, Fraction(1, 3))) for _ in range(n)]
+            rhs = [sum(a * x for a, x in zip(row, g)) for row in lhs]
+        else:
+            rhs = [_random_entry(rng) for _ in range(m)]
+        feasible += _check_against_scipy(lhs, rhs)
+    assert feasible >= 60

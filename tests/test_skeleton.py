@@ -270,19 +270,3 @@ class TestPaths:
         bad = g.ground.mask_of([(1, 2), (1, 3)])  # not stable
         with pytest.raises(ValueError):
             ssp_path(g, bad, 0)
-
-
-class TestThreading:
-    def test_thread_env_matches_sequential(self, monkeypatch):
-        rng = random.Random(5)
-        g = random_graph(rng, 6)
-        p = ZeroOnePolytope.from_graph(g)
-        monkeypatch.delenv("SSPKIT_THREADS", raising=False)
-        base = build_skeleton_E(p)
-        monkeypatch.setenv("SSPKIT_THREADS", "4")
-        par = build_skeleton_E(p)
-        assert base.edges == par.edges
-
-    def test_explicit_thread_count(self):
-        p = bell3_polytope()
-        assert build_skeleton_E(p, threads=3).edges == build_skeleton_E(p).edges
