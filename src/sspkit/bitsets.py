@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator
+from typing import Iterator
 
 
 def bits(mask: int) -> Iterator[int]:
@@ -11,20 +11,3 @@ def bits(mask: int) -> Iterator[int]:
         low = mask & -mask
         yield low.bit_length() - 1
         mask ^= low
-
-
-def mask_of(positions: Iterable[int]) -> int:
-    m = 0
-    for p in positions:
-        m |= 1 << p
-    return m
-
-
-def submasks(mask: int) -> Iterator[int]:
-    """All subsets of mask's bits, descending as integers (mask first, 0 last)."""
-    s = mask
-    while True:
-        yield s
-        if s == 0:
-            return
-        s = (s - 1) & mask

@@ -10,13 +10,17 @@ in integer arithmetic.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from math import gcd, lcm
 from typing import Optional, Sequence
 
 from .bitsets import bits
 from .graphs import SimpleGraph, enumerate_max_cliques
-from .linalg import affine_dim, lp_feasible
+from .linalg import (
+    cone_rays,
+    independent_rows,
+    integer_rows,
+    lp_feasible,
+    primitive,
+)
 from .skeleton import Skeleton, ZeroOnePolytope, _split_pairs
 
 
@@ -44,10 +48,8 @@ class Inequality:
 
 def make_inequality(coeffs: Sequence, rhs) -> Inequality:
     """Rational coefficients times the lcm of their denominators."""
-    vals = [Fraction(c) for c in coeffs] + [Fraction(rhs)]
-    scale = lcm(*(v.denominator for v in vals))
-    ints = [v.numerator * (scale // v.denominator) for v in vals]
-    return Inequality(tuple(ints[:-1]), ints[-1])
+    *ints, rhs = integer_rows([[*coeffs, rhs]])[0]
+    return Inequality(tuple(ints), rhs)
 
 
 def nonnegativity(n: int, v: int) -> Inequality:
@@ -78,10 +80,8 @@ def always_facet_inequalities(g: SimpleGraph) -> list[Inequality]:
 
 def normalized_int_form(q: Inequality) -> tuple[tuple[int, ...], int]:
     """Divide by the positive gcd to primitive integers (gcd 1)."""
-    g = gcd(q.rhs, *q.coeffs)
-    if g > 1:
-        return tuple(c // g for c in q.coeffs), q.rhs // g
-    return q.coeffs, q.rhs
+    *coeffs, rhs = primitive((*q.coeffs, q.rhs))
+    return tuple(coeffs), rhs
 
 
 def oracle_is_edge(
@@ -151,23 +151,29 @@ def is_valid(p: ZeroOnePolytope, q: Inequality) -> bool:
 
 
 def polytope_dim(p: ZeroOnePolytope) -> int:
-    return affine_dim([_vertex_row(v, p.n) for v in p.vertices])
+    return len(independent_rows([_lifted(v, p.n) for v in p.vertices])) - 1
 
 
 def is_facet(p: ZeroOnePolytope, q: Inequality) -> bool:
     """True iff the face q cuts out has dimension dim(p) - 1.
 
-    q must be valid for p; calling with an invalid inequality is a
-    contract violation.
+    One pass over the lifted vertices (1, v), tight ones first: the rows
+    chosen among the tight vertices span the face, all chosen rows span
+    the polytope, and the face is a facet iff exactly one row is chosen
+    outside it. q must be valid for p; calling with an invalid inequality
+    is a contract violation.
     """
     if not is_valid(p, q):
         raise ValueError("is_facet requires a valid inequality")
-    tight = [_vertex_row(v, p.n) for v in p.vertices if q.tight(v)]
-    return affine_dim(tight) == polytope_dim(p) - 1
+    tight = [_lifted(v, p.n) for v in p.vertices if q.tight(v)]
+    rest = [_lifted(v, p.n) for v in p.vertices if not q.tight(v)]
+    chosen = independent_rows(tight + rest)
+    return sum(i >= len(tight) for i in chosen) == 1
 
 
-def _vertex_row(v: int, n: int) -> list[int]:
-    return [(v >> k) & 1 for k in range(n)]
+def _lifted(v: int, n: int) -> tuple[int, ...]:
+    """The homogenized vertex row (1, e_v)."""
+    return (1, *((v >> k) & 1 for k in range(n)))
 
 
 def enumerate_facets(
@@ -190,17 +196,19 @@ def enumerate_facets(
         raise SizeLimitError(
             f"ambient dimension {n} exceeds the facet enumeration cap of {dim_cap}"
         )
-    if polytope_dim(p) != n:
+    rows = [_lifted(v, n) for v in p.vertices]
+    d = n + 1
+    chosen = independent_rows(rows)
+    if len(chosen) != d:
         raise ValueError(
             "facet enumeration requires a full-dimensional polytope"
         )
     if n == 0:
         return []
-    rows = [tuple([1] + _vertex_row(v, n)) for v in p.vertices]
-    d = n + 1
 
-    order = _initial_basis_order(rows, d)
-    rays = _initial_rays([rows[i] for i in order[:d]], d)
+    picked = set(chosen)
+    order = chosen + [i for i in range(nv) if i not in picked]
+    rays = cone_rays([rows[i] for i in chosen])
     full = (1 << d) - 1
     tight = [full ^ (1 << j) for j in range(d)]
 
@@ -228,7 +236,7 @@ def enumerate_facets(
                 vec = tuple(
                     vp * rm - vm * rp for rp, rm in zip(rays[kp], rays[km])
                 )
-                new_rays.append(_primitive(vec))
+                new_rays.append(primitive(vec))
                 new_tight.append(z | (1 << t))
         rays = [rays[k] for k in keep] + new_rays
         tight = [
@@ -251,65 +259,6 @@ def _adjacent(z: int, tight: list[int], kp: int, km: int) -> bool:
         if k != kp and k != km and z & ts == z:
             return False
     return True
-
-
-def _primitive(vec: Sequence[int]) -> tuple[int, ...]:
-    g = 0
-    for v in vec:
-        g = gcd(g, v)
-    if g > 1:
-        return tuple(v // g for v in vec)
-    return tuple(vec)
-
-
-def _initial_basis_order(rows: list[tuple[int, ...]], d: int) -> list[int]:
-    """Indices reordered so the first d rows are linearly independent."""
-    elim: list[tuple[int, list[Fraction]]] = []
-    chosen: list[int] = []
-    for idx, row in enumerate(rows):
-        vec = [Fraction(x) for x in row]
-        for pc, er in elim:
-            f = vec[pc]
-            if f != 0:
-                for j in range(pc, d):
-                    vec[j] -= f * er[j]
-        pivot = next((j for j in range(d) if vec[j] != 0), None)
-        if pivot is None:
-            continue
-        pv = vec[pivot]
-        elim.append((pivot, [x / pv for x in vec]))
-        chosen.append(idx)
-        if len(chosen) == d:
-            break
-    if len(chosen) < d:
-        raise ValueError("vertex rows do not span; polytope not full-dimensional")
-    rest = [i for i in range(len(rows)) if i not in set(chosen)]
-    return chosen + rest
-
-
-def _initial_rays(basis_rows: list[tuple[int, ...]], d: int) -> list[tuple[int, ...]]:
-    """Primitive integer columns of the inverse of the basis-row matrix."""
-    aug = [
-        [Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(d)]
-        for i, row in enumerate(basis_rows)
-    ]
-    for col in range(d):
-        piv = next(i for i in range(col, d) if aug[i][col] != 0)
-        aug[col], aug[piv] = aug[piv], aug[col]
-        pv = aug[col][col]
-        aug[col] = [x / pv for x in aug[col]]
-        for i in range(d):
-            if i != col and aug[i][col] != 0:
-                f = aug[i][col]
-                aug[i] = [x - f * y for x, y in zip(aug[i], aug[col])]
-    rays = []
-    for j in range(d):
-        column = [aug[i][d + j] for i in range(d)]
-        mult = 1
-        for v in column:
-            mult = mult * v.denominator // gcd(mult, v.denominator)
-        rays.append(_primitive([int(v * mult) for v in column]))
-    return rays
 
 
 def classify_inequality(

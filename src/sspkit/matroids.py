@@ -3,11 +3,20 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations, product
+from math import comb, prod
 from typing import Optional, Sequence
 
 from .bitsets import bits
 from .graphs import GroundSet, Label
 from .skeleton import ZeroOnePolytope
+
+
+# The exchange-axiom check in Matroid is quadratic in the family size: 1024
+# independent sets (the free matroid on 10 elements) take about 0.75 s under
+# CPython 3.11 on a 2-core x86-64 machine, 2048 about 3 s. The shorthand
+# builders refuse larger families before generating any member.
+MAX_INDEPENDENTS = 1024
 
 
 @dataclass(frozen=True)
@@ -83,8 +92,14 @@ def build_uniform(n: int, k: int) -> Matroid:
     """Independent sets are all subsets of 1..n with at most k elements."""
     if not 0 <= k <= n:
         raise ValueError("need 0 <= k <= n")
+    # k + 1 nonzero terms exceed the cap once k >= MAX_INDEPENDENTS
+    _check_size(sum(comb(n, i) for i in range(min(k, MAX_INDEPENDENTS) + 1)))
     ground = GroundSet(range(1, n + 1))
-    fam = [m for m in range(1 << n) if m.bit_count() <= k]
+    fam = [
+        sum(1 << x for x in members)
+        for i in range(k + 1)
+        for members in combinations(range(n), i)
+    ]
     return Matroid(ground, fam)
 
 
@@ -94,19 +109,23 @@ def build_partition(block_sizes: Sequence[int]) -> Matroid:
     Blocks are consecutive runs of 1..sum(sizes)."""
     if any(s <= 0 for s in block_sizes):
         raise ValueError("block sizes must be positive")
-    total = sum(block_sizes)
-    ground = GroundSet(range(1, total + 1))
-    blocks = []
+    _check_size(prod(s + 1 for s in block_sizes))
+    ground = GroundSet(range(1, sum(block_sizes) + 1))
+    choices = []  # per block: no element, or one of its elements
     at = 0
     for s in block_sizes:
-        blocks.append(((1 << s) - 1) << at)
+        choices.append([0, *(1 << (at + j) for j in range(s))])
         at += s
-    fam = [
-        m
-        for m in range(1 << total)
-        if all((m & blk).bit_count() <= 1 for blk in blocks)
-    ]
+    fam = [sum(pick) for pick in product(*choices)]
     return Matroid(ground, fam)
+
+
+def _check_size(count: int) -> None:
+    if count > MAX_INDEPENDENTS:
+        raise ValueError(
+            f"matroid has at least {count} independent sets; the builders "
+            f"stop at {MAX_INDEPENDENTS}"
+        )
 
 
 def build_graphic(edges: Sequence[tuple[Label, Label]]) -> Matroid:

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
 from .bitsets import bits
@@ -108,9 +107,9 @@ class ZeroOnePolytope:
     def n(self) -> int:
         return len(self.ground)
 
-    def vertex_vector(self, i: int) -> tuple[Fraction, ...]:
+    def vertex_vector(self, i: int) -> tuple[int, ...]:
         v = self.vertices[i]
-        return tuple(Fraction((v >> k) & 1) for k in range(self.n))
+        return tuple((v >> k) & 1 for k in range(self.n))
 
     def __repr__(self) -> str:
         return (

@@ -2,6 +2,7 @@
 contract (0 all-pass, 1 failed verification, 2 bad input)."""
 
 import json
+import time
 
 import pytest
 
@@ -68,6 +69,31 @@ class TestBuild:
         data = json.loads(out)
         assert data["kind"] == "matroid-bases"
         assert len(data["vertices"]) == 6
+
+    def test_matroid_on_large_ground_set(self, tmp_path, capsys):
+        # 30 elements but only 31 independent sets: no 2^30 scan
+        mj = tmp_path / "m.json"
+        mj.write_text(json.dumps({"uniform": [30, 1]}))
+        start = time.perf_counter()
+        code, out, _ = run(capsys, "build", "--family", "matroid",
+                           "--input", str(mj))
+        assert code == 0
+        assert len(json.loads(out)["vertices"]) == 31
+        assert time.perf_counter() - start < 5
+
+    @pytest.mark.parametrize(
+        "payload",
+        [{"uniform": [30, 15]}, {"partition": [2] * 30}],
+        ids=["uniform-30-15", "partition-30-blocks"],
+    )
+    def test_oversized_matroid_is_error(self, tmp_path, capsys, payload):
+        mj = tmp_path / "m.json"
+        mj.write_text(json.dumps(payload))
+        code, _, err = run(capsys, "build", "--family", "matroid",
+                           "--input", str(mj))
+        assert code == 2
+        assert err.startswith("error:") and "Traceback" not in err
+        assert len(err.strip().splitlines()) == 1
 
     def test_missing_n_is_error(self, capsys):
         code, _, err = run(capsys, "build", "--family", "bell")

@@ -40,7 +40,7 @@ from sspkit.geometry import (
     polytope_dim,
 )
 from sspkit.graphs import SimpleGraph, enumerate_max_cliques
-from sspkit.linalg import lp_feasible
+from sspkit.linalg import affine_dim, lp_feasible
 from sspkit.matroids import basis_polytope, build_uniform
 from sspkit.skeleton import ZeroOnePolytope, birkhoff_restrict, build_skeleton_E
 from sspkit.verify import random_graph
@@ -179,6 +179,42 @@ class TestValidityAndFacets:
             for q in qs:
                 assert is_valid(p, q)
                 assert is_facet(p, q)
+
+    def test_is_facet_matches_two_rank_definition(self):
+        """On random graphs, is_facet's one pass agrees with comparing two
+        affine dimensions, for facets and for valid non-facets alike."""
+        rng = random.Random(4)
+        facets = non_facets = 0
+        for _ in range(25):
+            g = random_graph(rng, rng.randrange(2, 7))
+            p = ZeroOnePolytope.from_graph(g)
+            rows = [p.vertex_vector(i) for i in range(len(p.vertices))]
+            # (inequality, known verdict or None)
+            candidates = [(q, True) for q in always_facet_inequalities(g)]
+            # 0 <= 0 cuts out the whole polytope: valid, not a facet
+            candidates.append((make_inequality([0] * g.n, 0), False))
+            for c in enumerate_max_cliques(g):
+                if c.bit_count() > 2:
+                    # an edge inside a larger clique: valid, not a facet
+                    low = c & -c
+                    rest = c ^ low
+                    edge = clique_inequality(g.n, low | (rest & -rest))
+                    candidates.append((edge, False))
+            # the heaviest vertices under a random weight: a valid face
+            for _ in range(4):
+                w = [rng.randrange(-1, 3) for _ in range(g.n)]
+                best = max(sum(w[b] for b in range(g.n) if v >> b & 1)
+                           for v in p.vertices)
+                candidates.append((make_inequality(w, best), None))
+            dim = affine_dim(rows)
+            for q, known in candidates:
+                tight = [r for r, v in zip(rows, p.vertices) if q.tight(v)]
+                want = affine_dim(tight) == dim - 1
+                assert known is None or want == known, (g, q)
+                assert is_facet(p, q) == want, (g, q)
+                facets += want
+                non_facets += not want
+        assert facets > 100 and non_facets > 50
 
     def test_polytope_dim_full_for_stable_set(self):
         g, p = path3_polytope()

@@ -1,10 +1,14 @@
-"""Exact rank, affine dimension, and LP feasibility.
+"""Exact rank, affine dimension, cone rays, and LP feasibility.
 
 Frozen expectations are hand-checked (row3 = row1 + row2 and the like);
-randomized systems are cross-checked against scipy's floating simplex.
+rank and row selection are cross-checked against a Fraction Gaussian
+elimination kept here as the reference, and randomized systems against
+scipy's floating simplex.
 """
 
+import ast
 from fractions import Fraction
+from pathlib import Path
 import random
 
 import pytest
@@ -13,10 +17,43 @@ from hypothesis import strategies as st
 
 from sspkit.linalg import (
     affine_dim,
+    cone_rays,
+    independent_rows,
     lp_feasible,
     nonnegative_certificate,
+    primitive,
     rank,
 )
+
+
+def fraction_rank(matrix):
+    """Rank by Gaussian elimination over Fraction: the reference route."""
+    rows = [[Fraction(x) for x in row] for row in matrix]
+    r = 0
+    for col in range(len(rows[0]) if rows else 0):
+        piv = next((i for i in range(r, len(rows)) if rows[i][col] != 0), None)
+        if piv is None:
+            continue
+        rows[r], rows[piv] = rows[piv], rows[r]
+        for i in range(r + 1, len(rows)):
+            f = rows[i][col] / rows[r][col]
+            rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
+        r += 1
+    return r
+
+
+rationals = st.fractions(min_value=-4, max_value=4, max_denominator=4)
+
+
+@st.composite
+def rational_matrices(draw, max_side=6):
+    m = draw(st.integers(1, max_side))
+    n = draw(st.integers(1, max_side))
+    # a narrow entry range makes dependent rows common
+    entry = st.one_of(st.integers(-2, 2), rationals)
+    return draw(
+        st.lists(st.lists(entry, min_size=n, max_size=n), min_size=m, max_size=m)
+    )
 
 
 class TestRank:
@@ -53,6 +90,97 @@ class TestRank:
     def test_rank_equals_transpose_rank(self, rows):
         cols = [[row[j] for row in rows] for j in range(3)]
         assert rank(rows) == rank(cols)
+
+
+class TestIndependentRows:
+    @given(rational_matrices())
+    @settings(max_examples=100, deadline=None)
+    def test_rank_matches_fraction_reference(self, rows):
+        assert rank(rows) == fraction_rank(rows)
+
+    @given(rational_matrices())
+    @settings(max_examples=100, deadline=None)
+    def test_picks_exactly_the_rows_independent_of_earlier_picks(self, rows):
+        chosen = set(independent_rows(rows))
+        picked = []
+        for i, row in enumerate(rows):
+            independent = fraction_rank(picked + [row]) > len(picked)
+            assert (i in chosen) == independent, i
+            if independent:
+                picked.append(row)
+
+    def test_stops_at_full_column_rank(self):
+        assert independent_rows([(1, 0), (0, 0), (0, 2), (1, 1)]) == [0, 2]
+
+    def test_ragged_rejected(self):
+        with pytest.raises(ValueError):
+            independent_rows([(1, 0), (1,)])
+
+
+@st.composite
+def nonsingular_int_matrices(draw):
+    d = draw(st.integers(1, 6))
+    rows = draw(
+        st.lists(
+            st.lists(st.integers(-3, 3), min_size=d, max_size=d),
+            min_size=d,
+            max_size=d,
+        ).filter(lambda m: fraction_rank(m) == len(m))
+    )
+    # a permutation of rows flips the determinant's sign and can put a zero
+    # on the diagonal, which forces a row swap
+    return draw(st.permutations(rows))
+
+
+class TestConeRays:
+    @staticmethod
+    def check(basis):
+        d = len(basis)
+        rays = cone_rays(basis)
+        assert len(rays) == d
+        for j, ray in enumerate(rays):
+            assert primitive(ray) == ray and any(ray)
+            image = [sum(a * y for a, y in zip(row, ray)) for row in basis]
+            assert image[j] > 0
+            assert all(v == 0 for i, v in enumerate(image) if i != j)
+
+    @given(nonsingular_int_matrices())
+    @settings(max_examples=150, deadline=None)
+    def test_random_nonsingular(self, basis):
+        self.check(basis)
+
+    @pytest.mark.parametrize(
+        "basis",
+        [
+            [[0, 1], [1, 0]],  # row swap, determinant -1
+            [[1, 1, 0], [1, 1, 1], [0, 1, 1]],  # zero second pivot
+            [[2, 0, 0], [0, -3, 0], [0, 0, 5]],
+            [[1, 0, 0, 0], [1, 1, 0, 0], [1, 0, 1, 0], [1, 1, 1, 1]],
+        ],
+    )
+    def test_frozen(self, basis):
+        self.check(basis)
+
+    def test_singular_rejected(self):
+        with pytest.raises(ValueError):
+            cone_rays([[1, 2], [2, 4]])
+
+
+def test_only_linalg_imports_fractions():
+    """Plain int is the one exact number type outside the linalg boundary."""
+    src = Path(__file__).resolve().parents[1] / "src" / "sspkit"
+    importers = []
+    for path in sorted(src.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [a.name for a in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            if "fractions" in names:
+                importers.append(path.name)
+    assert importers == ["linalg.py"]
 
 
 class TestAffineDim:

@@ -8,6 +8,7 @@ from sspkit.families import build_complete_graph
 from sspkit.geometry import build_skeleton_oracle
 from sspkit.graphs import GroundSet, SimpleGraph, enumerate_stable_sets
 from sspkit.matroids import (
+    MAX_INDEPENDENTS,
     AxiomViolation,
     Matroid,
     basis_exchange_adjacent,
@@ -80,6 +81,51 @@ class TestConstructions:
         gs = GroundSet([1, 2, 3])
         with pytest.raises(ValueError):
             Matroid(gs, [0b000, 0b011])  # not downward closed
+
+
+class TestBuilderSizes:
+    def test_uniform_matches_mask_filter(self):
+        for n in range(7):
+            for k in range(n + 1):
+                want = [m for m in range(1 << n) if m.bit_count() <= k]
+                got = build_uniform(n, k).independents
+                assert sorted(got) == want, (n, k)
+
+    def test_partition_matches_mask_filter(self):
+        for sizes in [(), (1,), (3,), (2, 3), (1, 2, 1), (2, 2, 2)]:
+            blocks, at = [], 0
+            for s in sizes:
+                blocks.append(((1 << s) - 1) << at)
+                at += s
+            want = [
+                m for m in range(1 << at)
+                if all((m & b).bit_count() <= 1 for b in blocks)
+            ]
+            assert sorted(build_partition(sizes).independents) == want, sizes
+
+    def test_large_ground_set_small_family(self):
+        m = build_uniform(30, 1)
+        assert len(m.independents) == 31 and m.rank == 1
+
+    def test_cap_is_inclusive(self):
+        # the free matroid on 10 elements has exactly the cap's 1024 sets
+        assert MAX_INDEPENDENTS == 1024
+        assert len(build_uniform(10, 10).independents) == MAX_INDEPENDENTS
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: build_uniform(11, 11),
+            lambda: build_uniform(30, 15),
+            lambda: build_uniform(10**6, 10**6),
+            lambda: build_partition([2] * 30),
+            lambda: build_partition([1] * 11),
+        ],
+        ids=["free-11", "uniform-30-15", "huge-k", "partition-30x2", "partition-11x1"],
+    )
+    def test_refused_before_enumeration(self, build):
+        with pytest.raises(ValueError, match="independent sets"):
+            build()
 
 
 class TestPolytopes:
