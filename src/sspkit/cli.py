@@ -28,7 +28,7 @@ from .skeleton import (
     bp_path,
     build_skeleton_E,
     diameter,
-    is_edge_E,
+    is_edge_walk,
     ssp_path,
 )
 from .verify import SUITES, run_suites
@@ -148,7 +148,7 @@ def cmd_facets(args: argparse.Namespace) -> int:
 
 def cmd_path(args: argparse.Namespace) -> int:
     p = _load_polytope(args.input)
-    if p.graph is None:
+    if p.kind not in ("stable-set", "birkhoff"):
         raise ValueError("path needs a stable-set or birkhoff polytope")
     a = p.ground.mask_of(
         serialize.decode_label(x) for x in json.loads(args.frm)
@@ -158,16 +158,8 @@ def cmd_path(args: argparse.Namespace) -> int:
     )
     if a not in p.index or b not in p.index:
         raise ValueError("endpoints must be vertices of the polytope")
-    if p.kind == "birkhoff":
-        walk = bp_path(p.graph, a, b, polytope=p)
-    elif p.kind == "stable-set":
-        walk = ssp_path(p.graph, a, b, polytope=p)
-    else:
-        raise ValueError(f"no constructive path for kind {p.kind!r}")
-    valid = all(
-        u != v and is_edge_E(p, p.index[u], p.index[v])
-        for u, v in zip(walk, walk[1:])
-    )
+    walk = bp_path(p, a, b) if p.kind == "birkhoff" else ssp_path(p, a, b)
+    valid = is_edge_walk(p, walk)
     report = {
         "path": [
             [serialize.encode_label(x) for x in p.ground.labels_of(v)]

@@ -84,9 +84,7 @@ def normalized_int_form(q: Inequality) -> tuple[tuple[int, ...], int]:
     return tuple(coeffs), rhs
 
 
-def oracle_is_edge(
-    p: ZeroOnePolytope, a: int, b: int, prefilter: bool = True
-) -> bool:
+def oracle_is_edge(p: ZeroOnePolytope, a: int, b: int) -> bool:
     """Geometric adjacency of vertices a and b: a checked witness, else LP.
 
     Non-adjacency is witnessed by a nonnegative solution of
@@ -98,9 +96,10 @@ def oracle_is_edge(
     settled without an LP. Every other pair, every edge included, goes to
     the LP.
 
-    With prefilter on, candidate LP columns are cut to vertices sandwiched
-    between the intersection and the union of a and b, which any support
-    of a witness must respect; the reported adjacency is unchanged.
+    The LP's columns are cut to the vertices sandwiched between the
+    intersection and the union of a and b, which any support of a witness
+    must respect, and its rows to the coordinates where a and b differ;
+    the other rows read 0 = 0 on those columns.
     """
     nv = len(p.vertices)
     if not (0 <= a < nv and 0 <= b < nv):
@@ -113,16 +112,12 @@ def oracle_is_edge(
         vc, vd = p.vertices[c], p.vertices[d]
         if {c, d} != {a, b} and vc & vd == inter and vc | vd == union:
             return False
-    if prefilter:
-        cols = [
-            w
-            for k, w in enumerate(p.vertices)
-            if k != a and k != b and w & inter == inter and not (w & ~union)
-        ]
-        coords = list(bits(va ^ vb))
-    else:
-        cols = [w for k, w in enumerate(p.vertices) if k != a and k != b]
-        coords = list(range(p.n))
+    cols = [
+        w
+        for k, w in enumerate(p.vertices)
+        if k != a and k != b and w & inter == inter and not (w & ~union)
+    ]
+    coords = list(bits(va ^ vb))
     lhs = [
         [((w >> c) & 1) - ((vb >> c) & 1) for w in cols]
         for c in coords
@@ -131,14 +126,14 @@ def oracle_is_edge(
     return not lp_feasible(lhs, rhs)
 
 
-def build_skeleton_oracle(p: ZeroOnePolytope, prefilter: bool = True) -> Skeleton:
+def build_skeleton_oracle(p: ZeroOnePolytope) -> Skeleton:
     """Skeleton under the LP adjacency oracle, all vertex pairs."""
     nv = len(p.vertices)
     edges = [
         (a, b)
         for a in range(nv)
         for b in range(a + 1, nv)
-        if oracle_is_edge(p, a, b, prefilter=prefilter)
+        if oracle_is_edge(p, a, b)
     ]
     return Skeleton.make(nv, edges, "oracle")
 

@@ -128,9 +128,7 @@ def cone_rays(basis: Matrix) -> list[tuple[int, ...]]:
 
 
 def nonnegative_certificate(
-    eq_lhs: Matrix,
-    eq_rhs: Vector,
-    pivot_cap: Optional[int] = None,
+    eq_lhs: Matrix, eq_rhs: Vector
 ) -> Optional[tuple[Fraction, ...]]:
     """A vector g >= 0 with eq_lhs @ g == eq_rhs, or None if none exists.
 
@@ -168,7 +166,7 @@ def nonnegative_certificate(
     # the current objective value.
     tab.append([sum(col) for col in zip(*tab)])
 
-    cap = pivot_cap if pivot_cap is not None else 1000 + 50 * (m + n) * (m + n)
+    cap = 1000 + 50 * (m + n) * (m + n)
     pivots = 0
     while True:
         enter = next((j for j in range(n) if tab[m][j] > 0), None)
@@ -207,8 +205,6 @@ def nonnegative_certificate(
     return tuple(x)
 
 
-def lp_feasible(
-    eq_lhs: Matrix, eq_rhs: Vector, pivot_cap: Optional[int] = None
-) -> bool:
+def lp_feasible(eq_lhs: Matrix, eq_rhs: Vector) -> bool:
     """True iff {g >= 0 : eq_lhs @ g == eq_rhs} is nonempty."""
-    return nonnegative_certificate(eq_lhs, eq_rhs, pivot_cap) is not None
+    return nonnegative_certificate(eq_lhs, eq_rhs) is not None

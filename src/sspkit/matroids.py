@@ -135,41 +135,41 @@ def build_graphic(edges: Sequence[tuple[Label, Label]]) -> Matroid:
             raise ValueError("graphic matroid input must be loop-free")
     if len({frozenset(e) for e in edges}) != len(edges):
         raise ValueError("graphic matroid input must have distinct edges")
-    if len(edges) > 20:
-        raise ValueError("graphic builder is exhaustive; at most 20 edges")
     ground = GroundSet(tuple(e) for e in edges)
-    fam = [
-        m for m in range(1 << len(edges)) if _is_forest(m, ground.labels)
-    ]
-    return Matroid(ground, fam)
+    return Matroid(ground, _forests(ground.labels))
 
 
-def _is_forest(mask: int, edge_labels: Sequence[tuple[Label, Label]]) -> bool:
-    parent: dict[Label, Label] = {}
+def _forests(edge_labels: Sequence[tuple[Label, Label]]) -> list[int]:
+    """Edge masks of every forest, refused once there are more than
+    MAX_INDEPENDENTS.
 
-    def find(x: Label) -> Label:
-        while parent.setdefault(x, x) != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for i in bits(mask):
-        u, v = edge_labels[i]
-        ru, rv = find(u), find(v)
-        if ru == rv:
-            return False
-        parent[ru] = rv
-    return True
+    Each forest grows only by edges after its last one, so each is made
+    once; a forest carries its vertex -> component map, and an edge joining
+    two components merges them into the first.
+    """
+    fam = [0]
+    stack: list[tuple[int, int, dict]] = [(0, 0, {})]
+    while stack:
+        mask, start, comp = stack.pop()
+        for i in range(start, len(edge_labels)):
+            u, v = edge_labels[i]
+            cu, cv = comp.get(u, u), comp.get(v, v)
+            if cu == cv:
+                continue
+            grown = {x: cu if c == cv else c for x, c in comp.items()}
+            grown[u] = grown[v] = cu
+            fam.append(mask | 1 << i)
+            _check_size(len(fam))
+            stack.append((fam[-1], i + 1, grown))
+    return fam
 
 
 def independence_polytope(m: Matroid) -> ZeroOnePolytope:
-    return ZeroOnePolytope(
-        m.ground, m.independents, "matroid-independence", rank=m.rank
-    )
+    return ZeroOnePolytope(m.ground, m.independents, "matroid-independence")
 
 
 def basis_polytope(m: Matroid) -> ZeroOnePolytope:
-    return ZeroOnePolytope(m.ground, m.bases(), "matroid-bases", rank=m.rank)
+    return ZeroOnePolytope(m.ground, m.bases(), "matroid-bases")
 
 
 def strong_exchange(m: Matroid, a: int, b: int, x: int) -> int:

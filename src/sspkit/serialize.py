@@ -119,10 +119,13 @@ def polytope_from_json(obj: dict) -> ZeroOnePolytope:
     if "graph" in obj:
         edges = _pairs(_object(obj["graph"]), "edges")
         graph = SimpleGraph.from_edges(ground.labels, edges)
+    p = ZeroOnePolytope(ground, vertices, obj["kind"], graph=graph)
     rank = obj.get("rank")
-    if rank is not None:
-        rank = _int(rank, "field 'rank'")
-    return ZeroOnePolytope(ground, vertices, obj["kind"], graph=graph, rank=rank)
+    if rank is not None and _int(rank, "field 'rank'") != p.rank:
+        raise ValueError(
+            f"field 'rank' is {rank} but the largest vertex has {p.rank} elements"
+        )
+    return p
 
 
 def skeleton_to_json(p: ZeroOnePolytope, s: Skeleton) -> dict:

@@ -30,6 +30,9 @@ class ZeroOnePolytope:
                            the matroids module)
       matroid-bases        equal-cardinality family
       raw                  any distinct subsets
+
+    rank is the largest vertex cardinality, the paper's bound on the
+    skeleton diameter.
     """
 
     __slots__ = ("ground", "vertices", "kind", "graph", "rank", "index")
@@ -40,7 +43,6 @@ class ZeroOnePolytope:
         vertices: Sequence[int],
         kind: str,
         graph: Optional[SimpleGraph] = None,
-        rank: Optional[int] = None,
     ):
         if kind not in KINDS:
             raise ValueError(f"unknown polytope kind {kind!r}")
@@ -71,10 +73,6 @@ class ZeroOnePolytope:
                     raise ValueError(
                         "birkhoff kind requires exactly the maximum stable sets"
                     )
-                if rank is None:
-                    rank = r
-                elif rank != r:
-                    raise ValueError("declared rank does not match the graph")
         elif kind == "matroid-independence":
             famset = set(verts)
             for v in verts:
@@ -85,13 +83,11 @@ class ZeroOnePolytope:
             cards = {v.bit_count() for v in verts}
             if len(cards) != 1:
                 raise ValueError("basis family must have equal cardinalities")
-        if rank is None:
-            rank = max(v.bit_count() for v in verts)
         self.ground = ground
         self.vertices = verts
         self.kind = kind
         self.graph = graph
-        self.rank = rank
+        self.rank = max(v.bit_count() for v in verts)
         self.index = index
 
     @classmethod
@@ -123,7 +119,7 @@ def birkhoff_restrict(g: SimpleGraph) -> ZeroOnePolytope:
     stabs = enumerate_stable_sets(g)
     r = max(s.bit_count() for s in stabs)
     tops = [s for s in stabs if s.bit_count() == r]
-    return ZeroOnePolytope(g.ground, tops, "birkhoff", graph=g, rank=r)
+    return ZeroOnePolytope(g.ground, tops, "birkhoff", graph=g)
 
 
 def _split_pairs(
@@ -287,19 +283,16 @@ def quasimatroid_exchange(
         cur = vc if not (vc & ibit) else vd
 
 
-def bp_path(
-    g: SimpleGraph, a: int, b: int, polytope: Optional[ZeroOnePolytope] = None
-) -> list[int]:
-    """Walk from a to b along edges of the top-cardinality polytope of g.
+def bp_path(p: ZeroOnePolytope, a: int, b: int) -> list[int]:
+    """Walk from a to b along edges of the birkhoff-kind polytope p.
 
     Every hop swaps some E sube current - b for an equal-size F sube b,
     so the overlap with b grows and the walk has at most rank hops.
     """
-    p = polytope if polytope is not None else birkhoff_restrict(g)
     if p.kind != "birkhoff":
         raise ValueError("bp_path needs a birkhoff-kind polytope")
     if a not in p.index or b not in p.index:
-        raise ValueError("endpoints must be maximum stable sets of g")
+        raise ValueError("endpoints must be maximum stable sets of the graph")
     path = [a]
     cur = a
     while cur != b:
@@ -310,19 +303,16 @@ def bp_path(
     return path
 
 
-def base_change(
-    g: SimpleGraph, a: int, b: int, polytope: Optional[ZeroOnePolytope] = None
-) -> int:
-    """A stable set C adjacent to a in the stable-set polytope of g with
+def base_change(p: ZeroOnePolytope, a: int, b: int) -> int:
+    """A stable set C adjacent to a in the stable-set polytope p with
     a cap b sube C sube a cup b and C meeting b - a.
 
     Follows the splitting argument: either some split member strictly
     contains a (then a plus one new element works), or some member meets
     both differences and we restart from it with a larger overlap.
     """
-    p = polytope if polytope is not None else ZeroOnePolytope.from_graph(g)
     if a not in p.index or b not in p.index:
-        raise ValueError("endpoints must be stable sets of g")
+        raise ValueError("endpoints must be stable sets of the graph")
     if a == b or not (b & ~a):
         raise ValueError("base_change needs b to contain something outside a")
     index, verts = p.index, p.vertices
@@ -350,18 +340,18 @@ def base_change(
             raise AssertionError("splitting argument exhausted; family corrupt")
 
 
-def ssp_path(
-    g: SimpleGraph, a: int, b: int, polytope: Optional[ZeroOnePolytope] = None
-) -> list[int]:
-    """Walk from a to b along stable-set polytope edges, at most rank hops.
+def ssp_path(p: ZeroOnePolytope, a: int, b: int) -> list[int]:
+    """Walk from a to b along edges of the stable-set polytope p, at most
+    rank hops.
 
     Small endpoints route down through the empty set and back up; otherwise
     repeated base_change grows the overlap with b until b is contained,
     after which surplus elements leave one at a time.
     """
-    p = polytope if polytope is not None else ZeroOnePolytope.from_graph(g)
+    if p.kind != "stable-set":
+        raise ValueError("ssp_path needs a stable-set-kind polytope")
     if a not in p.index or b not in p.index:
-        raise ValueError("endpoints must be stable sets of g")
+        raise ValueError("endpoints must be stable sets of the graph")
     if a == b:
         return [a]
     r = p.rank
@@ -379,10 +369,19 @@ def ssp_path(
             path.append(cur)
         return path
     while b & ~cur:
-        cur = base_change(g, cur, b, polytope=p)
+        cur = base_change(p, cur, b)
         path.append(cur)
     while cur != b:
         extra = cur & ~b
         cur ^= extra & -extra
         path.append(cur)
     return path
+
+
+def is_edge_walk(p: ZeroOnePolytope, walk: Sequence[int]) -> bool:
+    """True iff every hop of walk joins two distinct vertices of p that
+    pass the unique-sum edge test."""
+    return all(
+        u != v and is_edge_E(p, p.index[u], p.index[v])
+        for u, v in zip(walk, walk[1:])
+    )

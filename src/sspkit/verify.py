@@ -59,6 +59,7 @@ from .skeleton import (
     build_skeleton_E,
     diameter,
     is_edge_E,
+    is_edge_walk,
     quasimatroid_exchange,
     ssp_path,
 )
@@ -148,12 +149,7 @@ def _walk_ok(
 ) -> bool:
     if not path or path[0] != a or path[-1] != b:
         return False
-    if len(path) - 1 > bound:
-        return False
-    for u, v in zip(path, path[1:]):
-        if u == v or not is_edge_E(p, p.index[u], p.index[v]):
-            return False
-    return True
+    return len(path) - 1 <= bound and is_edge_walk(p, path)
 
 
 def suite_oracle_vs_e(
@@ -212,7 +208,7 @@ def suite_diameter_bounds(
         ]
         for a, b in _sample(rng, pairs, 12):
             va, vb = ssp.vertices[a], ssp.vertices[b]
-            walk = ssp_path(g, va, vb, polytope=ssp)
+            walk = ssp_path(ssp, va, vb)
             ok = ok and _walk_ok(ssp, walk, va, vb, r)
         bpairs = [
             (a, b)
@@ -221,7 +217,7 @@ def suite_diameter_bounds(
         ]
         for a, b in _sample(rng, bpairs, 8):
             va, vb = bp.vertices[a], bp.vertices[b]
-            walk = bp_path(g, va, vb, polytope=bp)
+            walk = bp_path(bp, va, vb)
             ok = ok and _walk_ok(bp, walk, va, vb, r)
         rep.add(f"graph-{idx}", ok, n=g.n, r=r, ssp=d_ssp, bp=d_bp)
 

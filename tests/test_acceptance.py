@@ -284,7 +284,7 @@ def test_criterion_8_diameter_bounds_and_walks():
         verts = list(ssp.vertices)
         for _ in range(4):
             a, b = rng.choice(verts), rng.choice(verts)
-            walk = ssp_path(g, a, b, polytope=ssp)
+            walk = ssp_path(ssp, a, b)
             assert walk[0] == a and walk[-1] == b
             assert len(walk) - 1 <= ssp.rank
             for u, v in zip(walk, walk[1:]):
@@ -292,7 +292,7 @@ def test_criterion_8_diameter_bounds_and_walks():
         bverts = list(bp.vertices)
         for _ in range(2):
             a, b = rng.choice(bverts), rng.choice(bverts)
-            walk = bp_path(g, a, b, polytope=bp)
+            walk = bp_path(bp, a, b)
             assert walk[0] == a and walk[-1] == b
             assert len(walk) - 1 <= bp.rank
             for u, v in zip(walk, walk[1:]):

@@ -83,8 +83,12 @@ class TestBuild:
 
     @pytest.mark.parametrize(
         "payload",
-        [{"uniform": [30, 15]}, {"partition": [2] * 30}],
-        ids=["uniform-30-15", "partition-30-blocks"],
+        [
+            {"uniform": [30, 15]},
+            {"partition": [2] * 30},
+            {"graphic": [[i, j] for i in range(1, 7) for j in range(i + 1, 7)]},
+        ],
+        ids=["uniform-30-15", "partition-30-blocks", "graphic-k6"],
     )
     def test_oversized_matroid_is_error(self, tmp_path, capsys, payload):
         mj = tmp_path / "m.json"
@@ -181,6 +185,26 @@ class TestDiameterCmd:
         code, _, err = run(capsys, "diameter", "--input", str(p))
         assert code == 2
         assert "rank" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("rank", [1, -3])
+    @pytest.mark.parametrize(
+        "command",
+        [["diameter"], ["path", "--from", "[]", "--to", "[[1, 2]]"]],
+        ids=["diameter", "path"],
+    )
+    def test_wrong_rank_is_error(self, tmp_path, capsys, command, rank):
+        # nc5's largest stable set has 4 elements, so a file claiming any
+        # other rank would misreport the diameter bound
+        p = tmp_path / "p.json"
+        run(capsys, "build", "--family", "nc", "--n", "5",
+            "--output", str(p))
+        data = json.loads(p.read_text())
+        data["rank"] = rank
+        p.write_text(json.dumps(data))
+        code, _, err = run(capsys, command[0], "--input", str(p), *command[1:])
+        assert code == 2
+        assert err.startswith("error:") and "Traceback" not in err
+        assert len(err.strip().splitlines()) == 1
 
 
 class TestFacetsCmd:

@@ -46,23 +46,17 @@ from sspkit.skeleton import ZeroOnePolytope, birkhoff_restrict, build_skeleton_E
 from sspkit.verify import random_graph
 
 
+def random_n5_polytopes():
+    rng = random.Random(11)
+    return [ZeroOnePolytope.from_graph(random_graph(rng, 5)) for _ in range(12)]
+
+
 def path3_polytope():
     g = SimpleGraph.from_edges([1, 2, 3], [(1, 2), (2, 3)])
     return g, ZeroOnePolytope.from_graph(g)
 
 
 class TestOracle:
-    def test_prefilter_matches_full_lp(self):
-        rng = random.Random(11)
-        for _ in range(12):
-            g = random_graph(rng, 5)
-            p = ZeroOnePolytope.from_graph(g)
-            k = len(p.vertices)
-            for i in range(k):
-                for j in range(i + 1, k):
-                    assert oracle_is_edge(p, i, j, prefilter=True) == \
-                        oracle_is_edge(p, i, j, prefilter=False)
-
     def test_oracle_skeleton_provenance(self):
         _, p = path3_polytope()
         s = build_skeleton_oracle(p)
@@ -76,27 +70,35 @@ class TestOracle:
     @pytest.mark.parametrize(
         "make",
         [
-            lambda: ZeroOnePolytope.from_graph(build_bell_graph(4)),
-            lambda: birkhoff_restrict(build_rook_graph(4)),
-            lambda: basis_polytope(build_uniform(4, 2)),
-            modified_cube,
-            lambda: maximal_family_polytope(remark_graph()),
+            lambda: [ZeroOnePolytope.from_graph(build_bell_graph(4))],
+            lambda: [birkhoff_restrict(build_rook_graph(4))],
+            lambda: [basis_polytope(build_uniform(4, 2))],
+            lambda: [modified_cube()],
+            lambda: [maximal_family_polytope(remark_graph())],
+            random_n5_polytopes,
         ],
-        ids=["bell4", "B4", "uniform-2-4-bases", "modified-cube", "remark-4.3"],
+        ids=[
+            "bell4",
+            "B4",
+            "uniform-2-4-bases",
+            "modified-cube",
+            "remark-4.3",
+            "random-n5-seed11",
+        ],
     )
     def test_matches_unfiltered_lp(self, make):
         # The reference route: the LP over every other vertex and every
-        # coordinate, with no witness and no prefilter.
-        p = make()
-        for a, va in enumerate(p.vertices):
-            for b, vb in enumerate(p.vertices[a + 1 :], a + 1):
-                cols = [w for k, w in enumerate(p.vertices) if k not in (a, b)]
-                lhs = [
-                    [((w >> c) & 1) - ((vb >> c) & 1) for w in cols]
-                    for c in range(p.n)
-                ]
-                rhs = [((va >> c) & 1) - ((vb >> c) & 1) for c in range(p.n)]
-                assert oracle_is_edge(p, a, b) == (not lp_feasible(lhs, rhs))
+        # coordinate, with no witness and no column or row cut.
+        for p in make():
+            for a, va in enumerate(p.vertices):
+                for b, vb in enumerate(p.vertices[a + 1 :], a + 1):
+                    cols = [w for k, w in enumerate(p.vertices) if k not in (a, b)]
+                    lhs = [
+                        [((w >> c) & 1) - ((vb >> c) & 1) for w in cols]
+                        for c in range(p.n)
+                    ]
+                    rhs = [((va >> c) & 1) - ((vb >> c) & 1) for c in range(p.n)]
+                    assert oracle_is_edge(p, a, b) == (not lp_feasible(lhs, rhs))
 
     def test_witness_pairs_are_rechecked(self, monkeypatch):
         # A split walk that offers every vertex pair as a second split must

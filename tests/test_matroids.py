@@ -1,6 +1,7 @@
 """Matroid axioms, constructions, polytopes, exchange operations."""
 
 import random
+from itertools import combinations
 
 import pytest
 
@@ -10,6 +11,7 @@ from sspkit.graphs import GroundSet, SimpleGraph, enumerate_stable_sets
 from sspkit.matroids import (
     MAX_INDEPENDENTS,
     AxiomViolation,
+    _forests,
     Matroid,
     basis_exchange_adjacent,
     basis_polytope,
@@ -21,6 +23,31 @@ from sspkit.matroids import (
     strong_exchange,
 )
 from sspkit.skeleton import ZeroOnePolytope, build_skeleton_E
+
+K4_EDGES = [(1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4)]
+K6_EDGES = [(i, j) for i in range(1, 7) for j in range(i + 1, 7)]
+
+
+def forests_by_mask_filter(edges):
+    """Reference: every edge mask, kept when union-find meets no cycle."""
+    out = []
+    for mask in range(1 << len(edges)):
+        root = {}
+
+        def find(x):
+            while root.get(x, x) != x:
+                x = root[x]
+            return x
+
+        for i, (u, v) in enumerate(edges):
+            if mask >> i & 1:
+                ru, rv = find(u), find(v)
+                if ru == rv:
+                    break
+                root[ru] = rv
+        else:
+            out.append(mask)
+    return out
 
 
 class TestAxioms:
@@ -68,8 +95,7 @@ class TestConstructions:
         assert len(m.bases()) == 6
 
     def test_graphic_k4(self):
-        edges = [(1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4)]
-        m = build_graphic(edges)
+        m = build_graphic(K4_EDGES)
         assert m.rank == 3
         assert len(m.bases()) == 16  # Cayley: 4^2 spanning trees
 
@@ -103,6 +129,20 @@ class TestBuilderSizes:
             ]
             assert sorted(build_partition(sizes).independents) == want, sizes
 
+    def test_graphic_matches_mask_filter(self):
+        want = forests_by_mask_filter(K4_EDGES)
+        assert sorted(build_graphic(K4_EDGES).independents) == want
+        # every graph on five vertices with at most 8 edges, then random
+        # graphs on up to nine vertices with edges in shuffled order
+        k5 = list(combinations(range(1, 6), 2))
+        graphs = [list(c) for m in range(9) for c in combinations(k5, m)]
+        rng = random.Random(5)
+        for _ in range(200):
+            pairs = list(combinations(range(1, 10), 2))
+            graphs.append(rng.sample(pairs, rng.randrange(9)))
+        for edges in graphs:
+            assert sorted(_forests(edges)) == forests_by_mask_filter(edges), edges
+
     def test_large_ground_set_small_family(self):
         m = build_uniform(30, 1)
         assert len(m.independents) == 31 and m.rank == 1
@@ -120,8 +160,18 @@ class TestBuilderSizes:
             lambda: build_uniform(10**6, 10**6),
             lambda: build_partition([2] * 30),
             lambda: build_partition([1] * 11),
+            lambda: build_graphic(K6_EDGES),
+            lambda: build_graphic(list(combinations(range(300), 2))),
         ],
-        ids=["free-11", "uniform-30-15", "huge-k", "partition-30x2", "partition-11x1"],
+        ids=[
+            "free-11",
+            "uniform-30-15",
+            "huge-k",
+            "partition-30x2",
+            "partition-11x1",
+            "graphic-k6",
+            "graphic-k300",
+        ],
     )
     def test_refused_before_enumeration(self, build):
         with pytest.raises(ValueError, match="independent sets"):
@@ -161,7 +211,7 @@ class TestPolytopes:
 class TestExchange:
     def test_strong_exchange_contract(self):
         rng = random.Random(606)
-        m = build_graphic([(1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4)])
+        m = build_graphic(K4_EDGES)
         bases = m.bases()
         for _ in range(40):
             a, b = rng.sample(bases, 2)

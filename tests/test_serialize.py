@@ -2,8 +2,14 @@
 
 import json
 
+import pytest
+
 from sspkit import serialize
-from sspkit.families import build_bell_graph, build_nonnesting_graph
+from sspkit.families import (
+    build_bell_graph,
+    build_noncrossing_graph,
+    build_nonnesting_graph,
+)
 from sspkit.geometry import enumerate_facets, make_inequality
 from sspkit.matroids import build_graphic, build_partition, build_uniform
 from sspkit.skeleton import (
@@ -60,6 +66,21 @@ class TestPolytopeJson:
             ))
             assert p2.kind == p.kind
             assert p2.vertices == p.vertices
+
+    @pytest.mark.parametrize("rank", [1, -3])
+    def test_wrong_rank_is_error(self, rank):
+        obj = serialize.polytope_to_json(
+            ZeroOnePolytope.from_graph(build_noncrossing_graph(5))
+        )
+        obj["rank"] = rank
+        with pytest.raises(ValueError, match="rank"):
+            serialize.polytope_from_json(obj)
+
+    def test_rank_is_optional(self):
+        p = ZeroOnePolytope.from_graph(build_noncrossing_graph(5))
+        obj = serialize.polytope_to_json(p)
+        del obj["rank"]
+        assert serialize.polytope_from_json(obj).rank == p.rank == 4
 
 
 class TestSkeletonJson:

@@ -208,7 +208,7 @@ class TestQuasimatroidExchange:
 class TestPaths:
     def test_bp_path_base_case(self):
         g = build_bell_graph(3)
-        walk = bp_path(g, g.ground.mask_of([(1, 2), (2, 3)]),
+        walk = bp_path(birkhoff_restrict(g), g.ground.mask_of([(1, 2), (2, 3)]),
                        g.ground.mask_of([(1, 2), (2, 3)]))
         assert len(walk) == 1
 
@@ -221,7 +221,7 @@ class TestPaths:
             if len(p.vertices) < 2:
                 continue
             a, b = rng.sample(list(p.vertices), 2)
-            walk = bp_path(g, a, b, polytope=p)
+            walk = bp_path(p, a, b)
             assert walk[0] == a and walk[-1] == b
             assert len(walk) - 1 <= p.rank
             for u, v in zip(walk, walk[1:]):
@@ -237,7 +237,7 @@ class TestPaths:
         gs = g.ground
         a = gs.mask_of([(1, 3)])
         b = gs.mask_of([(1, 2), (2, 3)])
-        nxt = base_change(g, a, b)
+        nxt = base_change(ZeroOnePolytope.from_graph(g), a, b)
         assert nxt == b
 
     def test_ssp_path_through_empty_set(self):
@@ -245,7 +245,7 @@ class TestPaths:
         gs = g.ground
         a = gs.mask_of([(1, 3)])
         b = gs.mask_of([(1, 2)])
-        walk = ssp_path(g, a, b)
+        walk = ssp_path(ZeroOnePolytope.from_graph(g), a, b)
         p = ZeroOnePolytope.from_graph(g)
         assert walk[0] == a and walk[-1] == b
         assert len(walk) - 1 <= p.rank
@@ -258,15 +258,22 @@ class TestPaths:
             g = random_graph(rng, 6)
             p = ZeroOnePolytope.from_graph(g)
             a, b = rng.sample(list(p.vertices), 2)
-            walk = ssp_path(g, a, b, polytope=p)
+            walk = ssp_path(p, a, b)
             assert walk[0] == a and walk[-1] == b
             assert len(walk) - 1 <= p.rank
             for u, v in zip(walk, walk[1:]):
                 assert u != v
                 assert is_edge_E(p, p.index[u], p.index[v])
 
+    def test_ssp_path_needs_stable_set_kind(self):
+        g = build_bell_graph(3)
+        vertices = ZeroOnePolytope.from_graph(g).vertices
+        for p in (birkhoff_restrict(g), ZeroOnePolytope.raw(g.ground, vertices)):
+            with pytest.raises(ValueError, match="stable-set"):
+                ssp_path(p, p.vertices[0], p.vertices[-1])
+
     def test_path_endpoints_must_be_vertices(self):
         g = build_bell_graph(3)
         bad = g.ground.mask_of([(1, 2), (1, 3)])  # not stable
         with pytest.raises(ValueError):
-            ssp_path(g, bad, 0)
+            ssp_path(ZeroOnePolytope.from_graph(g), bad, 0)
