@@ -146,16 +146,20 @@ def cmd_facets(args: argparse.Namespace) -> int:
     return 0
 
 
+def _endpoint(p: ZeroOnePolytope, text: str) -> int:
+    labels = json.loads(text)
+    if not isinstance(labels, list):
+        raise ValueError(
+            f"path endpoint must be a JSON list of labels, got {text}"
+        )
+    return p.ground.mask_of(serialize.decode_label(x) for x in labels)
+
+
 def cmd_path(args: argparse.Namespace) -> int:
     p = _load_polytope(args.input)
     if p.kind not in ("stable-set", "birkhoff"):
         raise ValueError("path needs a stable-set or birkhoff polytope")
-    a = p.ground.mask_of(
-        serialize.decode_label(x) for x in json.loads(args.frm)
-    )
-    b = p.ground.mask_of(
-        serialize.decode_label(x) for x in json.loads(args.to)
-    )
+    a, b = _endpoint(p, args.frm), _endpoint(p, args.to)
     if a not in p.index or b not in p.index:
         raise ValueError("endpoints must be vertices of the polytope")
     walk = bp_path(p, a, b) if p.kind == "birkhoff" else ssp_path(p, a, b)

@@ -124,11 +124,19 @@ def is_stable(g: SimpleGraph, a: int) -> bool:
     return True
 
 
+MAX_STABLE_SETS = 1 << 15
+
+
 def enumerate_stable_sets(g: SimpleGraph) -> list[int]:
     """All stable sets, sorted by cardinality then position order.
 
     Branching include/exclude search; including a vertex prunes its whole
-    neighborhood, so the tree size is O(n * number of stable sets).
+    neighborhood, so the tree size is O(n * number of stable sets). The
+    search raises ValueError at its (MAX_STABLE_SETS + 1)-th leaf, so a
+    graph past the cap costs no more than the cap to refuse. The cap keeps
+    rook6 (13,327 sets, the vertices of B6) and nc10 (16,796) buildable;
+    every consumer (the skeleton pair loop, facet enumeration) is at least
+    quadratic in the count.
     """
     n = g.n
     adj = g.adj
@@ -136,6 +144,10 @@ def enumerate_stable_sets(g: SimpleGraph) -> list[int]:
 
     def go(v: int, current: int, forbidden: int) -> None:
         if v == n:
+            if len(out) == MAX_STABLE_SETS:
+                raise ValueError(
+                    f"graph has more than {MAX_STABLE_SETS} stable sets"
+                )
             out.append(current)
             return
         go(v + 1, current, forbidden)
@@ -180,23 +192,30 @@ def enumerate_max_cliques(g: SimpleGraph) -> list[int]:
     return out
 
 
+def reach(adj: Sequence[int], start: int, within: int) -> int:
+    """Mask of the vertices reachable from the start mask by paths that
+    stay inside the within mask (start must lie inside it)."""
+    comp = frontier = start
+    while frontier:
+        nxt = 0
+        while frontier:
+            low = frontier & -frontier
+            nxt |= adj[low.bit_length() - 1]
+            frontier ^= low
+        frontier = nxt & within & ~comp
+        comp |= frontier
+    return comp
+
+
 def connected_components(g: SimpleGraph) -> list[int]:
     """Vertex sets of the connected components, as masks, by least member."""
-    seen = 0
+    everything = (1 << g.n) - 1
+    rest = everything
     comps = []
-    for v in range(g.n):
-        if (seen >> v) & 1:
-            continue
-        comp = 1 << v
-        frontier = 1 << v
-        while frontier:
-            nxt = 0
-            for u in bits(frontier):
-                nxt |= g.adj[u]
-            frontier = nxt & ~comp
-            comp |= frontier
+    while rest:
+        comp = reach(g.adj, rest & -rest, everything)
         comps.append(comp)
-        seen |= comp
+        rest &= ~comp
     return comps
 
 

@@ -6,16 +6,17 @@ one way (namely {A, B} itself). For stable-set, restricted stable-set and
 matroid families this provably coincides with geometric adjacency; the
 geometry module provides the independent LP oracle used to cross-check
 that claim, and for kind "raw" the test is just a uniqueness predicate.
+For the two graph kinds the same test is decided by a connectivity check
+on the graph (see build_skeleton_E).
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
 from .bitsets import bits
-from .graphs import GroundSet, SimpleGraph, enumerate_stable_sets
+from .graphs import GroundSet, SimpleGraph, enumerate_stable_sets, reach
 
 KINDS = ("stable-set", "birkhoff", "matroid-independence", "matroid-bases", "raw")
 
@@ -198,15 +199,9 @@ class Skeleton:
                 raise ValueError("bad edge")
         return cls(vertex_count, tuple(norm), provenance)
 
-    def adjacency(self) -> list[list[int]]:
-        adj: list[list[int]] = [[] for _ in range(self.vertex_count)]
-        for i, j in self.edges:
-            adj[i].append(j)
-            adj[j].append(i)
-        return adj
 
 
-def build_skeleton_E(p: ZeroOnePolytope) -> Skeleton:
+def unique_sum_skeleton(p: ZeroOnePolytope) -> Skeleton:
     """Skeleton under the unique-decomposition edge test, all vertex pairs."""
     nv = len(p.vertices)
     index, verts = p.index, p.vertices
@@ -219,26 +214,62 @@ def build_skeleton_E(p: ZeroOnePolytope) -> Skeleton:
     return Skeleton.make(nv, edges, "condition-E")
 
 
+def build_skeleton_E(p: ZeroOnePolytope) -> Skeleton:
+    """Skeleton under condition E (the unique-sum edge test).
+
+    Matroid and raw kinds walk the splits of every pair
+    (unique_sum_skeleton). For the stable-set and birkhoff kinds the test
+    reduces to "G[A xor B] is connected" (Chvatal 1975): A - B and B - A
+    are stable and A & B has no neighbour in A | B, so a split
+    e_C + e_D = e_A + e_B is exactly a 2-colouring of G[A xor B], and
+    there are 2^(k-1) unordered ones for k components. For
+    top-cardinality sets every component is balanced (else one side
+    would give a larger stable set), so each colouring keeps C and D in
+    the family, and again the split is unique iff k = 1.
+    """
+    if p.kind not in ("stable-set", "birkhoff"):
+        return unique_sum_skeleton(p)
+    adj = p.graph.adj
+    nv = len(p.vertices)
+    verts = p.vertices
+    edges = []
+    for a in range(nv):
+        va = verts[a]
+        for b in range(a + 1, nv):
+            diff = va ^ verts[b]
+            if reach(adj, diff & -diff, diff) == diff:
+                edges.append((a, b))
+    return Skeleton.make(nv, edges, "condition-E")
+
+
 def diameter(s: Skeleton) -> Optional[int]:
-    """Graph diameter by repeated BFS; None when disconnected."""
-    if s.vertex_count == 0:
+    """Graph diameter by a BFS from every vertex, frontiers as bitmasks
+    over vertex indices; None when disconnected."""
+    nv = s.vertex_count
+    if nv == 0:
         return None
-    adj = s.adjacency()
+    nbrs = [0] * nv
+    for i, j in s.edges:
+        nbrs[i] |= 1 << j
+        nbrs[j] |= 1 << i
+    everything = (1 << nv) - 1
     best = 0
-    for start in range(s.vertex_count):
-        dist = [-1] * s.vertex_count
-        dist[start] = 0
-        q = deque([start])
-        while q:
-            u = q.popleft()
-            for w in adj[u]:
-                if dist[w] < 0:
-                    dist[w] = dist[u] + 1
-                    q.append(w)
-        far = max(dist)
-        if min(dist) < 0:
-            return None
-        best = max(best, far)
+    for start in range(nv):
+        seen = frontier = 1 << start
+        depth = 0
+        while seen != everything:
+            nxt = 0
+            while frontier:
+                low = frontier & -frontier
+                nxt |= nbrs[low.bit_length() - 1]
+                frontier ^= low
+            frontier = nxt & ~seen
+            if not frontier:
+                return None
+            seen |= frontier
+            depth += 1
+        if depth > best:
+            best = depth
     return best
 
 

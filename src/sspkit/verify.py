@@ -62,6 +62,7 @@ from .skeleton import (
     is_edge_walk,
     quasimatroid_exchange,
     ssp_path,
+    unique_sum_skeleton,
 )
 
 
@@ -155,8 +156,9 @@ def _walk_ok(
 def suite_oracle_vs_e(
     seed: int = 7, graphs: int = 200, max_n: int = 6
 ) -> SuiteReport:
-    """Unique-sum skeleton equals LP-oracle skeleton on stable-set and
-    top-cardinality polytopes of the random corpus."""
+    """Three routes give one skeleton on stable-set and top-cardinality
+    polytopes of the random corpus: the unique-sum walk, the connectivity
+    test of build_skeleton_E and the LP oracle."""
     rep = SuiteReport(
         "oracle-vs-E", seed, {"graphs": graphs, "max_n": max_n}
     )
@@ -169,7 +171,8 @@ def suite_oracle_vs_e(
         bo = build_skeleton_oracle(bp).edges
         rep.add(
             f"graph-{idx}",
-            e_edges == o_edges and be == bo,
+            unique_sum_skeleton(ssp).edges == e_edges == o_edges
+            and unique_sum_skeleton(bp).edges == be == bo,
             n=g.n,
             m=g.edge_count(),
             ssp_vertices=len(ssp.vertices),

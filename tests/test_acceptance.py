@@ -45,6 +45,7 @@ from sspkit.skeleton import (
     diameter,
     is_edge_E,
     ssp_path,
+    unique_sum_skeleton,
 )
 from sspkit.verify import (
     MATROID_CATALOG,
@@ -109,8 +110,10 @@ def test_criterion_2_oracle_equivalence_on_corpus():
     for g in graphs:
         ssp = ZeroOnePolytope.from_graph(g)
         assert build_skeleton_E(ssp).edges == build_skeleton_oracle(ssp).edges
+        assert unique_sum_skeleton(ssp).edges == build_skeleton_E(ssp).edges
         bp = birkhoff_restrict(g)
         assert build_skeleton_E(bp).edges == build_skeleton_oracle(bp).edges
+        assert unique_sum_skeleton(bp).edges == build_skeleton_E(bp).edges
     budget.check()
 
 

@@ -99,6 +99,23 @@ class TestBuild:
         assert err.startswith("error:") and "Traceback" not in err
         assert len(err.strip().splitlines()) == 1
 
+    @pytest.mark.parametrize(
+        "family, n", [("nc", "12"), ("empty", "24"), ("rook", "7")]
+    )
+    def test_too_many_stable_sets_is_error(self, capsys, family, n):
+        start = time.perf_counter()
+        code, out, err = run(capsys, "build", "--family", family, "--n", n)
+        assert time.perf_counter() - start < 2
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and "stable sets" in err
+        assert len(err.strip().splitlines()) == 1
+
+    def test_rook6_birkhoff_builds_under_the_cap(self, capsys):
+        code, out, _ = run(capsys, "build", "--family", "rook", "--n", "6",
+                           "--birkhoff")
+        assert code == 0
+        assert len(json.loads(out)["vertices"]) == 720
+
     def test_missing_n_is_error(self, capsys):
         code, _, err = run(capsys, "build", "--family", "bell")
         assert code == 2
@@ -255,6 +272,21 @@ class TestPathCmd:
         )
         assert code == 2
         assert "error" in err
+
+
+    @pytest.mark.parametrize("endpoint", ["5", "null", '"x"', '{"a": 1}'])
+    @pytest.mark.parametrize("side", ["--from", "--to"])
+    def test_endpoint_not_a_list_is_error(self, tmp_path, capsys, side, endpoint):
+        p = tmp_path / "p.json"
+        run(capsys, "build", "--family", "nc", "--n", "5", "--output", str(p))
+        args = {"--from": "[]", "--to": "[]"}
+        args[side] = endpoint
+        code, out, err = run(capsys, "path", "--input", str(p),
+                             "--from", args["--from"], "--to", args["--to"])
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and "JSON list" in err
+        assert "Traceback" not in err
+        assert len(err.strip().splitlines()) == 1
 
 
 class TestVerifyCmd:

@@ -1,8 +1,15 @@
 """Ground sets, simple graphs, stable sets, cliques."""
 
-import pytest
+import random
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from sspkit.bitsets import bits
+from sspkit.families import build_empty_graph
 from sspkit.graphs import (
+    MAX_STABLE_SETS,
     GroundSet,
     SimpleGraph,
     connected_components,
@@ -88,6 +95,14 @@ class TestStableSets:
         assert got == [0b000, 0b001, 0b010, 0b100, 0b011, 0b101, 0b110, 0b111]
 
 
+    def test_cap_is_inclusive(self):
+        assert len(enumerate_stable_sets(build_empty_graph(15))) == MAX_STABLE_SETS
+
+    def test_refused_past_the_cap(self):
+        with pytest.raises(ValueError, match="more than 32768 stable sets"):
+            enumerate_stable_sets(build_empty_graph(16))
+
+
 class TestMaxCliques:
     def test_path3(self):
         g = path3()
@@ -125,3 +140,34 @@ class TestStructure:
         assert is_union_of_complete_graphs(yes)
         no = path3()
         assert not is_union_of_complete_graphs(no)
+
+
+def components_by_search(g):
+    """Reference: depth-first search from each unseen vertex."""
+    seen = set()
+    comps = []
+    for v in range(g.n):
+        if v in seen:
+            continue
+        comp, stack = 0, [v]
+        seen.add(v)
+        while stack:
+            u = stack.pop()
+            comp |= 1 << u
+            for w in bits(g.adj[u]):
+                if w not in seen:
+                    seen.add(w)
+                    stack.append(w)
+        comps.append(comp)
+    return comps
+
+
+@given(st.integers(0, 2**32), st.integers(0, 12), st.sampled_from([0.1, 0.25, 0.5]))
+@settings(max_examples=100, deadline=None)
+def test_components_match_search(seed, n, density):
+    rng = random.Random(seed)
+    labels = range(n)
+    edges = [(i, j) for i in labels for j in labels if i < j and rng.random() < density]
+    g = SimpleGraph.from_edges(labels, edges)
+    assert connected_components(g) == components_by_search(g)
+

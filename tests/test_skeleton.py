@@ -5,14 +5,21 @@ lists for the 3-pair clash graph were additionally worked out by hand.
 """
 
 import random
+import time
+from collections import deque
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sspkit.families import build_bell_graph, build_empty_graph
+from sspkit.families import (
+    build_bell_graph,
+    build_empty_graph,
+    build_noncrossing_graph,
+)
 from sspkit.geometry import build_skeleton_oracle, oracle_is_edge
 from sspkit.skeleton import (
+    Skeleton,
     ZeroOnePolytope,
     base_change,
     birkhoff_restrict,
@@ -23,6 +30,7 @@ from sspkit.skeleton import (
     is_edge_E,
     quasimatroid_exchange,
     ssp_path,
+    unique_sum_skeleton,
 )
 from sspkit.verify import random_graph
 
@@ -157,7 +165,74 @@ class TestEdgeE:
         assert is_edge_E(p, i, j) == oracle_is_edge(p, i, j)
 
 
+class TestConnectivityRoute:
+    """build_skeleton_E decides the graph kinds by connectivity of
+    G[A xor B]; unique_sum_skeleton walks the splits. They must agree."""
+
+    @given(st.integers(0, 2**32), st.integers(1, 8))
+    @settings(max_examples=60, deadline=None)
+    def test_matches_unique_sum_walk(self, seed, n):
+        g = random_graph(random.Random(seed), n)
+        for p in (ZeroOnePolytope.from_graph(g), birkhoff_restrict(g)):
+            s = build_skeleton_E(p)
+            assert s.edges == unique_sum_skeleton(p).edges
+            assert s.provenance == "condition-E"
+
+
+def deque_diameter(s):
+    """Reference: one queue BFS per source, over adjacency lists."""
+    if s.vertex_count == 0:
+        return None
+    adj = [[] for _ in range(s.vertex_count)]
+    for i, j in s.edges:
+        adj[i].append(j)
+        adj[j].append(i)
+    best = 0
+    for start in range(s.vertex_count):
+        dist = [-1] * s.vertex_count
+        dist[start] = 0
+        q = deque([start])
+        while q:
+            u = q.popleft()
+            for w in adj[u]:
+                if dist[w] < 0:
+                    dist[w] = dist[u] + 1
+                    q.append(w)
+        if min(dist) < 0:
+            return None
+        best = max(best, max(dist))
+    return best
+
+
 class TestDiameter:
+    @given(st.integers(0, 2**32), st.integers(0, 14), st.sampled_from([0.1, 0.3, 0.6]))
+    @settings(max_examples=150, deadline=None)
+    def test_matches_deque_bfs(self, seed, nv, density):
+        rng = random.Random(seed)
+        edges = [
+            (i, j)
+            for i in range(nv)
+            for j in range(i + 1, nv)
+            if rng.random() < density
+        ]
+        s = Skeleton.make(nv, edges, "condition-E")
+        assert diameter(s) == deque_diameter(s)
+
+    @pytest.mark.parametrize(
+        "nv, edges, want",
+        [
+            (0, [], None),
+            (1, [], 0),
+            (2, [], None),
+            (5, [(0, 1), (1, 2), (2, 3), (3, 4)], 4),
+            (6, [(0, 1), (1, 2), (3, 4), (4, 5), (3, 5)], None),
+        ],
+        ids=["no-vertices", "single-vertex", "two-isolated", "path-5", "two-parts"],
+    )
+    def test_small_cases(self, nv, edges, want):
+        s = Skeleton.make(nv, edges, "condition-E")
+        assert diameter(s) == deque_diameter(s) == want
+
     def test_cube3(self):
         p = ZeroOnePolytope.from_graph(build_empty_graph(3))
         assert diameter(build_skeleton_E(p)) == 3
@@ -174,6 +249,33 @@ class TestDiameter:
 
         s = Skeleton.make(3, [(0, 1)], "condition-E")
         assert diameter(s) is None
+
+
+class TestPastTheLadder:
+    """Rows past the benchmark ladder. Edge counts were confirmed once with
+    unique_sum_skeleton (5.9 s and 2.1 s). The budgets sit near five times
+    the 2-core time of build_skeleton_E plus diameter (2.1 s and 0.8 s),
+    below the 17 s and 4.2 s of the unique-sum walk with a queue BFS."""
+
+    @pytest.mark.parametrize(
+        "graph, vertices, edges, diam, rank, budget",
+        [
+            (build_noncrossing_graph(8), 1430, 97755, 4, 7, 10.0),
+            (build_bell_graph(7), 877, 30882, 6, 6, 4.0),
+        ],
+        ids=["nc8", "bell7"],
+    )
+    def test_row(self, graph, vertices, edges, diam, rank, budget):
+        start = time.monotonic()
+        p = ZeroOnePolytope.from_graph(graph)
+        s = build_skeleton_E(p)
+        d = diameter(s)
+        elapsed = time.monotonic() - start
+        assert (len(p.vertices), len(s.edges), d, p.rank) == (
+            vertices, edges, diam, rank
+        )
+        assert d <= p.rank
+        assert elapsed < budget, f"budget exceeded: {elapsed:.1f}s"
 
 
 class TestQuasimatroidExchange:
