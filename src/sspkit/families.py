@@ -8,10 +8,11 @@ with 1 <= i < j <= n in lexicographic order; the rook family uses all pairs
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
+from itertools import combinations
+from typing import Iterable, Sequence
 
 from .bitsets import bits
-from .graphs import GroundSet, Label, SimpleGraph, is_stable
+from .graphs import GroundSet, Label, SimpleGraph
 
 
 def pair_ground(n: int) -> GroundSet:
@@ -32,47 +33,44 @@ def build_complete_graph(n: int) -> SimpleGraph:
     if n < 0:
         raise ValueError("n must be nonnegative")
     labels = range(1, n + 1)
-    return SimpleGraph.from_edges(
-        labels, [(i, j) for i in labels for j in range(i + 1, n + 1)]
-    )
+    return SimpleGraph.from_edges(labels, combinations(labels, 2))
 
 
 def build_relation_graph(
     labels: Iterable[Label], pairs: Iterable[tuple[Label, Label]]
 ) -> SimpleGraph:
-    """Symmetrize an arbitrary relation and drop loops."""
+    """Symmetrize an arbitrary relation and drop loops. A loop's label is
+    still looked up, so a loop on an unknown label is an error."""
     ground = GroundSet(labels)
-    adj = [0] * len(ground)
-    for a, b in pairs:
-        i, j = ground.index(a), ground.index(b)
-        if i == j:
-            continue
-        adj[i] |= 1 << j
-        adj[j] |= 1 << i
-    return SimpleGraph(ground, adj)
+    return SimpleGraph.from_edges(
+        ground.labels,
+        [(a, b) for a, b in pairs if ground.index(a) != ground.index(b)],
+    )
 
 
 class Poset:
-    """Strict partial order on a ground set; keeps the full less-than relation."""
+    """Strict partial order on a ground set, kept as bitmasks:
+    below[j] is the set of elements strictly less than j. The order axioms
+    are checked with two mask operations per related pair."""
 
-    __slots__ = ("ground", "less_than")
+    __slots__ = ("ground", "below")
 
-    def __init__(self, ground: GroundSet, less_than: Iterable[tuple[int, int]]):
-        rel = frozenset(less_than)
+    def __init__(self, ground: GroundSet, below: Sequence[int]):
         n = len(ground)
-        for i, j in rel:
-            if not (0 <= i < n and 0 <= j < n):
-                raise ValueError("relation pair outside the ground set")
-            if i == j:
+        if len(below) != n:
+            raise ValueError("relation length does not match the ground set")
+        for j, down in enumerate(below):
+            ground.check_mask(down)
+            if (down >> j) & 1:
                 raise ValueError("strict order cannot be reflexive")
-            if (j, i) in rel:
-                raise ValueError("strict order cannot be symmetric")
-        for i, j in rel:
-            for k, l in rel:
-                if j == k and (i, l) not in rel:
+        for j, down in enumerate(below):
+            for i in bits(down):
+                if (below[i] >> j) & 1:
+                    raise ValueError("strict order cannot be symmetric")
+                if below[i] & ~down:
                     raise ValueError("relation is not transitive")
         self.ground = ground
-        self.less_than = rel
+        self.below = tuple(below)
 
     @classmethod
     def from_relation(
@@ -81,102 +79,87 @@ class Poset:
         """Build from any acyclic generating relation; closure is taken here."""
         ground = GroundSet(labels)
         n = len(ground)
-        below = [0] * n  # below[j] = mask of elements strictly less than j
+        below = [0] * n
         for a, b in pairs:
-            i, j = ground.index(a), ground.index(b)
-            below[j] |= 1 << i
-        # transitive closure, then cycle check
-        changed = True
-        while changed:
-            changed = False
+            below[ground.index(b)] |= 1 << ground.index(a)
+        for k in range(n):  # Warshall's transitive closure, then cycle check
             for j in range(n):
-                acc = below[j]
-                for i in bits(below[j]):
-                    acc |= below[i]
-                if acc != below[j]:
-                    below[j] = acc
-                    changed = True
+                if (below[j] >> k) & 1:
+                    below[j] |= below[k]
         for j in range(n):
             if (below[j] >> j) & 1:
                 raise ValueError("relation contains a cycle")
-        rel = [(i, j) for j in range(n) for i in bits(below[j])]
-        return cls(ground, rel)
+        return cls(ground, below)
 
     def less(self, i: int, j: int) -> bool:
-        return (i, j) in self.less_than
+        return bool((self.below[j] >> i) & 1)
 
     def comparable(self, i: int, j: int) -> bool:
-        return (i, j) in self.less_than or (j, i) in self.less_than
+        return self.less(i, j) or self.less(j, i)
 
     def __repr__(self) -> str:
-        return f"Poset(n={len(self.ground)}, pairs={len(self.less_than)})"
+        pairs = sum(down.bit_count() for down in self.below)
+        return f"Poset(n={len(self.ground)}, pairs={pairs})"
 
 
 def build_comparability_graph(p: Poset) -> SimpleGraph:
     """Edges join comparable elements, so stable sets are the antichains."""
-    n = len(p.ground)
-    adj = [0] * n
-    for i, j in p.less_than:
-        adj[i] |= 1 << j
-        adj[j] |= 1 << i
-    return SimpleGraph(p.ground, adj)
+    labels = p.ground.labels
+    return SimpleGraph.from_edges(
+        labels,
+        [(labels[i], lab) for lab, down in zip(labels, p.below)
+         for i in bits(down)],
+    )
 
 
 def containment_poset(n: int) -> Poset:
     """Pairs (i, j) ordered by weak interval containment:
     (i, j) < (k, l) iff k <= i, j <= l and the pairs differ."""
     ground = pair_ground(n)
-    rel = []
-    for a, (i, j) in enumerate(ground.labels):
-        for b, (k, l) in enumerate(ground.labels):
-            if a != b and k <= i and j <= l:
-                rel.append((a, b))
-    return Poset(ground, rel)
+    return Poset(
+        ground,
+        [
+            ground.mask_of(
+                (i, j) for i, j in ground.labels
+                if k <= i and j <= l and (i, j) != (k, l)
+            )
+            for k, l in ground.labels
+        ],
+    )
+
+
+def _clash_graph(labels: Iterable[tuple[int, int]], clash) -> SimpleGraph:
+    """Graph on pair labels given in lexicographic order; (i, j) and a
+    later (k, l), so i <= k, are adjacent iff clash(i, j, k, l)."""
+    labels = tuple(labels)
+    return SimpleGraph.from_edges(
+        labels, [(x, y) for x, y in combinations(labels, 2) if clash(*x, *y)]
+    )
+
+
+def _share_an_end(i: int, j: int, k: int, l: int) -> bool:
+    return i == k or j == l
 
 
 def build_bell_graph(n: int) -> SimpleGraph:
     """Pairs clash iff they share the left entry or the right entry."""
-    ground = pair_ground(n)
-    adj = _pair_adjacency(
-        ground, lambda i, j, k, l: (i == k) != (j == l)
-    )
-    return SimpleGraph(ground, adj)
+    return _clash_graph(pair_ground(n).labels, _share_an_end)
 
 
 def build_nonnesting_graph(n: int) -> SimpleGraph:
     """Pairs clash iff one interval weakly contains the other."""
-    ground = pair_ground(n)
-    adj = _pair_adjacency(
-        ground,
+    return _clash_graph(
+        pair_ground(n).labels,
         lambda i, j, k, l: (k <= i and j <= l) or (i <= k and l <= j),
     )
-    return SimpleGraph(ground, adj)
 
 
 def build_noncrossing_graph(n: int) -> SimpleGraph:
     """Pairs clash iff they share an entry or interleave strictly."""
-    ground = pair_ground(n)
-
-    def clash(i: int, j: int, k: int, l: int) -> bool:
-        if i == k or j == l:
-            return True
-        return (i < k < j < l) or (k < i < l < j)
-
-    return SimpleGraph(ground, _pair_adjacency(ground, clash))
-
-
-def _pair_adjacency(ground: GroundSet, clash) -> list[int]:
-    labels = ground.labels
-    n = len(labels)
-    adj = [0] * n
-    for a in range(n):
-        i, j = labels[a]
-        for b in range(a + 1, n):
-            k, l = labels[b]
-            if clash(i, j, k, l):
-                adj[a] |= 1 << b
-                adj[b] |= 1 << a
-    return adj
+    return _clash_graph(
+        pair_ground(n).labels,
+        lambda i, j, k, l: _share_an_end(i, j, k, l) or i < k < j < l,
+    )
 
 
 def build_rook_graph(n: int) -> SimpleGraph:
@@ -185,19 +168,8 @@ def build_rook_graph(n: int) -> SimpleGraph:
     Maximum stable sets are the permutation matrices."""
     if n < 0:
         raise ValueError("n must be nonnegative")
-    ground = GroundSet(
-        (i, j) for i in range(1, n + 1) for j in range(1, n + 1)
-    )
-    labels = ground.labels
-    adj = [0] * len(labels)
-    for a in range(len(labels)):
-        i, j = labels[a]
-        for b in range(a + 1, len(labels)):
-            k, l = labels[b]
-            if i == k or j == l:
-                adj[a] |= 1 << b
-                adj[b] |= 1 << a
-    return SimpleGraph(ground, adj)
+    cells = [(i, j) for i in range(1, n + 1) for j in range(1, n + 1)]
+    return _clash_graph(cells, _share_an_end)
 
 
 FAMILY_BUILDERS = {
@@ -240,49 +212,45 @@ class SetPartition:
         return out
 
 
-def arcs_to_partition(n: int, a: int, bell_graph: SimpleGraph | None = None) -> SetPartition:
+def arcs_to_partition(n: int, a: int) -> SetPartition:
     """Partition of 1..n whose arc diagram has exactly the given arcs.
 
     The arc set must be stable in build_bell_graph(n): at most one arc out
-    of each left endpoint and into each right endpoint.
+    of each left endpoint and into each right endpoint. Arcs then chain
+    each block from its least member upward.
     """
-    g = bell_graph if bell_graph is not None else build_bell_graph(n)
-    if not is_stable(g, a):
-        raise ValueError("arc set is not stable in the bell graph")
-    parent = list(range(n + 1))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for pos in bits(a):
-        i, j = g.ground.labels[pos]
-        parent[find(j)] = find(i)
-    groups: dict[int, list[int]] = {}
+    succ = [0] * (n + 1)  # succ[i] = right end of the arc out of i, or 0
+    right_ends = 0
+    for i, j in pair_ground(n).labels_of(a):
+        if succ[i] or (right_ends >> j) & 1:
+            raise ValueError("arc set is not stable in the bell graph")
+        succ[i] = j
+        right_ends |= 1 << j
+    blocks = []
     for x in range(1, n + 1):
-        groups.setdefault(find(x), []).append(x)
-    blocks = sorted((tuple(sorted(b)) for b in groups.values()), key=lambda b: b[0])
+        if not (right_ends >> x) & 1:
+            block = [x]
+            while succ[block[-1]]:
+                block.append(succ[block[-1]])
+            blocks.append(tuple(block))
     return SetPartition(n, tuple(blocks))
+
+
+def _no_arc_pair(p: SetPartition, bad) -> bool:
+    """True iff no two arcs (i, j) < (k, l) in sorted order satisfy bad."""
+    arcs = p.arcs()
+    return not any(
+        bad(i, j, k, l)
+        for pos, (i, j) in enumerate(arcs)
+        for k, l in arcs[pos + 1 :]
+    )
 
 
 def is_noncrossing(p: SetPartition) -> bool:
     """No two arcs (i, j), (k, l) with i < k < j < l."""
-    arcs = p.arcs()
-    for idx, (i, j) in enumerate(arcs):
-        for k, l in arcs[idx + 1 :]:
-            lo, hi = ((i, j), (k, l)) if i < k else ((k, l), (i, j))
-            if lo[0] < hi[0] < lo[1] < hi[1]:
-                return False
-    return True
+    return _no_arc_pair(p, lambda i, j, k, l: i < k < j < l)
 
 
 def is_nonnesting(p: SetPartition) -> bool:
     """No two arcs (i, j), (k, l) with i < k < l < j."""
-    arcs = p.arcs()
-    for idx, (i, j) in enumerate(arcs):
-        for k, l in arcs[idx + 1 :]:
-            if (i < k and l < j) or (k < i and j < l):
-                return False
-    return True
+    return _no_arc_pair(p, lambda i, j, k, l: i < k and l < j)

@@ -21,7 +21,7 @@ from .linalg import (
     lp_feasible,
     primitive,
 )
-from .skeleton import Skeleton, ZeroOnePolytope, _split_pairs
+from .skeleton import Skeleton, ZeroOnePolytope, _check_pair, _split_pairs
 
 
 class SizeLimitError(ValueError):
@@ -101,11 +101,7 @@ def oracle_is_edge(p: ZeroOnePolytope, a: int, b: int) -> bool:
     must respect, and its rows to the coordinates where a and b differ;
     the other rows read 0 = 0 on those columns.
     """
-    nv = len(p.vertices)
-    if not (0 <= a < nv and 0 <= b < nv):
-        raise ValueError("vertex index out of range")
-    if a == b:
-        raise ValueError("edge test needs two distinct vertices")
+    _check_pair(p, a, b)
     va, vb = p.vertices[a], p.vertices[b]
     inter, union = va & vb, va | vb
     for c, d in _split_pairs(p.index, va, vb, limit=2):

@@ -130,31 +130,30 @@ MAX_STABLE_SETS = 1 << 15
 def enumerate_stable_sets(g: SimpleGraph) -> list[int]:
     """All stable sets, sorted by cardinality then position order.
 
-    Branching include/exclude search; including a vertex prunes its whole
-    neighborhood, so the tree size is O(n * number of stable sets). The
-    search raises ValueError at its (MAX_STABLE_SETS + 1)-th leaf, so a
-    graph past the cap costs no more than the cap to refuse. The cap keeps
-    rook6 (13,327 sets, the vertices of B6) and nc10 (16,796) buildable;
-    every consumer (the skeleton pair loop, facet enumeration) is at least
+    Depth-first search over an explicit stack: each stable set is popped
+    once and pushes its extensions by one allowed vertex above its largest
+    member, so every push is a new stable set, the work is a few mask
+    operations per set, and no recursion limit bounds the depth. The search
+    raises ValueError at its (MAX_STABLE_SETS + 1)-th set, so a graph past
+    the cap costs no more than the cap to refuse. The cap keeps rook6
+    (13,327 sets, the vertices of B6) and nc10 (16,796) buildable; every
+    consumer (the skeleton pair loop, facet enumeration) is at least
     quadratic in the count.
     """
-    n = g.n
     adj = g.adj
     out: list[int] = []
-
-    def go(v: int, current: int, forbidden: int) -> None:
-        if v == n:
-            if len(out) == MAX_STABLE_SETS:
-                raise ValueError(
-                    f"graph has more than {MAX_STABLE_SETS} stable sets"
-                )
-            out.append(current)
-            return
-        go(v + 1, current, forbidden)
-        if not (forbidden >> v) & 1:
-            go(v + 1, current | (1 << v), forbidden | adj[v])
-
-    go(0, 0, 0)
+    stack = [(0, (1 << g.n) - 1)]  # (stable set, vertices that may join it)
+    while stack:
+        current, allowed = stack.pop()
+        if len(out) == MAX_STABLE_SETS:
+            raise ValueError(
+                f"graph has more than {MAX_STABLE_SETS} stable sets"
+            )
+        out.append(current)
+        while allowed:
+            low = allowed & -allowed
+            allowed ^= low
+            stack.append((current | low, allowed & ~adj[low.bit_length() - 1]))
     out.sort(key=_subset_sort_key)
     return out
 

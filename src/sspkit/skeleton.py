@@ -67,13 +67,10 @@ class ZeroOnePolytope:
                     raise ValueError(
                         "stable-set kind requires exactly the stable sets of the graph"
                     )
-            else:
-                r = max(s.bit_count() for s in stabs)
-                tops = [s for s in stabs if s.bit_count() == r]
-                if sorted(verts) != sorted(tops):
-                    raise ValueError(
-                        "birkhoff kind requires exactly the maximum stable sets"
-                    )
+            elif sorted(verts) != sorted(_largest(stabs)):
+                raise ValueError(
+                    "birkhoff kind requires exactly the maximum stable sets"
+                )
         elif kind == "matroid-independence":
             famset = set(verts)
             for v in verts:
@@ -117,10 +114,15 @@ class ZeroOnePolytope:
 
 def birkhoff_restrict(g: SimpleGraph) -> ZeroOnePolytope:
     """Restriction of the stable-set polytope of g to its top cardinality."""
-    stabs = enumerate_stable_sets(g)
-    r = max(s.bit_count() for s in stabs)
-    tops = [s for s in stabs if s.bit_count() == r]
-    return ZeroOnePolytope(g.ground, tops, "birkhoff", graph=g)
+    return ZeroOnePolytope(
+        g.ground, _largest(enumerate_stable_sets(g)), "birkhoff", graph=g
+    )
+
+
+def _largest(sets: Sequence[int]) -> list[int]:
+    """The members of maximum cardinality, in their given order."""
+    r = max(s.bit_count() for s in sets)
+    return [s for s in sets if s.bit_count() == r]
 
 
 def _split_pairs(
@@ -274,23 +276,19 @@ def diameter(s: Skeleton) -> Optional[int]:
 
 
 def quasimatroid_exchange(
-    family: Sequence[int], a: int, b: int, i: int
+    p: ZeroOnePolytope, a: int, b: int, i: int
 ) -> tuple[int, int]:
-    """For an equal-cardinality family, a pair (E, F) with i in E sube a - b,
-    F sube b - a, |E| = |F|, (a - E) | F in the family, and e_a + e_(a-E|F)
+    """For vertices a and b of an equal-cardinality polytope p (kind
+    birkhoff or matroid-bases), a pair (E, F) with i in E sube a - b,
+    F sube b - a, |E| = |F|, (a - E) | F a vertex of p, and e_a + e_(a-E|F)
     admitting no other two-member split.
 
     Walks alternative splits of e_a + e_b, always recursing toward the side
     that avoids i; each step grows the overlap with a, so it terminates.
     """
-    fam = list(family)
-    cards = {v.bit_count() for v in fam}
-    if len(cards) > 1:
+    if p.kind not in ("birkhoff", "matroid-bases"):
         raise ValueError("family members must have equal cardinality")
-    index = {v: k for k, v in enumerate(fam)}
-    if len(index) != len(fam):
-        raise ValueError("family members must be distinct")
-    if a not in index or b not in index:
+    if a not in p.index or b not in p.index:
         raise ValueError("a and b must belong to the family")
     if a == b:
         raise ValueError("a and b must differ")
@@ -298,11 +296,12 @@ def quasimatroid_exchange(
     if not (a & ~b) & ibit:
         raise ValueError("i must lie in a minus b")
 
+    verts = p.vertices
     cur = b
     while True:
         alt = None
-        for ci, di in _split_pairs(index, a, cur):
-            vc, vd = fam[ci], fam[di]
+        for ci, di in _split_pairs(p.index, a, cur):
+            vc, vd = verts[ci], verts[di]
             if (vc == a and vd == cur) or (vc == cur and vd == a):
                 continue
             alt = (vc, vd)
@@ -328,7 +327,7 @@ def bp_path(p: ZeroOnePolytope, a: int, b: int) -> list[int]:
     cur = a
     while cur != b:
         i = ((cur & ~b) & -(cur & ~b)).bit_length() - 1
-        e, f = quasimatroid_exchange(p.vertices, cur, b, i)
+        e, f = quasimatroid_exchange(p, cur, b, i)
         cur = (cur & ~e) | f
         path.append(cur)
     return path

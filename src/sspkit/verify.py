@@ -82,7 +82,7 @@ class SuiteReport:
 
     @property
     def passed(self) -> bool:
-        return all(c.passed for c in self.checks)
+        return bool(self.checks) and all(c.passed for c in self.checks)
 
     def add(self, name: str, passed: bool, **details) -> None:
         self.checks.append(CheckResult(name, bool(passed), details))
@@ -342,7 +342,7 @@ def suite_matroid_e(
                         (a ^ (1 << x)) | (1 << y) in fam
                         and (b ^ (1 << y)) | (1 << x) in fam
                     )
-                    e, f = quasimatroid_exchange(bases, a, b, x)
+                    e, f = quasimatroid_exchange(pb, a, b, x)
                     new = (a & ~e) | f
                     exchange_ok = exchange_ok and (
                         e & ~(a & ~b) == 0
@@ -443,25 +443,18 @@ def suite_partitions(
     for nc; the nn and nc graphs coincide exactly up to n = 3."""
     rep = SuiteReport("partitions", seed, {"max_n": max_n})
     for n in range(1, max_n + 1):
-        bell_g = build_bell_graph(n)
-        stabs = enumerate_stable_sets(bell_g)
-        parts = [arcs_to_partition(n, s, bell_graph=bell_g) for s in stabs]
+        stabs = enumerate_stable_sets(build_bell_graph(n))
+        parts = [arcs_to_partition(n, s) for s in stabs]
         all_parts = set(parts)
         ok = len(parts) == len(all_parts) == bell_number(n)
 
         nn_g = build_nonnesting_graph(n)
-        nn_img = {
-            arcs_to_partition(n, s, bell_graph=bell_g)
-            for s in enumerate_stable_sets(nn_g)
-        }
+        nn_img = {arcs_to_partition(n, s) for s in enumerate_stable_sets(nn_g)}
         ok = ok and nn_img == {p for p in all_parts if is_nonnesting(p)}
         ok = ok and len(nn_img) == catalan_number(n)
 
         nc_g = build_noncrossing_graph(n)
-        nc_img = {
-            arcs_to_partition(n, s, bell_graph=bell_g)
-            for s in enumerate_stable_sets(nc_g)
-        }
+        nc_img = {arcs_to_partition(n, s) for s in enumerate_stable_sets(nc_g)}
         ok = ok and nc_img == {p for p in all_parts if is_noncrossing(p)}
         ok = ok and len(nc_img) == catalan_number(n)
 

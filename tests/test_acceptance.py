@@ -317,17 +317,17 @@ def test_criterion_9_partition_counts_and_images():
         bell = build_bell_graph(n)
         stabs = enumerate_stable_sets(bell)
         assert len(stabs) == bell_number(n)
-        decoded = {arcs_to_partition(n, s, bell_graph=bell) for s in stabs}
+        decoded = {arcs_to_partition(n, s) for s in stabs}
         assert len(decoded) == bell_number(n)
 
         nn = enumerate_stable_sets(build_nonnesting_graph(n))
         assert len(nn) == catalan_number(n)
-        nn_image = {arcs_to_partition(n, s, bell_graph=bell) for s in nn}
+        nn_image = {arcs_to_partition(n, s) for s in nn}
         assert nn_image == {q for q in decoded if is_nonnesting(q)}
 
         nc = enumerate_stable_sets(build_noncrossing_graph(n))
         assert len(nc) == catalan_number(n)
-        nc_image = {arcs_to_partition(n, s, bell_graph=bell) for s in nc}
+        nc_image = {arcs_to_partition(n, s) for s in nc}
         assert nc_image == {q for q in decoded if is_noncrossing(q)}
     budget.check()
 

@@ -110,6 +110,27 @@ class TestBuild:
         assert err.startswith("error:") and "stable sets" in err
         assert len(err.strip().splitlines()) == 1
 
+    def test_complete_graph_deeper_than_the_recursion_limit(self, tmp_path, capsys):
+        out = tmp_path / "p.json"
+        code, _, err = run(capsys, "build", "--family", "complete", "--n", "1100",
+                           "--output", str(out))
+        assert code == 0 and err == ""
+        assert len(json.loads(out.read_text())["vertices"]) == 1101
+
+    def test_long_chain(self, tmp_path, capsys):
+        po = tmp_path / "poset.json"
+        po.write_text(json.dumps({
+            "labels": list(range(1, 241)),
+            "less_than": [[i, i + 1] for i in range(1, 240)],
+        }))
+        start = time.perf_counter()
+        code, out, _ = run(capsys, "build", "--family", "chain",
+                           "--input", str(po))
+        assert time.perf_counter() - start < 2
+        assert code == 0
+        # the antichains of a chain are the empty set and the singletons
+        assert len(json.loads(out)["vertices"]) == 241
+
     def test_rook6_birkhoff_builds_under_the_cap(self, capsys):
         code, out, _ = run(capsys, "build", "--family", "rook", "--n", "6",
                            "--birkhoff")
@@ -132,8 +153,10 @@ class TestBuild:
 
     @pytest.mark.parametrize(
         "payload",
-        [[], {"labels": 5, "pairs": []}, {"labels": [1], "pairs": [3]}],
-        ids=["not-an-object", "labels-not-a-list", "pair-not-a-list"],
+        [[], {"labels": 5, "pairs": []}, {"labels": [1], "pairs": [3]},
+         {"labels": [1, 2], "pairs": [[3, 3]]}],
+        ids=["not-an-object", "labels-not-a-list", "pair-not-a-list",
+             "loop-on-unknown-label"],
     )
     def test_malformed_payload_is_error(self, tmp_path, capsys, payload):
         rel = tmp_path / "rel.json"
@@ -308,6 +331,18 @@ class TestVerifyCmd:
         )
         assert code == 0
         assert json.loads(out)["passed"] is True
+
+    @pytest.mark.parametrize(
+        "suite, option",
+        [("oracle-vs-E", "--graphs"), ("partitions", "--max-n")],
+    )
+    def test_suite_without_checks_fails(self, capsys, suite, option):
+        code, out, err = run(capsys, "verify", "--suite", suite, option, "0")
+        assert code == 1
+        data = json.loads(out)
+        assert data["passed"] is False
+        assert data["reports"][0]["checks"] == []
+        assert f"suite {suite}: FAIL" in err
 
     def test_unknown_suite_rejected(self, capsys):
         with pytest.raises(SystemExit):

@@ -6,6 +6,8 @@ cross-checked against the comparability graph of the containment order.
 """
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from sspkit.families import (
     FAMILY_BUILDERS,
@@ -25,7 +27,7 @@ from sspkit.families import (
     is_nonnesting,
     pair_ground,
 )
-from sspkit.graphs import enumerate_max_cliques, enumerate_stable_sets
+from sspkit.graphs import GroundSet, enumerate_max_cliques, enumerate_stable_sets
 from sspkit.verify import bell_number, catalan_number
 
 
@@ -42,11 +44,52 @@ class TestElementaryBuilders:
         g = build_relation_graph([1, 2, 3], [(1, 2), (2, 1), (3, 3)])
         assert g.edges() == [(0, 1)]
 
+    def test_relation_graph_loop_on_unknown_label_rejected(self):
+        with pytest.raises(ValueError, match="label 3 not in ground set"):
+            build_relation_graph([1, 2], [(3, 3)])
+
     def test_pair_ground_lex(self):
         gs = pair_ground(4)
         assert gs.labels == (
             (1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4),
         )
+
+
+def pair_set_is_strict_order(n, rel):
+    """Reference check on a set of index pairs (i, j), read as i < j:
+    every pair inside range(n), irreflexive, antisymmetric, and transitive
+    over every pair of pairs."""
+    for i, j in rel:
+        if not (0 <= i < n and 0 <= j < n) or i == j or (j, i) in rel:
+            return False
+    return all((i, l) in rel for i, j in rel for k, l in rel if j == k)
+
+
+def below_masks(n, rel):
+    below = [0] * n
+    for i, j in rel:
+        below[j] |= 1 << i
+    return below
+
+
+def transitive_closure(rel):
+    rel = set(rel)
+    while True:
+        more = {(i, l) for i, j in rel for k, l in rel if j == k} - rel
+        if not more:
+            return rel
+        rel |= more
+
+
+# (n, a relation on range(n), whether to take its transitive closure)
+relations = st.integers(0, 8).flatmap(
+    lambda n: st.tuples(
+        st.just(n),
+        st.sets(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+                max_size=20) if n else st.just(set()),
+        st.booleans(),
+    )
+)
 
 
 class TestPoset:
@@ -57,8 +100,34 @@ class TestPoset:
     def test_intransitive_relation_rejected(self):
         with pytest.raises(ValueError):
             Poset(
-                build_empty_graph(3).ground, [(0, 1), (1, 2)]
-            )  # missing (0, 2)
+                build_empty_graph(3).ground, [0, 0b1, 0b10]
+            )  # 0 < 1 < 2 but not 0 < 2
+
+    @settings(max_examples=300, deadline=None)
+    @given(relations)
+    @example((3, {(0, 0)}, False))  # reflexive
+    @example((3, {(0, 1), (1, 0)}, False))  # symmetric
+    @example((3, {(0, 1), (1, 0)}, True))  # symmetric, closure adds loops
+    @example((3, {(0, 1), (1, 2)}, False))  # intransitive
+    @example((4, {(0, 1), (1, 2), (2, 3)}, True))  # a chain
+    def test_accepts_exactly_as_the_pair_set_reference(self, case):
+        n, rel, close = case
+        if close:
+            rel = transitive_closure(rel)
+        ground = GroundSet(range(n))
+        try:
+            p = Poset(ground, below_masks(n, rel))
+        except ValueError:
+            assert not pair_set_is_strict_order(n, rel)
+        else:
+            assert pair_set_is_strict_order(n, rel)
+            assert {
+                (i, j) for i in range(n) for j in range(n) if p.less(i, j)
+            } == rel
+
+    def test_mask_outside_the_ground_set_rejected(self):
+        with pytest.raises(ValueError):
+            Poset(build_empty_graph(2).ground, [0b100, 0])
 
     def test_from_relation_closes(self):
         p = Poset.from_relation([1, 2, 3], [(1, 2), (2, 3)])
@@ -209,11 +278,25 @@ class TestSetPartitions:
         assert is_noncrossing(nesting)
         assert not is_nonnesting(nesting)
 
+    @pytest.mark.parametrize(
+        "arcs",
+        [[(1, 2), (1, 3)], [(1, 3), (2, 3)]],
+        ids=["two-arcs-leave-one-left-end", "two-arcs-enter-one-right-end"],
+    )
+    def test_unstable_arc_set_rejected(self, arcs):
+        a = pair_ground(3).mask_of(arcs)
+        with pytest.raises(ValueError, match="not stable"):
+            arcs_to_partition(3, a)
+
+    def test_mask_outside_the_pair_ground_rejected(self):
+        with pytest.raises(ValueError, match="outside the ground set"):
+            arcs_to_partition(3, 1 << len(pair_ground(3)))
+
     def test_every_bell_stable_set_decodes(self):
         g = build_bell_graph(4)
         seen = set()
         for s in enumerate_stable_sets(g):
-            p = arcs_to_partition(4, s, bell_graph=g)
+            p = arcs_to_partition(4, s)
             assert p not in seen
             seen.add(p)
         assert len(seen) == bell_number(4)

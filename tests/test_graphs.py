@@ -102,6 +102,14 @@ class TestStableSets:
         with pytest.raises(ValueError, match="more than 32768 stable sets"):
             enumerate_stable_sets(build_empty_graph(16))
 
+    def test_complete_graph_deeper_than_the_recursion_limit(self):
+        n = 1500
+        everything = (1 << n) - 1
+        g = SimpleGraph(GroundSet(range(n)), [everything ^ (1 << v) for v in range(n)])
+        stabs = enumerate_stable_sets(g)
+        assert len(stabs) == n + 1
+        assert stabs == [0] + [1 << v for v in range(n)]
+
 
 class TestMaxCliques:
     def test_path3(self):

@@ -18,6 +18,7 @@ from sspkit.families import (
     build_noncrossing_graph,
 )
 from sspkit.geometry import build_skeleton_oracle, oracle_is_edge
+from sspkit.graphs import GroundSet
 from sspkit.skeleton import (
     Skeleton,
     ZeroOnePolytope,
@@ -292,7 +293,7 @@ class TestQuasimatroidExchange:
             if not picks:
                 continue
             i = picks[0]
-            drop, add = quasimatroid_exchange(set(p.vertices), a, b, i)
+            drop, add = quasimatroid_exchange(p, a, b, i)
             # swaps one element of a-b for some subset avoiding i
             assert drop and (a & drop) == drop and (b & drop) == 0
             assert add and (b & add) == add and (a & add) == 0
@@ -303,8 +304,9 @@ class TestQuasimatroidExchange:
             hits += 1
 
     def test_rejects_unequal_cardinality(self):
-        with pytest.raises(ValueError):
-            quasimatroid_exchange({0b11, 0b1}, 0b11, 0b1, 0)
+        p = ZeroOnePolytope.raw(GroundSet([1, 2]), [0b11, 0b1])
+        with pytest.raises(ValueError, match="equal cardinality"):
+            quasimatroid_exchange(p, 0b11, 0b1, 1)
 
 
 class TestPaths:
