@@ -13,7 +13,11 @@ import sys
 from typing import Optional, Sequence
 
 from . import serialize
-from .families import FAMILY_BUILDERS, build_comparability_graph
+from .families import (
+    FAMILY_BUILDERS,
+    build_comparability_graph,
+    check_stable_set_count,
+)
 from .geometry import (
     SizeLimitError,
     build_skeleton_oracle,
@@ -68,6 +72,7 @@ def cmd_build(args: argparse.Namespace) -> int:
         elif fam in FAMILY_BUILDERS:
             if args.n is None:
                 raise ValueError(f"--family {fam} needs --n")
+            check_stable_set_count(fam, args.n)
             g = FAMILY_BUILDERS[fam](args.n)
         else:
             raise ValueError(f"unknown family {fam!r}")

@@ -9,10 +9,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
+from math import comb, factorial
 from typing import Iterable, Sequence
 
 from .bitsets import bits
-from .graphs import GroundSet, Label, SimpleGraph
+from .graphs import MAX_STABLE_SETS, GroundSet, Label, SimpleGraph
 
 
 def pair_ground(n: int) -> GroundSet:
@@ -180,6 +181,42 @@ FAMILY_BUILDERS = {
     "nc": build_noncrossing_graph,
     "rook": build_rook_graph,
 }
+
+
+def bell_number(n: int) -> int:
+    row = [1]
+    for _ in range(n):
+        nxt = [row[-1]]
+        for v in row:
+            nxt.append(nxt[-1] + v)
+        row = nxt
+    return row[0]
+
+
+def catalan_number(n: int) -> int:
+    return comb(2 * n, n) // (n + 1)
+
+
+# family -> the number of stable sets of its graph on n, in closed form:
+# subsets, the empty set and singletons, set partitions, nonnesting and
+# noncrossing partitions, and partial permutation matrices.
+STABLE_SET_COUNTS = {
+    "empty": lambda n: 1 << n,
+    "complete": lambda n: n + 1,
+    "bell": bell_number,
+    "nn": catalan_number,
+    "nc": catalan_number,
+    "rook": lambda n: sum(comb(n, k) ** 2 * factorial(k) for k in range(n + 1)),
+}
+
+
+def check_stable_set_count(family: str, n: int) -> None:
+    """Refuse a catalog graph with more than MAX_STABLE_SETS stable sets
+    before any of it is built. Every count grows with n, so the closed form
+    is tried from 0 up and stops past the cap: a huge n costs no more than
+    a small one."""
+    if any(STABLE_SET_COUNTS[family](m) > MAX_STABLE_SETS for m in range(n + 1)):
+        raise ValueError(f"graph has more than {MAX_STABLE_SETS} stable sets")
 
 
 @dataclass(frozen=True)

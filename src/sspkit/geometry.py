@@ -37,7 +37,12 @@ class Inequality:
     rhs: int
 
     def evaluate(self, mask: int) -> int:
-        return sum(self.coeffs[i] for i in bits(mask))
+        coeffs, total = self.coeffs, 0
+        while mask:
+            low = mask & -mask
+            total += coeffs[low.bit_length() - 1]
+            mask ^= low
+        return total
 
     def holds(self, mask: int) -> bool:
         return self.evaluate(mask) <= self.rhs
@@ -176,6 +181,13 @@ def enumerate_facets(
     {y : y . (1, w) >= 0 for all vertices w} are exactly the facets. All
     ray arithmetic stays in primitive integer vectors. Inputs beyond the
     caps are refused rather than attempted.
+
+    A positive and a negative ray combine iff no third ray's zero set (the
+    rows it is tight on) contains their common zero set z. Adjacent rays
+    span a 2-face, so z holds at least d - 2 rows (Fukuda and Prodon,
+    1996); the last refuting zero set is tried first. The pair's own rays
+    are skipped by mask value: the cone starts from d independent rows, so
+    it is pointed, and its distinct extreme rays have distinct zero sets.
     """
     n = p.n
     nv = len(p.vertices)
@@ -200,56 +212,44 @@ def enumerate_facets(
     picked = set(chosen)
     order = chosen + [i for i in range(nv) if i not in picked]
     rays = cone_rays([rows[i] for i in chosen])
-    full = (1 << d) - 1
-    tight = [full ^ (1 << j) for j in range(d)]
+    tight = [((1 << d) - 1) ^ (1 << j) for j in range(d)]  # zero sets
 
     for t in range(d, nv):
-        row = rows[order[t]]
-        vals = [_dot(row, r) for r in rays]
-        minus = [k for k, v in enumerate(vals) if v < 0]
-        if not minus:
-            for k, v in enumerate(vals):
-                if v == 0:
-                    tight[k] |= 1 << t
-            continue
+        ones = [k + 1 for k in bits(p.vertices[order[t]])]
+        vals = [r[0] + sum([r[k] for k in ones]) for r in rays]  # r . (1, e_v)
+        bit = 1 << t
         plus = [k for k, v in enumerate(vals) if v > 0]
-        keep = [k for k, v in enumerate(vals) if v >= 0]
-        new_rays: list[tuple[int, ...]] = []
-        new_tight: list[int] = []
+        minus = [k for k, v in enumerate(vals) if v < 0]
+        masks = sorted(tight, key=int.bit_count, reverse=True)
+        witness = masks[0]
+        new_rays, new_tight = [], []
         for kp in plus:
-            tp = tight[kp]
-            vp = vals[kp]
+            tp, rp, vp = tight[kp], rays[kp], vals[kp]
             for km in minus:
-                z = tp & tight[km]
-                if not _adjacent(z, tight, kp, km):
+                tm = tight[km]
+                z = tp & tm
+                if z.bit_count() < d - 2:
                     continue
-                vm = vals[km]
-                vec = tuple(
-                    vp * rm - vm * rp for rp, rm in zip(rays[kp], rays[km])
-                )
-                new_rays.append(primitive(vec))
-                new_tight.append(z | (1 << t))
+                if z & witness != z or witness == tp or witness == tm:
+                    for ts in masks:
+                        if z & ts == z and ts != tp and ts != tm:
+                            witness = ts
+                            break
+                    else:
+                        vm = vals[km]
+                        new_rays.append(
+                            primitive([vp * b - vm * a for a, b in zip(rp, rays[km])])
+                        )
+                        new_tight.append(z | bit)
+        keep = [k for k, v in enumerate(vals) if v >= 0]
         rays = [rays[k] for k in keep] + new_rays
-        tight = [
-            tight[k] | (1 << t) if vals[k] == 0 else tight[k] for k in keep
-        ] + new_tight
+        tight = [tight[k] | bit if vals[k] == 0 else tight[k] for k in keep]
+        tight += new_tight
 
-    out = []
-    for ray in rays:
-        out.append(Inequality(tuple(-c for c in ray[1:]), ray[0]))
-    out.sort(key=lambda q: (q.coeffs, q.rhs))
-    return out
-
-
-def _dot(a: Sequence[int], b: Sequence[int]) -> int:
-    return sum(x * y for x, y in zip(a, b))
-
-
-def _adjacent(z: int, tight: list[int], kp: int, km: int) -> bool:
-    for k, ts in enumerate(tight):
-        if k != kp and k != km and z & ts == z:
-            return False
-    return True
+    return sorted(
+        (Inequality(tuple(-c for c in ray[1:]), ray[0]) for ray in rays),
+        key=lambda q: (q.coeffs, q.rhs),
+    )
 
 
 def classify_inequality(

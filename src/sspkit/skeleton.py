@@ -81,6 +81,9 @@ class ZeroOnePolytope:
             cards = {v.bit_count() for v in verts}
             if len(cards) != 1:
                 raise ValueError("basis family must have equal cardinalities")
+        self._fill(ground, verts, kind, graph, index)
+
+    def _fill(self, ground, verts, kind, graph, index) -> None:
         self.ground = ground
         self.vertices = verts
         self.kind = kind
@@ -89,9 +92,20 @@ class ZeroOnePolytope:
         self.index = index
 
     @classmethod
+    def _enumerated(
+        cls, g: SimpleGraph, verts: list[int], kind: str
+    ) -> "ZeroOnePolytope":
+        """A graph kind built from one enumeration of g's stable sets. The
+        checks in __init__ would enumerate them again only to compare the
+        list with itself, so they are skipped here and nowhere else."""
+        p = cls.__new__(cls)
+        p._fill(g.ground, tuple(verts), kind, g, {v: i for i, v in enumerate(verts)})
+        return p
+
+    @classmethod
     def from_graph(cls, g: SimpleGraph) -> "ZeroOnePolytope":
         """Stable-set polytope of g, vertices in enumeration order."""
-        return cls(g.ground, enumerate_stable_sets(g), "stable-set", graph=g)
+        return cls._enumerated(g, enumerate_stable_sets(g), "stable-set")
 
     @classmethod
     def raw(cls, ground: GroundSet, vertices: Sequence[int]) -> "ZeroOnePolytope":
@@ -114,8 +128,8 @@ class ZeroOnePolytope:
 
 def birkhoff_restrict(g: SimpleGraph) -> ZeroOnePolytope:
     """Restriction of the stable-set polytope of g to its top cardinality."""
-    return ZeroOnePolytope(
-        g.ground, _largest(enumerate_stable_sets(g)), "birkhoff", graph=g
+    return ZeroOnePolytope._enumerated(
+        g, _largest(enumerate_stable_sets(g)), "birkhoff"
     )
 
 

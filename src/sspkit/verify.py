@@ -4,7 +4,6 @@ is a thin wrapper around these."""
 
 from __future__ import annotations
 
-import math
 import random
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
@@ -17,12 +16,14 @@ from .counterexample import (
 )
 from .families import (
     arcs_to_partition,
+    bell_number,
     build_bell_graph,
     build_comparability_graph,
     build_complete_graph,
     build_empty_graph,
     build_noncrossing_graph,
     build_nonnesting_graph,
+    catalan_number,
     is_noncrossing,
     is_nonnesting,
     Poset,
@@ -419,20 +420,6 @@ def suite_remark43(
         not is_stable_set_family(cube.ground, cube.vertices),
     )
     return rep
-
-
-def bell_number(n: int) -> int:
-    row = [1]
-    for _ in range(n):
-        nxt = [row[-1]]
-        for v in row:
-            nxt.append(nxt[-1] + v)
-        row = nxt
-    return row[0]
-
-
-def catalan_number(n: int) -> int:
-    return math.comb(2 * n, n) // (n + 1)
 
 
 def suite_partitions(

@@ -100,14 +100,29 @@ class TestBuild:
         assert len(err.strip().splitlines()) == 1
 
     @pytest.mark.parametrize(
-        "family, n", [("nc", "12"), ("empty", "24"), ("rook", "7")]
+        "family, n",
+        [("nc", "12"), ("empty", "24"), ("rook", "7"), ("rook", "60"), ("nc", "80")],
     )
     def test_too_many_stable_sets_is_error(self, capsys, family, n):
+        # refused from the closed-form count, before the graph is built
         start = time.perf_counter()
         code, out, err = run(capsys, "build", "--family", family, "--n", n)
-        assert time.perf_counter() - start < 2
+        assert time.perf_counter() - start < 1
         assert code == 2 and out == ""
         assert err.startswith("error:") and "stable sets" in err
+        assert len(err.strip().splitlines()) == 1
+
+    @pytest.mark.parametrize("birkhoff", [False, True])
+    def test_wrong_vertex_list_in_a_file_is_error(self, tmp_path, capsys, birkhoff):
+        p = tmp_path / "p.json"
+        run(capsys, "build", "--family", "rook", "--n", "3", "--output", str(p),
+            *(["--birkhoff"] if birkhoff else []))
+        data = json.loads(p.read_text())
+        data["vertices"] = data["vertices"][:-1]
+        p.write_text(json.dumps(data))
+        code, out, err = run(capsys, "skeleton", "--input", str(p))
+        assert code == 2 and out == ""
+        assert "requires exactly" in err
         assert len(err.strip().splitlines()) == 1
 
     def test_complete_graph_deeper_than_the_recursion_limit(self, tmp_path, capsys):

@@ -89,7 +89,7 @@ payload_obj = st.one_of(  # half of the drawn objects are valid files
 )
 payload = st.one_of(payload_obj.map(json.dumps), st.text("{}[]\":,1a ", max_size=12))
 
-n_value = st.one_of(st.integers(-3, 8), st.sampled_from([-1000, 40]))
+n_value = st.one_of(st.integers(-3, 8), st.sampled_from([-1000, 40, 80, 500, 10**6]))
 builds = st.tuples(
     st.sampled_from(
         ["empty", "complete", "bell", "nn", "nc", "rook", "relation",

@@ -5,15 +5,19 @@ their recurrences in an independent helper, and the nonnesting graph is
 cross-checked against the comparability graph of the containment order.
 """
 
+import time
+
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sspkit.families import (
     FAMILY_BUILDERS,
+    STABLE_SET_COUNTS,
     Poset,
     SetPartition,
     arcs_to_partition,
+    bell_number,
     build_bell_graph,
     build_comparability_graph,
     build_complete_graph,
@@ -22,13 +26,19 @@ from sspkit.families import (
     build_nonnesting_graph,
     build_relation_graph,
     build_rook_graph,
+    catalan_number,
+    check_stable_set_count,
     containment_poset,
     is_noncrossing,
     is_nonnesting,
     pair_ground,
 )
-from sspkit.graphs import GroundSet, enumerate_max_cliques, enumerate_stable_sets
-from sspkit.verify import bell_number, catalan_number
+from sspkit.graphs import (
+    MAX_STABLE_SETS,
+    GroundSet,
+    enumerate_max_cliques,
+    enumerate_stable_sets,
+)
 
 
 class TestElementaryBuilders:
@@ -146,6 +156,37 @@ class TestPoset:
         assert p.less(gs.index((2, 3)), gs.index((2, 4)))
         assert p.less(gs.index((2, 3)), gs.index((1, 3)))
         assert not p.comparable(gs.index((1, 2)), gs.index((3, 4)))
+
+
+class TestStableSetCounts:
+    @pytest.mark.parametrize("family", sorted(STABLE_SET_COUNTS))
+    def test_closed_form_matches_enumeration(self, family):
+        for n in range(7):
+            g = FAMILY_BUILDERS[family](n)
+            assert len(enumerate_stable_sets(g)) == STABLE_SET_COUNTS[family](n)
+
+    @pytest.mark.parametrize(
+        "family, largest",
+        [("empty", 15), ("complete", MAX_STABLE_SETS - 1), ("bell", 9),
+         ("nn", 10), ("nc", 10), ("rook", 6)],
+    )
+    def test_refuses_exactly_past_the_cap(self, family, largest):
+        count = STABLE_SET_COUNTS[family]
+        assert count(largest) <= MAX_STABLE_SETS < count(largest + 1)
+        check_stable_set_count(family, largest)
+        with pytest.raises(ValueError, match="stable sets"):
+            check_stable_set_count(family, largest + 1)
+
+    def test_huge_n_is_refused_at_once(self):
+        start = time.perf_counter()
+        for family in STABLE_SET_COUNTS:
+            with pytest.raises(ValueError, match="stable sets"):
+                check_stable_set_count(family, 10**9)
+        assert time.perf_counter() - start < 1
+
+    def test_negative_n_is_left_to_the_builder(self):
+        for family in STABLE_SET_COUNTS:
+            check_stable_set_count(family, -5)
 
 
 class TestBellGraph:

@@ -6,9 +6,12 @@ to exactly the vertex set, and small cases match Qhull's floating hull.
 """
 
 import random
+import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sspkit import geometry
 from sspkit.counterexample import (
@@ -40,7 +43,14 @@ from sspkit.geometry import (
     polytope_dim,
 )
 from sspkit.graphs import SimpleGraph, enumerate_max_cliques
-from sspkit.linalg import affine_dim, lp_feasible
+from sspkit.linalg import (
+    affine_dim,
+    cone_rays,
+    independent_rows,
+    lp_feasible,
+    primitive,
+)
+from sspkit.graphs import GroundSet
 from sspkit.matroids import basis_polytope, build_uniform
 from sspkit.skeleton import ZeroOnePolytope, birkhoff_restrict, build_skeleton_E
 from sspkit.verify import random_graph
@@ -128,6 +138,14 @@ class TestOracle:
 
 
 class TestInequality:
+    def test_evaluate_sums_the_members(self):
+        rng = random.Random(5)
+        for _ in range(200):
+            coeffs = [rng.randrange(-3, 4) for _ in range(9)]
+            mask = rng.randrange(1 << 9)
+            want = sum(c for k, c in enumerate(coeffs) if mask >> k & 1)
+            assert make_inequality(coeffs, 0).evaluate(mask) == want
+
     def test_evaluate_and_tight(self):
         q = make_inequality([1, 2, 0], 3)
         assert q.evaluate(0b011) == 3
@@ -304,6 +322,158 @@ class TestEnumerateFacets:
                     + (round(b / scale, 6),)
                 )
             assert len(enumerate_facets(p)) == len(seen)
+
+
+def _lifted(v, n):
+    return (1, *((v >> k) & 1 for k in range(n)))
+
+
+def reference_facets(p):
+    """Double description as it stood before the popcount filter and the
+    witness-first scan: every pair of a positive and a negative ray is
+    tested by scanning every other ray's zero set, and a ray's value on a
+    row is a full dot product."""
+    n, nv = p.n, len(p.vertices)
+    rows = [_lifted(v, n) for v in p.vertices]
+    d = n + 1
+    chosen = independent_rows(rows)
+    assert len(chosen) == d
+    if n == 0:
+        return []
+    picked = set(chosen)
+    order = chosen + [i for i in range(nv) if i not in picked]
+    rays = cone_rays([rows[i] for i in chosen])
+    full = (1 << d) - 1
+    tight = [full ^ (1 << j) for j in range(d)]
+    for t in range(d, nv):
+        row = rows[order[t]]
+        vals = [_ref_dot(row, r) for r in rays]
+        minus = [k for k, v in enumerate(vals) if v < 0]
+        if not minus:
+            for k, v in enumerate(vals):
+                if v == 0:
+                    tight[k] |= 1 << t
+            continue
+        plus = [k for k, v in enumerate(vals) if v > 0]
+        keep = [k for k, v in enumerate(vals) if v >= 0]
+        new_rays, new_tight = [], []
+        for kp in plus:
+            tp = tight[kp]
+            vp = vals[kp]
+            for km in minus:
+                z = tp & tight[km]
+                if not _ref_adjacent(z, tight, kp, km):
+                    continue
+                vm = vals[km]
+                vec = tuple(
+                    vp * rm - vm * rp for rp, rm in zip(rays[kp], rays[km])
+                )
+                new_rays.append(primitive(vec))
+                new_tight.append(z | (1 << t))
+        rays = [rays[k] for k in keep] + new_rays
+        tight = [
+            tight[k] | (1 << t) if vals[k] == 0 else tight[k] for k in keep
+        ] + new_tight
+    out = [geometry.Inequality(tuple(-c for c in r[1:]), r[0]) for r in rays]
+    out.sort(key=lambda q: (q.coeffs, q.rhs))
+    return out
+
+
+def _ref_dot(a, b):
+    return sum(x * y for x, y in zip(a, b))
+
+
+def _ref_adjacent(z, tight, kp, km):
+    for k, ts in enumerate(tight):
+        if k != kp and k != km and z & ts == z:
+            return False
+    return True
+
+
+def nc7_subgraph(*left_out):
+    """The noncrossing graph on the arcs of 7 points without left_out."""
+    g = build_noncrossing_graph(7)
+    labels = [lab for lab in g.ground.labels if lab not in left_out]
+    keep = set(labels)
+    edges = [
+        (g.ground.labels[u], g.ground.labels[v])
+        for u, v in g.edges()
+        if g.ground.labels[u] in keep and g.ground.labels[v] in keep
+    ]
+    return SimpleGraph.from_edges(labels, edges)
+
+
+@st.composite
+def small_graphs(draw):
+    n = draw(st.integers(1, 7))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    return SimpleGraph.from_edges(range(n), [e for e, k in zip(pairs, keep) if k])
+
+
+@st.composite
+def down_closed_families(draw):
+    """A down-closed family holding every singleton, so full-dimensional,
+    listed in a drawn order."""
+    n = draw(st.integers(1, 6))
+    tops = draw(st.lists(st.integers(0, (1 << n) - 1), max_size=6))
+    family = {0} | {1 << k for k in range(n)}
+    for top in tops:
+        sub = top
+        while True:  # every subset of top
+            family.add(sub)
+            if sub == 0:
+                break
+            sub = (sub - 1) & top
+    verts = draw(st.permutations(sorted(family)))
+    return ZeroOnePolytope.raw(GroundSet(range(n)), verts)
+
+
+class TestAgainstReferenceDD:
+    """The filtered double description returns exactly the list of the
+    unfiltered one."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(small_graphs())
+    def test_stable_set_polytopes(self, g):
+        p = ZeroOnePolytope.from_graph(g)
+        assert enumerate_facets(p) == reference_facets(p)
+
+    @settings(max_examples=60, deadline=None)
+    @given(down_closed_families())
+    def test_down_closed_raw_families(self, p):
+        assert enumerate_facets(p) == reference_facets(p)
+
+    @pytest.mark.parametrize(
+        "left_out, facets",
+        [([(1, 2), (6, 7)], 61), ([(1, 7), (2, 6)], 48)],
+        ids=["nc7-a12-a67", "nc7-a17-a26"],
+    )
+    def test_nc7_subgraphs(self, left_out, facets):
+        p = ZeroOnePolytope.from_graph(nc7_subgraph(*left_out))
+        got = enumerate_facets(p, vertex_cap=len(p.vertices), dim_cap=p.n)
+        assert len(got) == facets
+        assert got == reference_facets(p)
+
+
+def test_nc7_facets_with_caps_lifted():
+    """All 65 facets of the 429-vertex noncrossing polytope of 7 points:
+    21 nonnegativity, 32 clique and 12 others, each certified valid and a
+    facet. Enumeration plus certification took 2.4 s on a 2-core box
+    (CPython 3.11), against 8.3 s for the enumeration alone with the
+    unfiltered adjacency scan; the budget is about four times the former."""
+    start = time.monotonic()
+    g = build_noncrossing_graph(7)
+    p = ZeroOnePolytope.from_graph(g)
+    facets = enumerate_facets(p, vertex_cap=len(p.vertices), dim_cap=p.n)
+    counts = {"nonnegativity": 0, "clique": 0, "other": 0}
+    for q in facets:
+        counts[classify_inequality(q, g)] += 1
+        assert is_valid(p, q) and is_facet(p, q)
+    elapsed = time.monotonic() - start
+    assert len(facets) == 65
+    assert counts == {"nonnegativity": 21, "clique": 32, "other": 12}
+    assert elapsed < 10.0, f"budget exceeded: {elapsed:.1f}s"
 
 
 class TestNoncrossing6Facet:

@@ -12,13 +12,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sspkit import skeleton
 from sspkit.families import (
     build_bell_graph,
     build_empty_graph,
     build_noncrossing_graph,
+    build_rook_graph,
 )
 from sspkit.geometry import build_skeleton_oracle, oracle_is_edge
-from sspkit.graphs import GroundSet
+from sspkit.graphs import GroundSet, enumerate_stable_sets
 from sspkit.skeleton import (
     Skeleton,
     ZeroOnePolytope,
@@ -49,8 +51,30 @@ class TestPolytopeValidation:
 
     def test_stable_set_kind_rejects_wrong_family(self):
         g = build_bell_graph(3)
-        with pytest.raises(ValueError):
-            ZeroOnePolytope("stable-set", g.ground, [0, 1], graph=g)
+        with pytest.raises(ValueError, match="requires exactly"):
+            ZeroOnePolytope(g.ground, [0, 1], "stable-set", graph=g)
+
+    def test_birkhoff_kind_rejects_wrong_family(self):
+        g = build_rook_graph(3)
+        verts = birkhoff_restrict(g).vertices
+        with pytest.raises(ValueError, match="requires exactly"):
+            ZeroOnePolytope(g.ground, verts[:-1], "birkhoff", graph=g)
+
+    @pytest.mark.parametrize("build", [ZeroOnePolytope.from_graph, birkhoff_restrict])
+    def test_graph_builders_enumerate_once(self, monkeypatch, build):
+        calls = []
+
+        def counted(g):
+            calls.append(g)
+            return enumerate_stable_sets(g)
+
+        monkeypatch.setattr(skeleton, "enumerate_stable_sets", counted)
+        g = build_bell_graph(4)
+        p = build(g)
+        assert len(calls) == 1
+        # the polytope equals one built through the checked constructor
+        q = ZeroOnePolytope(g.ground, p.vertices, p.kind, graph=g)
+        assert (p.vertices, p.rank, p.index) == (q.vertices, q.rank, q.index)
 
     def test_raw_accepts_anything_distinct(self):
         g = build_empty_graph(2)
