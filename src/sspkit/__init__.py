@@ -4,147 +4,60 @@ Stable-set, cardinality-restricted, and matroid polytopes; edge tests by
 unique vertex-sum decomposition cross-checked against an exact adjacency
 oracle (a checked two-member witness, else LP);
 exact facet enumeration; constructive short paths.
+
+The namespace is lazy (PEP 562): `import sspkit` loads no submodule, and
+each public name imports its module on first use, so a CLI call compiles
+only what its subcommand runs.
 """
 
-from .families import (
-    FAMILY_BUILDERS,
-    Poset,
-    SetPartition,
-    arcs_to_partition,
-    build_bell_graph,
-    build_comparability_graph,
-    build_noncrossing_graph,
-    build_nonnesting_graph,
-    build_rook_graph,
-    containment_poset,
-    is_noncrossing,
-    is_nonnesting,
-    pair_ground,
-)
-from .geometry import (
-    Inequality,
-    SizeLimitError,
-    always_facet_inequalities,
-    build_skeleton_oracle,
-    classify_inequality,
-    clique_inequality,
-    enumerate_facets,
-    is_facet,
-    is_valid,
-    nonnegativity,
-    oracle_is_edge,
-    polytope_dim,
-)
-from .graphs import (
-    GroundSet,
-    SimpleGraph,
-    enumerate_max_cliques,
-    enumerate_stable_sets,
-    is_stable,
-    is_union_of_complete_graphs,
-)
-from .linalg import PivotLimitError, affine_dim, lp_feasible, rank
-from .matroids import (
-    AxiomViolation,
-    Matroid,
-    basis_exchange_adjacent,
-    basis_polytope,
-    build_graphic,
-    build_partition,
-    build_uniform,
-    check_matroid_axioms,
-    independence_polytope,
-    strong_exchange,
-)
-from .counterexample import (
-    is_stable_set_family,
-    maximal_family_polytope,
-    modified_cube,
-    remark_graph,
-    verify_remark,
-)
-from .skeleton import (
-    Skeleton,
-    ZeroOnePolytope,
-    base_change,
-    birkhoff_restrict,
-    bp_path,
-    build_skeleton_E,
-    decompositions,
-    diameter,
-    is_edge_E,
-    is_edge_walk,
-    quasimatroid_exchange,
-    ssp_path,
-    unique_sum_skeleton,
-)
-from .verify import SUITES, run_suites
+from importlib import import_module
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "FAMILY_BUILDERS",
-    "Poset",
-    "SetPartition",
-    "arcs_to_partition",
-    "build_bell_graph",
-    "build_comparability_graph",
-    "build_noncrossing_graph",
-    "build_nonnesting_graph",
-    "build_rook_graph",
-    "containment_poset",
-    "is_noncrossing",
-    "is_nonnesting",
-    "pair_ground",
-    "Inequality",
-    "SizeLimitError",
-    "always_facet_inequalities",
-    "build_skeleton_oracle",
-    "classify_inequality",
-    "clique_inequality",
-    "enumerate_facets",
-    "is_facet",
-    "is_valid",
-    "nonnegativity",
-    "oracle_is_edge",
-    "polytope_dim",
-    "GroundSet",
-    "SimpleGraph",
-    "enumerate_max_cliques",
-    "enumerate_stable_sets",
-    "is_stable",
-    "is_union_of_complete_graphs",
-    "PivotLimitError",
-    "affine_dim",
-    "lp_feasible",
-    "rank",
-    "AxiomViolation",
-    "Matroid",
-    "basis_exchange_adjacent",
-    "basis_polytope",
-    "build_graphic",
-    "build_partition",
-    "build_uniform",
-    "check_matroid_axioms",
-    "independence_polytope",
-    "strong_exchange",
-    "is_stable_set_family",
-    "maximal_family_polytope",
-    "modified_cube",
-    "remark_graph",
-    "verify_remark",
-    "Skeleton",
-    "ZeroOnePolytope",
-    "base_change",
-    "birkhoff_restrict",
-    "bp_path",
-    "build_skeleton_E",
-    "decompositions",
-    "diameter",
-    "is_edge_E",
-    "is_edge_walk",
-    "quasimatroid_exchange",
-    "ssp_path",
-    "unique_sum_skeleton",
-    "__version__",
-]
+# submodule -> the public names it defines
+_EXPORTS = {
+    "families": (
+        "FAMILY_BUILDERS", "Poset", "SetPartition", "arcs_to_partition",
+        "build_bell_graph", "build_comparability_graph",
+        "build_noncrossing_graph", "build_nonnesting_graph",
+        "build_rook_graph", "containment_poset", "is_noncrossing",
+        "is_nonnesting", "pair_ground",
+    ),
+    "geometry": (
+        "Inequality", "SizeLimitError", "always_facet_inequalities",
+        "build_skeleton_oracle", "classify_inequality", "clique_inequality",
+        "enumerate_facets", "is_facet", "is_valid", "nonnegativity",
+        "oracle_is_edge", "polytope_dim",
+    ),
+    "graphs": (
+        "GroundSet", "SimpleGraph", "enumerate_max_cliques",
+        "enumerate_stable_sets", "is_stable", "is_union_of_complete_graphs",
+    ),
+    "linalg": ("PivotLimitError", "affine_dim", "lp_feasible", "rank"),
+    "matroids": (
+        "AxiomViolation", "Matroid", "basis_exchange_adjacent",
+        "basis_polytope", "build_graphic", "build_partition", "build_uniform",
+        "check_matroid_axioms", "independence_polytope", "strong_exchange",
+    ),
+    "counterexample": (
+        "is_stable_set_family", "maximal_family_polytope", "modified_cube",
+        "remark_graph", "verify_remark",
+    ),
+    "skeleton": (
+        "Skeleton", "ZeroOnePolytope", "base_change", "birkhoff_restrict",
+        "bp_path", "build_skeleton_E", "decompositions", "diameter",
+        "is_edge_E", "is_edge_walk", "quasimatroid_exchange", "ssp_path",
+        "unique_sum_skeleton",
+    ),
+    "verify": ("SUITES", "run_suites"),
+}
+_MODULE_OF = {name: mod for mod, names in _EXPORTS.items() for name in names}
+
+__all__ = [*_MODULE_OF, "__version__"]
+
+
+def __getattr__(name: str):
+    mod = _MODULE_OF.get(name)
+    if mod is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(import_module(f"{__name__}.{mod}"), name)

@@ -219,6 +219,30 @@ def check_stable_set_count(family: str, n: int) -> None:
         raise ValueError(f"graph has more than {MAX_STABLE_SETS} stable sets")
 
 
+# family -> the number of edges of its graph on n, in closed form: two
+# arcs share a left end or a right end in 2 C(n, 3) ways, and cross (or
+# nest) in C(n, 4); a cell shares its row or column with 2 (n - 1) others.
+EDGE_COUNTS = {
+    "empty": lambda n: 0,
+    "complete": lambda n: comb(n, 2),
+    "bell": lambda n: 2 * comb(n, 3),
+    "nn": lambda n: 2 * comb(n, 3) + comb(n, 4),
+    "nc": lambda n: 2 * comb(n, 3) + comb(n, 4),
+    "rook": lambda n: n * n * (n - 1),
+}
+
+# Only complete reaches this under the stable-set cap: its N + 1 stable
+# sets pass for N < 32768, but its edges would take hours to write out.
+MAX_EDGES = 1 << 20
+
+
+def check_edge_count(family: str, n: int) -> None:
+    """Refuse a catalog graph with more than MAX_EDGES edges before any of
+    it is built. Run it after check_stable_set_count, which bounds n."""
+    if n >= 0 and EDGE_COUNTS[family](n) > MAX_EDGES:
+        raise ValueError(f"graph has more than {MAX_EDGES} edges")
+
+
 @dataclass(frozen=True)
 class SetPartition:
     """Partition of {1..n}; blocks are sorted tuples, ordered by least member."""

@@ -9,8 +9,7 @@ in integer arithmetic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .bitsets import bits
 from .graphs import SimpleGraph, enumerate_max_cliques
@@ -28,8 +27,7 @@ class SizeLimitError(ValueError):
     """Facet enumeration refused: input exceeds the configured caps."""
 
 
-@dataclass(frozen=True)
-class Inequality:
+class Inequality(NamedTuple):
     """c . x <= rhs over the integers. Nonnegativity of x_v is stored as
     -x_v <= 0."""
 

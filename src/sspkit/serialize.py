@@ -8,18 +8,15 @@ two-space indentation so identical inputs produce identical bytes.
 from __future__ import annotations
 
 import json
-from typing import Any, Sequence
+from typing import TYPE_CHECKING, Any, Sequence
 
-from .families import Poset, build_relation_graph
-from .geometry import Inequality, make_inequality, normalized_int_form
 from .graphs import GroundSet, Label, SimpleGraph
-from .matroids import (
-    Matroid,
-    build_graphic,
-    build_partition,
-    build_uniform,
-)
 from .skeleton import Skeleton, ZeroOnePolytope
+
+if TYPE_CHECKING:  # the readers and writers below import these when run
+    from .families import Poset
+    from .geometry import Inequality
+    from .matroids import Matroid
 
 
 def dumps(obj: Any) -> str:
@@ -152,6 +149,8 @@ def skeleton_from_json(obj: dict) -> tuple[list[tuple[Label, ...]], Skeleton]:
 
 
 def facets_to_json(facets: Sequence[Inequality]) -> dict:
+    from .geometry import normalized_int_form
+
     out = []
     for q in facets:
         coeffs, rhs = normalized_int_form(q)
@@ -160,6 +159,8 @@ def facets_to_json(facets: Sequence[Inequality]) -> dict:
 
 
 def facets_from_json(obj: dict) -> list[Inequality]:
+    from .geometry import make_inequality
+
     return [
         make_inequality(_list(item["coeffs"], "field 'coeffs'"), item["rhs"])
         for item in map(_object, _list(_object(obj)["facets"], "field 'facets'"))
@@ -177,6 +178,8 @@ def matroid_to_json(m: Matroid) -> dict:
 
 
 def matroid_from_json(obj: dict) -> Matroid:
+    from .matroids import Matroid, build_graphic, build_partition, build_uniform
+
     obj = _object(obj)
     if "uniform" in obj:
         nk = _list(obj["uniform"], "field 'uniform'")
@@ -194,11 +197,15 @@ def matroid_from_json(obj: dict) -> Matroid:
 
 
 def relation_graph_from_json(obj: dict) -> SimpleGraph:
+    from .families import build_relation_graph
+
     obj = _object(obj)
     return build_relation_graph(_labels(obj, "labels"), _pairs(obj, "pairs"))
 
 
 def poset_from_json(obj: dict) -> Poset:
+    from .families import Poset
+
     obj = _object(obj)
     return Poset.from_relation(_labels(obj, "labels"), _pairs(obj, "less_than"))
 

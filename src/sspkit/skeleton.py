@@ -12,8 +12,7 @@ on the graph (see build_skeleton_E).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .bitsets import bits
 from .graphs import GroundSet, SimpleGraph, enumerate_stable_sets, reach
@@ -195,9 +194,11 @@ def _check_pair(p: ZeroOnePolytope, a: int, b: int) -> None:
         raise ValueError("edge test needs two distinct vertices")
 
 
-@dataclass(frozen=True)
-class Skeleton:
-    """Edge list of a polytope graph, with the method that produced it."""
+class Skeleton(NamedTuple):
+    """Edge list of a polytope graph, with the method that produced it.
+
+    A NamedTuple rather than a dataclass: importing dataclasses costs every
+    skeleton, diameter and path call several milliseconds of start-up."""
 
     vertex_count: int
     edges: tuple[tuple[int, int], ...]

@@ -6,7 +6,9 @@ import time
 
 import pytest
 
-from sspkit.cli import main
+from sspkit.cli import main, make_parser
+from sspkit.families import FAMILY_BUILDERS
+from sspkit.verify import SUITES
 
 
 def run(capsys, *argv):
@@ -123,6 +125,16 @@ class TestBuild:
         code, out, err = run(capsys, "skeleton", "--input", str(p))
         assert code == 2 and out == ""
         assert "requires exactly" in err
+        assert len(err.strip().splitlines()) == 1
+
+    @pytest.mark.parametrize("n", ["1449", "4000", "32767"])
+    def test_too_many_edges_is_error(self, capsys, n):
+        # complete --n N has only N + 1 stable sets, but N(N - 1)/2 edges
+        start = time.perf_counter()
+        code, out, err = run(capsys, "build", "--family", "complete", "--n", n)
+        assert time.perf_counter() - start < 1
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and "edges" in err
         assert len(err.strip().splitlines()) == 1
 
     def test_complete_graph_deeper_than_the_recursion_limit(self, tmp_path, capsys):
@@ -362,3 +374,32 @@ class TestVerifyCmd:
     def test_unknown_suite_rejected(self, capsys):
         with pytest.raises(SystemExit):
             main(["verify", "--suite", "nope"])
+
+
+def _choices(command, option):
+    sub = next(a for a in make_parser()._actions if a.dest == "command")
+    return next(
+        a.choices for a in sub.choices[command]._actions if option in a.option_strings
+    )
+
+
+class TestParser:
+    """The parser spells its choices out so that it imports neither
+    families nor verify; they must stay equal to the tables they name."""
+
+    def test_family_choices(self):
+        assert _choices("build", "--family") == sorted(FAMILY_BUILDERS) + [
+            "relation", "chain", "matroid",
+        ]
+
+    def test_suite_choices(self):
+        assert _choices("verify", "--suite") == sorted(SUITES) + ["all"]
+
+    @pytest.mark.parametrize(
+        "argv", [["build", "--family", "nope", "--n", "3"], ["verify", "--suite", "x"]]
+    )
+    def test_bad_choice_exits_2(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err

@@ -89,7 +89,9 @@ payload_obj = st.one_of(  # half of the drawn objects are valid files
 )
 payload = st.one_of(payload_obj.map(json.dumps), st.text("{}[]\":,1a ", max_size=12))
 
-n_value = st.one_of(st.integers(-3, 8), st.sampled_from([-1000, 40, 80, 500, 10**6]))
+n_value = st.one_of(
+    st.integers(-3, 8), st.sampled_from([-1000, 40, 80, 500, 4000, 32767, 10**6])
+)
 builds = st.tuples(
     st.sampled_from(
         ["empty", "complete", "bell", "nn", "nc", "rook", "relation",
@@ -145,6 +147,7 @@ CHAIN_240 = json.dumps({
 @settings(max_examples=120, deadline=None)
 @given(command, payload)
 @example(["build", "--family", "complete", "--n", "1100", "--output", "{output}"], "")
+@example(["build", "--family", "complete", "--n", "32767", "--output", "{output}"], "")
 @example(
     ["build", "--family", "relation", "--input", "{input}"],
     '{"labels": [1, 2], "pairs": [[3, 3]]}',

@@ -12,7 +12,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sspkit.families import (
+    EDGE_COUNTS,
     FAMILY_BUILDERS,
+    MAX_EDGES,
     STABLE_SET_COUNTS,
     Poset,
     SetPartition,
@@ -27,6 +29,7 @@ from sspkit.families import (
     build_relation_graph,
     build_rook_graph,
     catalan_number,
+    check_edge_count,
     check_stable_set_count,
     containment_poset,
     is_noncrossing,
@@ -187,6 +190,29 @@ class TestStableSetCounts:
     def test_negative_n_is_left_to_the_builder(self):
         for family in STABLE_SET_COUNTS:
             check_stable_set_count(family, -5)
+
+
+class TestEdgeCounts:
+    @pytest.mark.parametrize("family", sorted(EDGE_COUNTS))
+    def test_closed_form_matches_the_built_graph(self, family):
+        for n in range(8):
+            g = FAMILY_BUILDERS[family](n)
+            assert len(g.edges()) == EDGE_COUNTS[family](n)
+
+    def test_complete_is_refused_exactly_past_the_cap(self):
+        count = EDGE_COUNTS["complete"]
+        assert count(1448) <= MAX_EDGES < count(1449)
+        check_edge_count("complete", 1448)
+        with pytest.raises(ValueError, match="edges"):
+            check_edge_count("complete", 1449)
+
+    def test_no_other_family_reaches_the_cap_under_the_stable_set_cap(self):
+        for family in EDGE_COUNTS:
+            n = 0
+            while STABLE_SET_COUNTS[family](n + 1) <= MAX_STABLE_SETS:
+                n += 1
+            if family != "complete":
+                check_edge_count(family, n)
 
 
 class TestBellGraph:

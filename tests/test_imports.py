@@ -1,0 +1,114 @@
+"""Each CLI call imports only what its subcommand runs.
+
+A fresh interpreter runs one subcommand through `cli.main` and reports the
+modules it loaded. `skeleton`, `diameter` and `path` must not load the LP,
+facet, matroid, family or verify layers, nor `dataclasses` (which pulls in
+`inspect`); `skeleton --oracle` and `facets` may load geometry, but not the
+verify suites. Start-up is most of a short job's wall time, so a top-level
+import that creeps back shows in every benchmark workload.
+
+The lazy package namespace (PEP 562) is checked here too.
+"""
+
+import importlib
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import sspkit
+from sspkit import serialize
+from sspkit.families import build_bell_graph
+from sspkit.skeleton import ZeroOnePolytope
+
+SRC = str(Path(sspkit.__file__).resolve().parents[1])
+
+PROBE = """
+import contextlib, io, json, sys
+from sspkit.cli import main
+with contextlib.redirect_stdout(io.StringIO()):
+    code = main(sys.argv[1:])
+print(json.dumps({"code": code, "modules": sorted(sys.modules)}))
+"""
+
+LIGHT_ONLY = [
+    "sspkit.verify", "sspkit.geometry", "sspkit.linalg", "sspkit.matroids",
+    "sspkit.families", "sspkit.counterexample", "dataclasses",
+]
+NO_SUITES = ["sspkit.verify", "sspkit.matroids", "sspkit.counterexample"]
+
+
+@pytest.fixture(scope="module")
+def bell3(tmp_path_factory):
+    path = tmp_path_factory.mktemp("imports") / "bell3.json"
+    p = ZeroOnePolytope.from_graph(build_bell_graph(3))
+    path.write_text(serialize.dumps(serialize.polytope_to_json(p)))
+    return str(path)
+
+
+def loaded(*argv):
+    env = dict(os.environ, PYTHONPATH=SRC)
+    proc = subprocess.run(
+        [sys.executable, "-c", PROBE, *argv],
+        env=env, capture_output=True, text=True, check=True,
+    )
+    report = json.loads(proc.stdout)
+    assert report["code"] == 0, proc.stderr
+    return set(report["modules"])
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["skeleton", "--input", "{p}"],
+        ["diameter", "--input", "{p}"],
+        ["path", "--input", "{p}", "--from", "[]", "--to", "[[1, 2]]"],
+    ],
+    ids=["skeleton", "diameter", "path"],
+)
+def test_light_subcommands_skip_the_heavy_layers(bell3, argv):
+    mods = loaded(*(a.replace("{p}", bell3) for a in argv))
+    assert "sspkit.skeleton" in mods
+    assert mods.isdisjoint(LIGHT_ONLY), sorted(mods & set(LIGHT_ONLY))
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["skeleton", "--oracle", "--input", "{p}"], ["facets", "--input", "{p}"]],
+    ids=["oracle", "facets"],
+)
+def test_geometry_subcommands_skip_the_suites(bell3, argv):
+    mods = loaded(*(a.replace("{p}", bell3) for a in argv))
+    assert "sspkit.geometry" in mods
+    assert mods.isdisjoint(NO_SUITES), sorted(mods & set(NO_SUITES))
+
+
+def test_every_public_name_is_its_submodule_attribute():
+    for name in sspkit.__all__:
+        if name == "__version__":
+            continue
+        mod = importlib.import_module(f"sspkit.{sspkit._MODULE_OF[name]}")
+        assert getattr(sspkit, name) is getattr(mod, name), name
+
+
+def test_star_import_binds_every_public_name():
+    ns: dict = {}
+    exec("from sspkit import *", ns)
+    assert set(sspkit.__all__) <= set(ns)
+    assert ns["diameter"] is sspkit.diameter
+
+
+def test_submodules_import_by_name():
+    from sspkit import skeleton, verify
+
+    assert skeleton.build_skeleton_E is sspkit.build_skeleton_E
+    assert verify.SUITES is sspkit.SUITES
+
+
+def test_unknown_attribute_raises_attribute_error():
+    with pytest.raises(AttributeError, match="no_such_name"):
+        sspkit.no_such_name
+    assert not hasattr(sspkit, "dataclass")
