@@ -6,7 +6,7 @@ oracle (a checked two-member witness, else LP);
 exact facet enumeration; constructive short paths.
 
 The namespace is lazy (PEP 562): `import sspkit` loads no submodule, and
-each public name imports its module on first use, so a CLI call compiles
+each public name imports its module on first use, so a CLI call loads
 only what its subcommand runs.
 """
 

@@ -4,8 +4,8 @@ Subcommands: build, skeleton, diameter, facets, path, verify, export-dot.
 Files are JSON (see serialize); skeletons can also leave as DOT. Exit code
 0 means every requested check passed; bad input exits 2 with a message.
 
-Start-up is most of a short call's wall time, so each cmd_* imports the
-layers only it runs: geometry for --oracle and facets, families and
+Start-up is most of a short call's wall time, so each cmd_* imports only the
+layers it runs: geometry for --oracle and facets, families and
 matroids for build, verify for verify.
 """
 
