@@ -19,8 +19,47 @@ if TYPE_CHECKING:  # the readers and writers below import these when run
     from .matroids import Matroid
 
 
+# One [int, int] pair as the indenting encoder writes it two levels deep.
+_PAIR = "    [\n      %d,\n      %d\n    ]"
+
+
 def dumps(obj: Any) -> str:
-    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+    """json.dumps(obj, indent=2, sort_keys=True) plus a newline, byte for
+    byte, faster on the edge lists of skeleton files.
+
+    With indent, json.dumps runs its pure-Python encoder token by token.
+    A top-level value that is a list of [int, int] pairs is written
+    through one %d template instead; every other value goes through the
+    encoder one level down and is re-indented by one level.
+    """
+    if type(obj) is not dict or not obj or not all(type(k) is str for k in obj):
+        return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+    items = []
+    for key in sorted(obj):
+        val = obj[key]
+        if _int_pairs(val):
+            text = "[\n" + ",\n".join([_PAIR] * len(val)) % tuple(
+                x for pair in val for x in pair
+            ) + "\n  ]"
+        else:
+            text = json.dumps(val, indent=2, sort_keys=True).replace("\n", "\n  ")
+        items.append(f"  {json.dumps(key)}: {text}")
+    return "{\n" + ",\n".join(items) + "\n}\n"
+
+
+def _int_pairs(val: Any) -> bool:
+    """A non-empty list of two-element lists of ints (not bools)."""
+    return (
+        type(val) is list
+        and bool(val)
+        and all(
+            type(pair) is list
+            and len(pair) == 2
+            and type(pair[0]) is int
+            and type(pair[1]) is int
+            for pair in val
+        )
+    )
 
 
 def encode_label(lab: Label) -> Any:

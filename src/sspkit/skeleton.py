@@ -12,10 +12,12 @@ on the graph (see build_skeleton_E).
 
 from __future__ import annotations
 
+from itertools import accumulate, count, repeat
+from operator import add
 from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .bitsets import bits
-from .graphs import GroundSet, SimpleGraph, enumerate_stable_sets, reach
+from .graphs import GroundSet, SimpleGraph, enumerate_stable_sets
 
 KINDS = ("stable-set", "birkhoff", "matroid-independence", "matroid-bases", "raw")
 
@@ -246,48 +248,119 @@ def build_skeleton_E(p: ZeroOnePolytope) -> Skeleton:
     """
     if p.kind not in ("stable-set", "birkhoff"):
         return unique_sum_skeleton(p)
-    adj = p.graph.adj
-    nv = len(p.vertices)
-    verts = p.vertices
-    edges = []
-    for a in range(nv):
-        va = verts[a]
-        for b in range(a + 1, nv):
-            diff = va ^ verts[b]
-            if reach(adj, diff & -diff, diff) == diff:
-                edges.append((a, b))
-    return Skeleton.make(nv, edges, "condition-E")
+    # The pairs come out ascending with a < b, the form Skeleton.make
+    # would sort them into; building the tuple directly skips that pass.
+    edges = _connected_pairs(p.graph.adj, p.vertices)
+    return Skeleton(len(p.vertices), tuple(edges), "condition-E")
+
+
+# Pair bits per ground element in one pass of _connected_pairs. Rows of
+# vertex pairs go in blocks of about this many bits, so memory stays a few
+# kilobytes per element even at the stable-set cap, where the full square
+# of pairs would take 2^30 bits per element.
+_BLOCK_BITS = 1 << 16
+
+
+def _connected_pairs(adj: Sequence[int], verts: Sequence[int]) -> list[tuple[int, int]]:
+    """Index pairs a < b, ascending, with G[verts[a] xor verts[b]] connected.
+
+    Bit-sliced: for a block of rows a and the columns b >= the block's
+    first row, D[k] holds one bit per pair (a, b), set iff ground element
+    k lies in verts[a] xor verts[b]. Each pair is seeded at its lowest
+    difference element, and R[k] |= D[k] & OR(R[j] for j adjacent to k)
+    runs until nothing changes, a flood fill inside every pair's
+    difference at once. A pair is connected iff R[k] == D[k] for every k.
+    Rows are padded to whole bytes, so D[k] is a row pattern (all ones or
+    all zeros, by k in verts[a]) xor the column mask of k repeated per row;
+    the padding columns are never read.
+    """
+    nv = len(verts)
+    n = len(adj)
+    nbrs = [list(bits(m)) for m in adj]
+    cols = [0] * n
+    for b, v in enumerate(verts):
+        for k in bits(v):
+            cols[k] |= 1 << b
+    edges: list[tuple[int, int]] = []
+    r0 = 0
+    while r0 < nv:
+        nbytes = (nv - r0 + 7) >> 3
+        width = nbytes << 3
+        rows = min(nv - r0, max(1, _BLOCK_BITS // width))
+        ones, zero = b"\xff" * nbytes, bytes(nbytes)
+        block = verts[r0 : r0 + rows]
+        diff = []
+        reached = []
+        seen = 0
+        for k in range(n):
+            row = b"".join([ones if v >> k & 1 else zero for v in block])
+            col = (cols[k] >> r0).to_bytes(nbytes, "little") * rows
+            d = int.from_bytes(row, "little") ^ int.from_bytes(col, "little")
+            diff.append(d)
+            reached.append(d & ~seen)
+            seen |= d
+        changed = True
+        while changed:
+            changed = False
+            for k in range(n):
+                d, r = diff[k], reached[k]
+                if r == d:
+                    continue
+                acc = 0
+                for j in nbrs[k]:
+                    acc |= reached[j]
+                new = r | (acc & d)
+                if new != r:
+                    reached[k] = new
+                    changed = True
+        bad = 0
+        for d, r in zip(diff, reached):
+            bad |= d ^ r
+        # Bit j of the block at string index j: row i holds column b at
+        # i * width + b - r0, and the gaps between the "1"s of its slice
+        # past the diagonal give the columns b > a that are edges.
+        good = format(((1 << rows * width) - 1) ^ bad, "b")[::-1]
+        for i in range(rows):
+            a = r0 + i
+            gaps = good[i * width + i + 1 : i * width + nv - r0].split("1")
+            gaps.pop()
+            ends = map(add, accumulate(map(len, gaps)), count(a + 1))
+            edges.extend(zip(repeat(a), ends))
+        r0 += rows
+    return edges
 
 
 def diameter(s: Skeleton) -> Optional[int]:
-    """Graph diameter by a BFS from every vertex, frontiers as bitmasks
-    over vertex indices; None when disconnected."""
+    """Graph diameter, None when disconnected.
+
+    Every source at once: reached[v] is the bitmask of vertices within d
+    hops of v, and one round sets it to reached[v] | OR(reached[u] for u
+    adjacent to v) from the previous round's masks. The diameter is the
+    round at which every mask is full; a round that changes nothing
+    before then means the graph is disconnected.
+    """
     nv = s.vertex_count
     if nv == 0:
         return None
-    nbrs = [0] * nv
+    nbrs: list[list[int]] = [[] for _ in range(nv)]
     for i, j in s.edges:
-        nbrs[i] |= 1 << j
-        nbrs[j] |= 1 << i
-    everything = (1 << nv) - 1
-    best = 0
-    for start in range(nv):
-        seen = frontier = 1 << start
-        depth = 0
-        while seen != everything:
-            nxt = 0
-            while frontier:
-                low = frontier & -frontier
-                nxt |= nbrs[low.bit_length() - 1]
-                frontier ^= low
-            frontier = nxt & ~seen
-            if not frontier:
-                return None
-            seen |= frontier
-            depth += 1
-        if depth > best:
-            best = depth
-    return best
+        nbrs[i].append(j)
+        nbrs[j].append(i)
+    full = (1 << nv) - 1
+    reached = [1 << v for v in range(nv)]
+    rounds = 0
+    while any(r != full for r in reached):
+        nxt = []
+        for r, nb in zip(reached, nbrs):
+            if r != full:
+                for u in nb:
+                    r |= reached[u]
+            nxt.append(r)
+        if nxt == reached:
+            return None
+        reached = nxt
+        rounds += 1
+    return rounds
 
 
 def quasimatroid_exchange(

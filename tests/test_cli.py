@@ -1,6 +1,7 @@
 """End-to-end CLI runs against temp files; exit codes are part of the
 contract (0 all-pass, 1 failed verification, 2 bad input)."""
 
+import hashlib
 import json
 import time
 
@@ -228,6 +229,45 @@ class TestSkeletonCmd:
         code, out, _ = run(capsys, "export-dot", "--input", str(sk))
         assert code == 0
         assert out.count(" -- ") == 8
+
+
+class TestGoldenStdout:
+    """sha256 of stdout for build, skeleton (JSON) and diameter, recorded
+    from the CLI before the bit-sliced skeleton kernel and the template
+    writer for edge lists; both must leave every byte as it was."""
+
+    GOLDEN = {
+        ("nc", "6", False): (
+            "ac90deab0907422415a6924a6c869e25c110aa2b3e63d9f8e69294ace79611fe",
+            "69bbd9eed1d83dfe2441aa2dcc4a6b1df174cd1f659b08b6eb13500da4fc9caf",
+            "cea7e81d23512b27f943d63cc00a7940f81cccb1c445589b2fbe29304e744ede",
+        ),
+        ("bell", "5", False): (
+            "abf65edeb7f73da8e930297cce4055e0e65089d4e38de0fd6e31c08ca1619bee",
+            "faf66957b61f9932fade3100053b643ec4ece24663d657e1c32a1beed5af134a",
+            "a1a74e89d5fa9545facc8cbe759a0e4756f3d2dd4507fad02fefc375ef24bdce",
+        ),
+        ("rook", "4", True): (
+            "4c33b52d3826764dd13c83eded4ea7520ea7c768f691b870e09954fa1fde155f",
+            "4bb18557d834dc8bb29d4d8462734e8747db89382d7e1138f0d32c0598d7c494",
+            "f95759acae7f633e4c7a7378f110116d93febf0cd54bc14480030f6b275aad8a",
+        ),
+    }
+
+    @pytest.mark.parametrize("family, n, birkhoff", list(GOLDEN), ids=["nc6", "bell5", "B4"])
+    def test_stdout_digests(self, tmp_path, capsys, family, n, birkhoff):
+        argv = ["build", "--family", family, "--n", n]
+        code, built, _ = run(capsys, *argv, *(["--birkhoff"] if birkhoff else []))
+        assert code == 0
+        path = tmp_path / "p.json"
+        path.write_text(built, encoding="utf-8")
+        outs = [built]
+        for command in ("skeleton", "diameter"):
+            code, out, _ = run(capsys, command, "--input", str(path))
+            assert code == 0
+            outs.append(out)
+        digests = tuple(hashlib.sha256(o.encode("utf-8")).hexdigest() for o in outs)
+        assert digests == self.GOLDEN[family, n, birkhoff]
 
 
 class TestDiameterCmd:

@@ -3,6 +3,8 @@
 import json
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from sspkit import serialize
 from sspkit.families import (
@@ -17,6 +19,36 @@ from sspkit.skeleton import (
     birkhoff_restrict,
     build_skeleton_E,
 )
+
+
+_scalars = st.none() | st.booleans() | st.integers() | st.floats() | st.text()
+_pairs = st.lists(
+    st.lists(st.integers() | st.booleans(), min_size=2, max_size=2), max_size=4
+)
+_values = st.recursive(
+    _scalars | _pairs,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(), inner, max_size=4),
+    max_leaves=20,
+)
+
+
+class TestDumps:
+    """dumps writes lists of int pairs by template; every byte must still
+    be the indenting encoder's."""
+
+    @given(st.dictionaries(st.text(), _values) | _values)
+    @settings(max_examples=100, deadline=None)
+    @example({})
+    @example({"edges": []})
+    @example({"edges": [[0, 1], [0, 2]]})
+    @example({"edges": [[True, 1], [0, 1]], "flag": [[False, True]]})
+    @example({"rows": [[1, 2, 3]], "cells": [[1], [2, 3]], "nest": [[[1, 2]]]})
+    @example({"graph": {"edges": [[0, 1]]}, "é": [[-1, 10**30]], "ключ": "значение"})
+    @example([[0, 1], [2, 3]])
+    @example(7)
+    def test_matches_indenting_encoder(self, obj):
+        assert serialize.dumps(obj) == json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
 
 class TestGraphJson:

@@ -17,10 +17,11 @@ from sspkit.families import (
     build_bell_graph,
     build_empty_graph,
     build_noncrossing_graph,
+    build_nonnesting_graph,
     build_rook_graph,
 )
 from sspkit.geometry import build_skeleton_oracle, oracle_is_edge
-from sspkit.graphs import GroundSet, enumerate_stable_sets
+from sspkit.graphs import GroundSet, enumerate_stable_sets, reach
 from sspkit.skeleton import (
     Skeleton,
     ZeroOnePolytope,
@@ -190,18 +191,60 @@ class TestEdgeE:
         assert is_edge_E(p, i, j) == oracle_is_edge(p, i, j)
 
 
+def flood_fill_skeleton(p):
+    """Reference: for each vertex pair, a flood fill from the lowest
+    element of A xor B over the graph, kept inside A xor B."""
+    adj, verts = p.graph.adj, p.vertices
+    edges = []
+    for a in range(len(verts)):
+        for b in range(a + 1, len(verts)):
+            diff = verts[a] ^ verts[b]
+            if reach(adj, diff & -diff, diff) == diff:
+                edges.append((a, b))
+    return Skeleton.make(len(verts), edges, "condition-E")
+
+
 class TestConnectivityRoute:
     """build_skeleton_E decides the graph kinds by connectivity of
-    G[A xor B]; unique_sum_skeleton walks the splits. They must agree."""
+    G[A xor B], many pairs per bit-sliced pass; the per-pair flood fill
+    and the unique-sum walk must give the same skeleton."""
 
-    @given(st.integers(0, 2**32), st.integers(1, 8))
+    @given(st.integers(0, 2**32), st.integers(0, 9))
     @settings(max_examples=60, deadline=None)
     def test_matches_unique_sum_walk(self, seed, n):
         g = random_graph(random.Random(seed), n)
         for p in (ZeroOnePolytope.from_graph(g), birkhoff_restrict(g)):
             s = build_skeleton_E(p)
+            assert s == flood_fill_skeleton(p)
             assert s.edges == unique_sum_skeleton(p).edges
             assert s.provenance == "condition-E"
+
+    # The real block size, one that splits these inputs into blocks of
+    # several rows, and one smaller than a single row (a block per row).
+    @pytest.mark.parametrize("block_bits", [skeleton._BLOCK_BITS, 1 << 11, 64])
+    @pytest.mark.parametrize(
+        "build, nv",
+        [
+            (lambda: ZeroOnePolytope.from_graph(build_empty_graph(0)), 1),
+            (lambda: ZeroOnePolytope.from_graph(build_empty_graph(3)), 8),
+            (lambda: ZeroOnePolytope.from_graph(build_empty_graph(7)), 128),
+            (lambda: ZeroOnePolytope.from_graph(build_noncrossing_graph(6)), 132),
+            (lambda: birkhoff_restrict(build_rook_graph(4)), 24),
+        ],
+        ids=["empty0", "cube3", "empty7", "nc6", "B4"],
+    )
+    def test_fixed_inputs(self, monkeypatch, block_bits, build, nv):
+        monkeypatch.setattr(skeleton, "_BLOCK_BITS", block_bits)
+        p = build()
+        assert len(p.vertices) == nv
+        assert build_skeleton_E(p) == flood_fill_skeleton(p)
+
+    def test_real_block_size_splits_nc7(self):
+        # 429 vertices: rows of 432 bits, 151 rows to the first block
+        p = ZeroOnePolytope.from_graph(build_noncrossing_graph(7))
+        s = build_skeleton_E(p)
+        assert len(s.edges) == 13366
+        assert s == flood_fill_skeleton(p)
 
 
 def deque_diameter(s):
@@ -251,8 +294,12 @@ class TestDiameter:
             (2, [], None),
             (5, [(0, 1), (1, 2), (2, 3), (3, 4)], 4),
             (6, [(0, 1), (1, 2), (3, 4), (4, 5), (3, 5)], None),
+            (9, [(0, 1), (1, 2), (2, 3), (4, 5), (5, 6), (7, 8)], None),
         ],
-        ids=["no-vertices", "single-vertex", "two-isolated", "path-5", "two-parts"],
+        ids=[
+            "no-vertices", "single-vertex", "two-isolated", "path-5", "two-parts",
+            "three-paths",
+        ],
     )
     def test_small_cases(self, nv, edges, want):
         s = Skeleton.make(nv, edges, "condition-E")
@@ -277,22 +324,31 @@ class TestDiameter:
 
 
 class TestPastTheLadder:
-    """Rows past the benchmark ladder. Edge counts were confirmed once with
-    unique_sum_skeleton (5.9 s and 2.1 s). The budgets sit near five times
-    the 2-core time of build_skeleton_E plus diameter (2.1 s and 0.8 s),
-    below the 17 s and 4.2 s of the unique-sum walk with a queue BFS."""
+    """Rows past the benchmark ladder. The nc8, bell7 and nn8 edge counts
+    were confirmed once with unique_sum_skeleton (5.9 s, 2.1 s, 5.8 s).
+    B6 has 720 * 409 / 2 edges: two permutation matrices are adjacent iff
+    they differ by one cycle, and 409 permutations of 6 are one cycle of
+    length at least 2. The budgets sit near five times the 2-core time of
+    building the polytope, build_skeleton_E and diameter (0.17, 0.04,
+    0.13 and 0.13 s)."""
 
     @pytest.mark.parametrize(
-        "graph, vertices, edges, diam, rank, budget",
+        "build, vertices, edges, diam, rank, budget",
         [
-            (build_noncrossing_graph(8), 1430, 97755, 4, 7, 10.0),
-            (build_bell_graph(7), 877, 30882, 6, 6, 4.0),
+            (lambda: ZeroOnePolytope.from_graph(build_noncrossing_graph(8)),
+             1430, 97755, 4, 7, 1.0),
+            (lambda: ZeroOnePolytope.from_graph(build_bell_graph(7)),
+             877, 30882, 6, 6, 0.25),
+            (lambda: ZeroOnePolytope.from_graph(build_nonnesting_graph(8)),
+             1430, 99439, 2, 7, 0.75),
+            (lambda: birkhoff_restrict(build_rook_graph(6)),
+             720, 147240, 2, 6, 0.75),
         ],
-        ids=["nc8", "bell7"],
+        ids=["nc8", "bell7", "nn8", "B6"],
     )
-    def test_row(self, graph, vertices, edges, diam, rank, budget):
+    def test_row(self, build, vertices, edges, diam, rank, budget):
         start = time.monotonic()
-        p = ZeroOnePolytope.from_graph(graph)
+        p = build()
         s = build_skeleton_E(p)
         d = diameter(s)
         elapsed = time.monotonic() - start
@@ -300,7 +356,7 @@ class TestPastTheLadder:
             vertices, edges, diam, rank
         )
         assert d <= p.rank
-        assert elapsed < budget, f"budget exceeded: {elapsed:.1f}s"
+        assert elapsed < budget, f"budget exceeded: {elapsed:.2f}s"
 
 
 class TestQuasimatroidExchange:
