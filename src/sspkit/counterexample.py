@@ -101,7 +101,8 @@ def verify_remark() -> RemarkReport:
     (A, B) an edge. A fixture/derivation mismatch fails everything."""
     g = remark_graph()
     ground = g.ground
-    derived = maximal_stable_sets(g)
+    p = maximal_family_polytope(g)
+    derived = p.vertices
     fixture = [ground.mask_of(s) for s in REMARK_FAMILY]
     clauses = []
 
@@ -117,7 +118,6 @@ def verify_remark() -> RemarkReport:
     if not match:
         return RemarkReport(tuple(clauses))
 
-    p = ZeroOnePolytope.raw(ground, derived)
     a, b = p.index[ground.mask_of(SET_A)], p.index[ground.mask_of(SET_B)]
 
     geo = oracle_is_edge(p, a, b)

@@ -9,17 +9,11 @@ in integer arithmetic.
 
 from __future__ import annotations
 
-from typing import NamedTuple, Optional, Sequence
+from typing import NamedTuple, Optional
 
 from .bitsets import bits
 from .graphs import SimpleGraph, enumerate_max_cliques
-from .linalg import (
-    cone_rays,
-    independent_rows,
-    integer_rows,
-    lp_feasible,
-    primitive,
-)
+from .linalg import cone_rays, independent_rows, lp_feasible, primitive
 from .skeleton import Skeleton, ZeroOnePolytope, _check_pair, _split_pairs
 
 
@@ -47,12 +41,6 @@ class Inequality(NamedTuple):
 
     def tight(self, mask: int) -> bool:
         return self.evaluate(mask) == self.rhs
-
-
-def make_inequality(coeffs: Sequence, rhs) -> Inequality:
-    """Rational coefficients times the lcm of their denominators."""
-    *ints, rhs = integer_rows([[*coeffs, rhs]])[0]
-    return Inequality(tuple(ints), rhs)
 
 
 def nonnegativity(n: int, v: int) -> Inequality:
@@ -134,7 +122,7 @@ def build_skeleton_oracle(p: ZeroOnePolytope) -> Skeleton:
         for b in range(a + 1, nv)
         if oracle_is_edge(p, a, b)
     ]
-    return Skeleton.make(nv, edges, "oracle")
+    return Skeleton(nv, tuple(edges), "oracle")
 
 
 def is_valid(p: ZeroOnePolytope, q: Inequality) -> bool:

@@ -2,22 +2,21 @@
 
 Every geometric decision downstream (adjacency oracle, facet tests) is a
 yes/no question, so this module works in exact arithmetic and never
-touches floating point. One fraction-free elimination (Edmonds 1967),
-`independent_rows`, decides every rank question; one fraction-free pivot
-serves the simplex and the cone inversion. Fraction appears only at the
-boundary: rational input is scaled to integers on the way in, and the
-simplex returns its certificate as Fractions.
+touches floating point. Matrices hold plain ints only: a ragged matrix
+raises ValueError and any other entry type raises TypeError. One
+fraction-free elimination (Edmonds 1967), `independent_rows`, decides
+every rank question; one fraction-free pivot (Bareiss 1968) serves the
+simplex and the cone inversion. The simplex returns its certificate in
+ints too, as numerators over one positive common denominator:
+(numerators, det).
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-from math import gcd, lcm
-from typing import Optional, Sequence, Union
+from math import gcd
+from typing import Optional, Sequence
 
-Scalar = Union[int, Fraction]
-Vector = Sequence[Scalar]
-Matrix = Sequence[Vector]
+Matrix = Sequence[Sequence[int]]
 
 
 class PivotLimitError(RuntimeError):
@@ -36,18 +35,20 @@ def primitive(vec: Sequence[int]) -> tuple[int, ...]:
     return tuple(vec)
 
 
-def integer_rows(matrix: Matrix) -> list[list[int]]:
-    """The rows times one common multiple of every entry's denominator.
+def _width(matrix: Matrix) -> int:
+    """The common row length of an int matrix (0 when it has no rows).
 
-    The scale is positive, so signs, ratios and the row space are kept.
+    `pivot` divides with //, which would silently floor a rational or a
+    float entry, so an entry that is not a plain int is refused here.
     """
-    rows = [[x if isinstance(x, int) else Fraction(x) for x in row] for row in matrix]
-    if rows:
-        width = len(rows[0])
-        if any(len(row) != width for row in rows):
+    width = len(matrix[0]) if matrix else 0
+    for row in matrix:
+        if len(row) != width:
             raise ValueError("ragged matrix")
-    scale = lcm(1, *(x.denominator for row in rows for x in row))
-    return [[x.numerator * (scale // x.denominator) for x in row] for row in rows]
+        for x in row:
+            if type(x) is not int:
+                raise TypeError(f"matrix entries must be ints, got {x!r}")
+    return width
 
 
 def independent_rows(matrix: Matrix) -> list[int]:
@@ -57,11 +58,10 @@ def independent_rows(matrix: Matrix) -> list[int]:
     so far, cross-multiplying instead of dividing; a row that does not
     reduce to zero is chosen. The scan stops at full column rank.
     """
-    rows = integer_rows(matrix)
-    width = len(rows[0]) if rows else 0
+    width = _width(matrix)
     basis: list[tuple[int, tuple[int, ...]]] = []
     chosen: list[int] = []
-    for i, vec in enumerate(rows):
+    for i, vec in enumerate(matrix):
         for col, brow in basis:
             f = vec[col]
             if f:
@@ -82,7 +82,7 @@ def rank(matrix: Matrix) -> int:
     return len(independent_rows(matrix))
 
 
-def affine_dim(points: Sequence[Vector]) -> int:
+def affine_dim(points: Matrix) -> int:
     """Dimension of the affine span of the points; -1 when there are none."""
     return rank([(1, *p) for p in points]) - 1
 
@@ -111,10 +111,11 @@ def cone_rays(basis: Matrix) -> list[tuple[int, ...]]:
     column with basis @ ray_j a positive multiple of e_j: column j of the
     inverse, read off a fraction-free Gauss-Jordan run on [basis | I].
     """
+    _width(basis)
     d = len(basis)
     tab = [
         [*row, *(int(i == j) for j in range(d))]
-        for i, row in enumerate(integer_rows(basis))
+        for i, row in enumerate(basis)
     ]
     det = 1
     for col in range(d):
@@ -128,12 +129,14 @@ def cone_rays(basis: Matrix) -> list[tuple[int, ...]]:
 
 
 def nonnegative_certificate(
-    eq_lhs: Matrix, eq_rhs: Vector
-) -> Optional[tuple[Fraction, ...]]:
-    """A vector g >= 0 with eq_lhs @ g == eq_rhs, or None if none exists.
+    eq_lhs: Matrix, eq_rhs: Sequence[int]
+) -> Optional[tuple[tuple[int, ...], int]]:
+    """(numerators, det): ints with every numerator >= 0, det > 0 and
+    eq_lhs @ numerators == det * eq_rhs, so g = numerators / det >= 0
+    solves eq_lhs @ g == eq_rhs; None if no such g exists.
 
-    Phase-one simplex with Bland's smallest-index anti-cycling rule, exact
-    arithmetic. A system with zero columns is feasible only for a zero
+    Phase-one simplex with Bland's smallest-index anti-cycling rule. A
+    system with zero columns is feasible, as ((), 1), only for a zero
     right-hand side; a system with zero rows is trivially feasible.
 
     The tableau is kept fraction-free by `pivot`: integer entries over one
@@ -146,14 +149,12 @@ def nonnegative_certificate(
     # Tableau columns: n structural, then the rhs. Rows are sign-flipped so
     # the rhs is nonnegative and the artificial basis is feasible from the
     # start. The artificial columns are never read, so they are not stored;
-    # basis[i] = n + i marks row i's artificial as basic. One global lcm
-    # clears denominators: it keeps every sign and every ratio between
-    # entries, so the pivots are those of the rational tableau.
-    tab = integer_rows([[*row, x] for row, x in zip(eq_lhs, eq_rhs)])
+    # basis[i] = n + i marks row i's artificial as basic.
+    tab = [[*row, x] for row, x in zip(eq_lhs, eq_rhs)]
     m = len(tab)
-    n = len(tab[0]) - 1 if tab else 0
+    n = _width(tab) - 1 if tab else 0
     if n == 0:
-        return () if all(row[-1] == 0 for row in tab) else None
+        return ((), 1) if all(row[-1] == 0 for row in tab) else None
     for row in tab:
         if row[-1] < 0:
             row[:] = [-x for x in row]
@@ -198,13 +199,13 @@ def nonnegative_certificate(
 
     if tab[m][-1] != 0:
         return None
-    x = [Fraction(0)] * n
+    x = [0] * n
     for i, bv in enumerate(basis):
         if bv < n:
-            x[bv] = Fraction(tab[i][-1], det)
-    return tuple(x)
+            x[bv] = tab[i][-1]
+    return tuple(x), det
 
 
-def lp_feasible(eq_lhs: Matrix, eq_rhs: Vector) -> bool:
+def lp_feasible(eq_lhs: Matrix, eq_rhs: Sequence[int]) -> bool:
     """True iff {g >= 0 : eq_lhs @ g == eq_rhs} is nonempty."""
     return nonnegative_certificate(eq_lhs, eq_rhs) is not None

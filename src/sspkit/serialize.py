@@ -198,10 +198,16 @@ def facets_to_json(facets: Sequence[Inequality]) -> dict:
 
 
 def facets_from_json(obj: dict) -> list[Inequality]:
-    from .geometry import make_inequality
+    from .geometry import Inequality
 
     return [
-        make_inequality(_list(item["coeffs"], "field 'coeffs'"), item["rhs"])
+        Inequality(
+            tuple(
+                _int(c, "a facet coefficient")
+                for c in _list(item["coeffs"], "field 'coeffs'")
+            ),
+            _int(item["rhs"], "field 'rhs'"),
+        )
         for item in map(_object, _list(_object(obj)["facets"], "field 'facets'"))
     ]
 

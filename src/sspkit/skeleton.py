@@ -200,7 +200,11 @@ class Skeleton(NamedTuple):
     """Edge list of a polytope graph, with the method that produced it.
 
     A NamedTuple rather than a dataclass: importing dataclasses costs every
-    skeleton, diameter and path call several milliseconds of start-up."""
+    skeleton, diameter and path call several milliseconds of start-up.
+
+    The builders emit each edge once, as (a, b) with a < b, in ascending
+    order, and construct it directly; `make` brings an edge list read from
+    outside into that form and validates it."""
 
     vertex_count: int
     edges: tuple[tuple[int, int], ...]
@@ -219,7 +223,6 @@ class Skeleton(NamedTuple):
         return cls(vertex_count, tuple(norm), provenance)
 
 
-
 def unique_sum_skeleton(p: ZeroOnePolytope) -> Skeleton:
     """Skeleton under the unique-decomposition edge test, all vertex pairs."""
     nv = len(p.vertices)
@@ -230,7 +233,7 @@ def unique_sum_skeleton(p: ZeroOnePolytope) -> Skeleton:
         for b in range(a + 1, nv):
             if len(_split_pairs(index, va, verts[b], limit=2)) == 1:
                 edges.append((a, b))
-    return Skeleton.make(nv, edges, "condition-E")
+    return Skeleton(nv, tuple(edges), "condition-E")
 
 
 def build_skeleton_E(p: ZeroOnePolytope) -> Skeleton:
@@ -248,8 +251,6 @@ def build_skeleton_E(p: ZeroOnePolytope) -> Skeleton:
     """
     if p.kind not in ("stable-set", "birkhoff"):
         return unique_sum_skeleton(p)
-    # The pairs come out ascending with a < b, the form Skeleton.make
-    # would sort them into; building the tuple directly skips that pass.
     edges = _connected_pairs(p.graph.adj, p.vertices)
     return Skeleton(len(p.vertices), tuple(edges), "condition-E")
 

@@ -24,13 +24,13 @@ from sspkit.families import (
     build_nonnesting_graph,
 )
 from sspkit.geometry import (
+    Inequality,
     always_facet_inequalities,
     build_skeleton_oracle,
     classify_inequality,
     enumerate_facets,
     is_facet,
     is_valid,
-    make_inequality,
     normalized_int_form,
     oracle_is_edge,
     polytope_dim,
@@ -251,7 +251,7 @@ def test_criterion_7_noncrossing6_facets():
     reference = [0] * 15
     for t in REFERENCE_EXTRA_TERMS:
         reference[p.ground.index(t)] = 1
-    ref_ineq = make_inequality(reference, 2)
+    ref_ineq = Inequality(tuple(reference), 2)
     # the frozen reference must itself be a facet before it can pin anything
     assert is_valid(p, ref_ineq), "frozen reference {} is not valid: {}".format(
         REFERENCE_EXTRA_TERMS, _first_violation(p, ref_ineq)

@@ -28,6 +28,7 @@ from sspkit.families import (
     build_rook_graph,
 )
 from sspkit.geometry import (
+    Inequality,
     SizeLimitError,
     always_facet_inequalities,
     build_skeleton_oracle,
@@ -36,7 +37,6 @@ from sspkit.geometry import (
     enumerate_facets,
     is_facet,
     is_valid,
-    make_inequality,
     nonnegativity,
     normalized_int_form,
     oracle_is_edge,
@@ -144,10 +144,10 @@ class TestInequality:
             coeffs = [rng.randrange(-3, 4) for _ in range(9)]
             mask = rng.randrange(1 << 9)
             want = sum(c for k, c in enumerate(coeffs) if mask >> k & 1)
-            assert make_inequality(coeffs, 0).evaluate(mask) == want
+            assert Inequality(tuple(coeffs), 0).evaluate(mask) == want
 
     def test_evaluate_and_tight(self):
-        q = make_inequality([1, 2, 0], 3)
+        q = Inequality((1, 2, 0), 3)
         assert q.evaluate(0b011) == 3
         assert q.tight(0b011)
         assert q.holds(0b001)
@@ -155,21 +155,25 @@ class TestInequality:
 
     def test_nonnegativity_form(self):
         q = nonnegativity(3, 1)
-        assert q.coeffs == (Fraction(0), Fraction(-1), Fraction(0))
+        assert q.coeffs == (0, -1, 0)
         assert q.rhs == 0
 
     def test_clique_inequality_form(self):
         q = clique_inequality(3, 0b101)
-        assert q.coeffs == (Fraction(1), Fraction(0), Fraction(1))
+        assert q.coeffs == (1, 0, 1)
         assert q.rhs == 1
 
     def test_normalized_int_form_clears_denominators(self):
-        q = make_inequality([Fraction(1, 2), Fraction(1, 3)], Fraction(5, 6))
-        assert normalized_int_form(q) == ((3, 2), 5)
+        # (1/2, 1/3) . x <= 5/6 times 12: the normal form divides out the
+        # gcd. A rational coefficient is refused, not cleared.
+        assert normalized_int_form(Inequality((6, 4), 10)) == ((3, 2), 5)
+        q = Inequality((Fraction(1, 2), Fraction(1, 3)), Fraction(5, 6))
+        with pytest.raises(TypeError):
+            normalized_int_form(q)
 
     def test_normalized_int_form_zero_row_total(self):
-        assert normalized_int_form(make_inequality([0, 0], 1)) == ((0, 0), 1)
-        assert normalized_int_form(make_inequality([0, 0], 0)) == ((0, 0), 0)
+        assert normalized_int_form(Inequality((0, 0), 1)) == ((0, 0), 1)
+        assert normalized_int_form(Inequality((0, 0), 0)) == ((0, 0), 0)
 
 
 class TestValidityAndFacets:
@@ -179,7 +183,7 @@ class TestValidityAndFacets:
 
     def test_valid_but_not_facet(self):
         g, p = path3_polytope()
-        q = make_inequality([1, 1, 1], 2)
+        q = Inequality((1, 1, 1), 2)
         assert is_valid(p, q)
         # only {1,3} is tight: affine dimension 0, needs 2
         assert not is_facet(p, q)
@@ -187,7 +191,7 @@ class TestValidityAndFacets:
     def test_invalid_inequality_rejected_by_is_facet(self):
         g, p = path3_polytope()
         with pytest.raises(ValueError):
-            is_facet(p, make_inequality([1, 1, 1], 1))
+            is_facet(p, Inequality((1, 1, 1), 1))
 
     def test_always_facets_all_pass(self):
         rng = random.Random(23)
@@ -212,7 +216,7 @@ class TestValidityAndFacets:
             # (inequality, known verdict or None)
             candidates = [(q, True) for q in always_facet_inequalities(g)]
             # 0 <= 0 cuts out the whole polytope: valid, not a facet
-            candidates.append((make_inequality([0] * g.n, 0), False))
+            candidates.append((Inequality((0,) * g.n, 0), False))
             for c in enumerate_max_cliques(g):
                 if c.bit_count() > 2:
                     # an edge inside a larger clique: valid, not a facet
@@ -225,7 +229,7 @@ class TestValidityAndFacets:
                 w = [rng.randrange(-1, 3) for _ in range(g.n)]
                 best = max(sum(w[b] for b in range(g.n) if v >> b & 1)
                            for v in p.vertices)
-                candidates.append((make_inequality(w, best), None))
+                candidates.append((Inequality(tuple(w), best), None))
             dim = affine_dim(rows)
             for q, known in candidates:
                 tight = [r for r, v in zip(rows, p.vertices) if q.tight(v)]
@@ -488,7 +492,7 @@ class TestNoncrossing6Facet:
     def extra_inequality(self):
         gs = self.p.ground
         coeffs = [1 if j - i >= 2 else 0 for (i, j) in gs.labels]
-        return make_inequality(coeffs, 2)
+        return Inequality(tuple(coeffs), 2)
 
     def test_valid_facet(self):
         q = self.extra_inequality()
@@ -513,7 +517,7 @@ class TestNoncrossing6Facet:
         coeffs = [0] * 15
         for t in terms:
             coeffs[gs.index(t)] = 1
-        q = make_inequality(coeffs, 2)
+        q = Inequality(tuple(coeffs), 2)
         witness = gs.mask_of([(1, 3), (4, 5), (5, 6)])
         assert witness in self.p.index
         assert q.evaluate(witness) == 3
@@ -531,5 +535,5 @@ class TestClassify:
 
     def test_other(self):
         g, p = path3_polytope()
-        q = make_inequality([1, 1, 1], 2)
+        q = Inequality((1, 1, 1), 2)
         assert classify_inequality(q, g) == "other"

@@ -4,8 +4,10 @@ A fresh interpreter runs one subcommand through `cli.main` and reports the
 modules it loaded. `skeleton`, `diameter` and `path` must not load the LP,
 facet, matroid, family or verify layers, nor `dataclasses` (which pulls in
 `inspect`); `skeleton --oracle` and `facets` may load geometry, but not the
-verify suites. Start-up is most of a short job's wall time, so a top-level
-import that creeps back shows in every benchmark workload.
+verify suites. Exact arithmetic is plain int throughout, so the LP and
+facet subcommands and `verify` load neither `fractions` nor `decimal`.
+Start-up is most of a short job's wall time, so a top-level import that
+creeps back shows in every benchmark workload.
 
 The lazy package namespace (PEP 562) is checked here too.
 """
@@ -39,6 +41,7 @@ LIGHT_ONLY = [
     "sspkit.families", "sspkit.counterexample", "dataclasses",
 ]
 NO_SUITES = ["sspkit.verify", "sspkit.matroids", "sspkit.counterexample"]
+NUMBER_TYPES = ["fractions", "decimal"]
 
 
 @pytest.fixture(scope="module")
@@ -84,6 +87,21 @@ def test_geometry_subcommands_skip_the_suites(bell3, argv):
     mods = loaded(*(a.replace("{p}", bell3) for a in argv))
     assert "sspkit.geometry" in mods
     assert mods.isdisjoint(NO_SUITES), sorted(mods & set(NO_SUITES))
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["skeleton", "--oracle", "--input", "{p}"],
+        ["facets", "--input", "{p}"],
+        ["verify", "--suite", "all", "--graphs", "5", "--max-n", "4"],
+    ],
+    ids=["oracle", "facets", "verify"],
+)
+def test_exact_subcommands_load_no_rational_types(bell3, argv):
+    mods = loaded(*(a.replace("{p}", bell3) for a in argv))
+    assert "sspkit.linalg" in mods
+    assert mods.isdisjoint(NUMBER_TYPES), sorted(mods & set(NUMBER_TYPES))
 
 
 def test_every_public_name_is_its_submodule_attribute():

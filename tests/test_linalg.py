@@ -3,11 +3,14 @@
 Frozen expectations are hand-checked (row3 = row1 + row2 and the like);
 rank and row selection are cross-checked against a Fraction Gaussian
 elimination kept here as the reference, and randomized systems against
-scipy's floating simplex.
+scipy's floating simplex. The package takes ints only, so rational test
+systems are scaled here, each row with its rhs, by the lcm of its
+denominators: the same ranks and the same solution sets.
 """
 
 import ast
 from fractions import Fraction
+from math import lcm
 from pathlib import Path
 import random
 
@@ -40,6 +43,19 @@ def fraction_rank(matrix):
             rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
         r += 1
     return r
+
+
+def scaled(row):
+    """The row times the lcm of its entries' denominators, as ints."""
+    row = [Fraction(x) for x in row]
+    k = lcm(*(x.denominator for x in row))
+    return [int(x * k) for x in row]
+
+
+def scaled_system(lhs, rhs):
+    """Each equation, rhs included, scaled to ints: same solution set."""
+    rows = [scaled([*row, x]) for row, x in zip(lhs, rhs)]
+    return [row[:-1] for row in rows], [row[-1] for row in rows]
 
 
 rationals = st.fractions(min_value=-4, max_value=4, max_denominator=4)
@@ -76,8 +92,12 @@ class TestRank:
             [Fraction(1, 2), Fraction(1, 3)],
             [Fraction(3, 2), Fraction(1, 1)],
         ]
-        # second row = 3 * first row
-        assert rank(m) == 1
+        # second row = 3 * first row; both scale to [3, 2]
+        assert [scaled(row) for row in m] == [[3, 2], [3, 2]]
+        assert rank([scaled(row) for row in m]) == 1
+        # pivot's // would floor a Fraction silently, so one is refused
+        with pytest.raises(TypeError):
+            rank(m)
 
     @given(
         st.lists(
@@ -96,12 +116,12 @@ class TestIndependentRows:
     @given(rational_matrices())
     @settings(max_examples=100, deadline=None)
     def test_rank_matches_fraction_reference(self, rows):
-        assert rank(rows) == fraction_rank(rows)
+        assert rank([scaled(row) for row in rows]) == fraction_rank(rows)
 
     @given(rational_matrices())
     @settings(max_examples=100, deadline=None)
     def test_picks_exactly_the_rows_independent_of_earlier_picks(self, rows):
-        chosen = set(independent_rows(rows))
+        chosen = set(independent_rows([scaled(row) for row in rows]))
         picked = []
         for i, row in enumerate(rows):
             independent = fraction_rank(picked + [row]) > len(picked)
@@ -167,7 +187,8 @@ class TestConeRays:
 
 
 def test_only_linalg_imports_fractions():
-    """Plain int is the one exact number type outside the linalg boundary."""
+    """Plain int is the one exact number type: no module, linalg
+    included, imports fractions."""
     src = Path(__file__).resolve().parents[1] / "src" / "sspkit"
     importers = []
     for path in sorted(src.glob("*.py")):
@@ -180,7 +201,7 @@ def test_only_linalg_imports_fractions():
                 continue
             if "fractions" in names:
                 importers.append(path.name)
-    assert importers == ["linalg.py"]
+    assert importers == []
 
 
 class TestAffineDim:
@@ -226,6 +247,7 @@ class TestLpFeasible:
 
     def test_empty_system_zero_rhs(self):
         assert lp_feasible([[], []], [0, 0]) is True
+        assert nonnegative_certificate([[], []], [0, 0]) == ((), 1)
 
     def test_empty_system_nonzero_rhs(self):
         assert lp_feasible([[], []], [0, 1]) is False
@@ -242,18 +264,23 @@ class TestLpFeasible:
         rhs = [2, 1]
         cert = nonnegative_certificate(lhs, rhs)
         assert cert is not None
-        assert all(c >= 0 for c in cert)
+        num, det = cert
+        assert det > 0 and all(c >= 0 for c in num)
         for row, want in zip(lhs, rhs):
-            assert sum(c * x for c, x in zip(row, cert)) == want
+            assert sum(c * x for c, x in zip(row, num)) == det * want
 
     def test_certificate_none_when_infeasible(self):
         assert nonnegative_certificate([[1]], [-1]) is None
 
     def test_fractional_certificate(self):
-        lhs = [[Fraction(1, 3)]]
-        rhs = [Fraction(1, 2)]
-        cert = nonnegative_certificate(lhs, rhs)
-        assert cert == (Fraction(3, 2),)
+        # x / 3 = 1 / 2 scales by 6 to 2x = 3: x = 3/2 is numerator 3 over 2
+        lhs, rhs = scaled_system([[Fraction(1, 3)]], [Fraction(1, 2)])
+        assert (lhs, rhs) == ([[2]], [3])
+        assert nonnegative_certificate(lhs, rhs) == ((3,), 2)
+        with pytest.raises(TypeError):
+            lp_feasible([[Fraction(1, 3)]], [Fraction(1, 2)])
+        with pytest.raises(TypeError):
+            lp_feasible([[2]], [1.5])
 
 
 def _scipy_feasible(lhs, rhs):
@@ -273,14 +300,17 @@ def _scipy_feasible(lhs, rhs):
 
 
 def _check_against_scipy(lhs, rhs):
-    """Feasibility agrees with scipy, and a certificate solves the system
-    exactly; returns whether the system was feasible."""
+    """Feasibility agrees with scipy, and a certificate (numerators over
+    det) solves the system exactly in ints; returns whether the system was
+    feasible."""
     cert = nonnegative_certificate(lhs, rhs)
     assert (cert is not None) == _scipy_feasible(lhs, rhs)
     if cert is not None:
-        assert all(x >= 0 for x in cert)
+        num, det = cert
+        assert type(det) is int and det > 0
+        assert all(type(x) is int and x >= 0 for x in num)
         for row, want in zip(lhs, rhs):
-            assert sum(a * x for a, x in zip(row, cert)) == want
+            assert sum(a * x for a, x in zip(row, num)) == det * want
     return cert is not None
 
 
@@ -320,5 +350,5 @@ def test_feasibility_matches_scipy_on_wider_rational_systems():
             rhs = [sum(a * x for a, x in zip(row, g)) for row in lhs]
         else:
             rhs = [_random_entry(rng) for _ in range(m)]
-        feasible += _check_against_scipy(lhs, rhs)
+        feasible += _check_against_scipy(*scaled_system(lhs, rhs))
     assert feasible >= 60

@@ -12,7 +12,7 @@ from sspkit.families import (
     build_noncrossing_graph,
     build_nonnesting_graph,
 )
-from sspkit.geometry import enumerate_facets, make_inequality
+from sspkit.geometry import Inequality, enumerate_facets
 from sspkit.matroids import build_graphic, build_partition, build_uniform
 from sspkit.skeleton import (
     ZeroOnePolytope,
@@ -135,13 +135,21 @@ class TestFacetsJson:
         assert f2 == facets
 
     def test_fractions_normalized_in_transit(self):
-        from fractions import Fraction
-
-        q = make_inequality([Fraction(1, 2), Fraction(1, 2)], Fraction(1, 2))
+        # (1/2, 1/2) . x <= 1/2 travels as its scaled int row (1, 1) . x <= 1
+        q = Inequality((1, 1), 1)
         blob = serialize.dumps(serialize.facets_to_json([q]))
         data = json.loads(blob)
         assert data["facets"][0]["coeffs"] == [1, 1]
         assert data["facets"][0]["rhs"] == 1
+        assert serialize.facets_from_json(data) == [q]
+        # anything but a JSON integer is refused, not read as one or rescaled
+        for bad in ("1", True, 0.5):
+            for facet in (
+                {"coeffs": [bad, 1], "rhs": 1},
+                {"coeffs": [1, 1], "rhs": bad},
+            ):
+                with pytest.raises(ValueError):
+                    serialize.facets_from_json({"facets": [facet]})
 
 
 class TestMatroidJson:
