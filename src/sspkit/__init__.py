@@ -27,13 +27,13 @@ _EXPORTS = {
         "Inequality", "SizeLimitError", "always_facet_inequalities",
         "build_skeleton_oracle", "classify_inequality", "clique_inequality",
         "enumerate_facets", "is_facet", "is_valid", "nonnegativity",
-        "oracle_is_edge", "polytope_dim",
+        "oracle_is_edge",
     ),
     "graphs": (
         "GroundSet", "SimpleGraph", "enumerate_max_cliques",
-        "enumerate_stable_sets", "is_stable", "is_union_of_complete_graphs",
+        "enumerate_stable_sets", "is_union_of_complete_graphs",
     ),
-    "linalg": ("PivotLimitError", "affine_dim", "lp_feasible", "rank"),
+    "linalg": ("PivotLimitError", "lp_feasible"),
     "matroids": (
         "AxiomViolation", "Matroid", "basis_exchange_adjacent",
         "basis_polytope", "build_graphic", "build_partition", "build_uniform",
@@ -45,7 +45,7 @@ _EXPORTS = {
     ),
     "skeleton": (
         "Skeleton", "ZeroOnePolytope", "base_change", "birkhoff_restrict",
-        "bp_path", "build_skeleton_E", "decompositions", "diameter",
+        "bp_path", "build_skeleton_E", "diameter",
         "is_edge_E", "is_edge_walk", "quasimatroid_exchange", "ssp_path",
         "unique_sum_skeleton",
     ),

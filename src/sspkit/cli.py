@@ -303,6 +303,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except RecursionError:  # json and the label codecs recurse per level
+        print("error: input is nested too deeply", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -11,8 +11,6 @@ fails loudly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .graphs import GroundSet, SimpleGraph, enumerate_stable_sets
 from .geometry import oracle_is_edge
 from .skeleton import ZeroOnePolytope, is_edge_E
@@ -77,57 +75,34 @@ def is_stable_set_family(ground: GroundSet, family) -> bool:
     return fam == set(enumerate_stable_sets(forced))
 
 
-@dataclass(frozen=True)
-class Clause:
-    name: str
-    passed: bool
-    details: str
-
-
-@dataclass(frozen=True)
-class RemarkReport:
-    clauses: tuple[Clause, ...]
-
-    @property
-    def passed(self) -> bool:
-        return all(c.passed for c in self.clauses)
-
-
-def verify_remark() -> RemarkReport:
-    """Check the three disagreement clauses on the pinned family.
+def verify_remark() -> list[tuple[str, bool, str]]:
+    """Check the three disagreement clauses on the pinned family, as
+    (name, passed, note) triples.
 
     (i) the LP oracle refuses the pair (A, B); (ii) e_A - e_B is the sum
     of the three witness directions; (iii) the unique-sum test still calls
-    (A, B) an edge. A fixture/derivation mismatch fails everything."""
+    (A, B) an edge. A fixture/derivation mismatch is reported alone."""
     g = remark_graph()
     ground = g.ground
     p = maximal_family_polytope(g)
     derived = p.vertices
     fixture = [ground.mask_of(s) for s in REMARK_FAMILY]
-    clauses = []
 
     match = sorted(derived) == sorted(fixture)
-    clauses.append(
-        Clause(
-            "family-rederivation",
-            match,
-            f"{len(derived)} derived maximal stable sets vs "
-            f"{len(fixture)} pinned",
-        )
-    )
+    clauses = [(
+        "family-rederivation",
+        match,
+        f"{len(derived)} derived maximal stable sets vs {len(fixture)} pinned",
+    )]
     if not match:
-        return RemarkReport(tuple(clauses))
+        return clauses
 
     a, b = p.index[ground.mask_of(SET_A)], p.index[ground.mask_of(SET_B)]
-
-    geo = oracle_is_edge(p, a, b)
-    clauses.append(
-        Clause(
-            "oracle-refuses-AB",
-            geo is False,
-            "LP found a nonnegative combination reaching e_A - e_B",
-        )
-    )
+    clauses.append((
+        "oracle-refuses-AB",
+        oracle_is_edge(p, a, b) is False,
+        "LP found a nonnegative combination reaching e_A - e_B",
+    ))
 
     am, bm = ground.mask_of(SET_A), ground.mask_of(SET_B)
     target = [((am >> k) & 1) - ((bm >> k) & 1) for k in range(p.n)]
@@ -136,19 +111,15 @@ def verify_remark() -> RemarkReport:
         wm = ground.mask_of(w)
         for k in range(p.n):
             acc[k] += ((wm >> k) & 1) - ((bm >> k) & 1)
-    clauses.append(
-        Clause(
-            "three-member-identity",
-            acc == target,
-            "e_A - e_B equals the sum of the three witness directions",
-        )
-    )
+    clauses.append((
+        "three-member-identity",
+        acc == target,
+        "e_A - e_B equals the sum of the three witness directions",
+    ))
 
-    clauses.append(
-        Clause(
-            "unique-sum-still-claims-edge",
-            is_edge_E(p, a, b),
-            "e_A + e_B has no second two-member split in the family",
-        )
-    )
-    return RemarkReport(tuple(clauses))
+    clauses.append((
+        "unique-sum-still-claims-edge",
+        is_edge_E(p, a, b),
+        "e_A + e_B has no second two-member split in the family",
+    ))
+    return clauses

@@ -92,12 +92,6 @@ class Poset:
                 raise ValueError("relation contains a cycle")
         return cls(ground, below)
 
-    def less(self, i: int, j: int) -> bool:
-        return bool((self.below[j] >> i) & 1)
-
-    def comparable(self, i: int, j: int) -> bool:
-        return self.less(i, j) or self.less(j, i)
-
     def __repr__(self) -> str:
         pairs = sum(down.bit_count() for down in self.below)
         return f"Poset(n={len(self.ground)}, pairs={pairs})"

@@ -132,10 +132,6 @@ def is_valid(p: ZeroOnePolytope, q: Inequality) -> bool:
     return all(q.holds(v) for v in p.vertices)
 
 
-def polytope_dim(p: ZeroOnePolytope) -> int:
-    return len(independent_rows([_lifted(v, p.n) for v in p.vertices])) - 1
-
-
 def is_facet(p: ZeroOnePolytope, q: Inequality) -> bool:
     """True iff the face q cuts out has dimension dim(p) - 1.
 

@@ -115,15 +115,6 @@ class SimpleGraph:
         return f"SimpleGraph(n={self.n}, m={self.edge_count()})"
 
 
-def is_stable(g: SimpleGraph, a: int) -> bool:
-    """True iff no two members of the subset are adjacent in g."""
-    g.ground.check_mask(a)
-    for v in bits(a):
-        if g.adj[v] & a:
-            return False
-    return True
-
-
 MAX_STABLE_SETS = 1 << 15
 
 

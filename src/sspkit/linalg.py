@@ -1,4 +1,4 @@
-"""Exact integer linear algebra: rank, affine dimension, LP feasibility.
+"""Exact integer linear algebra: independent rows, cone rays, LP feasibility.
 
 Every geometric decision downstream (adjacency oracle, facet tests) is a
 yes/no question, so this module works in exact arithmetic and never
@@ -77,16 +77,6 @@ def independent_rows(matrix: Matrix) -> list[int]:
     return chosen
 
 
-def rank(matrix: Matrix) -> int:
-    """Rank over the rationals."""
-    return len(independent_rows(matrix))
-
-
-def affine_dim(points: Matrix) -> int:
-    """Dimension of the affine span of the points; -1 when there are none."""
-    return rank([(1, *p) for p in points]) - 1
-
-
 def pivot(tab: list[list[int]], r: int, col: int, det: int) -> int:
     """One fraction-free pivot on tab[r][col]; returns the new common
     denominator.
@@ -111,8 +101,9 @@ def cone_rays(basis: Matrix) -> list[tuple[int, ...]]:
     column with basis @ ray_j a positive multiple of e_j: column j of the
     inverse, read off a fraction-free Gauss-Jordan run on [basis | I].
     """
-    _width(basis)
     d = len(basis)
+    if _width(basis) != d:
+        raise ValueError("cone basis must be square")
     tab = [
         [*row, *(int(i == j) for j in range(d))]
         for i, row in enumerate(basis)

@@ -74,10 +74,6 @@ class Matroid:
         self.independents = tuple(fam)
         self.rank = max(m.bit_count() for m in fam)
 
-    def is_independent(self, mask: int) -> bool:
-        self.ground.check_mask(mask)
-        return mask in set(self.independents)
-
     def bases(self) -> list[int]:
         return [m for m in self.independents if m.bit_count() == self.rank]
 

@@ -125,11 +125,6 @@ def graph_to_json(g: SimpleGraph) -> dict:
     }
 
 
-def graph_from_json(obj: dict) -> SimpleGraph:
-    obj = _object(obj)
-    return SimpleGraph.from_edges(_labels(obj, "labels"), _pairs(obj, "edges"))
-
-
 def polytope_to_json(p: ZeroOnePolytope) -> dict:
     out: dict[str, Any] = {
         "kind": p.kind,
@@ -197,31 +192,6 @@ def facets_to_json(facets: Sequence[Inequality]) -> dict:
     return {"facets": out}
 
 
-def facets_from_json(obj: dict) -> list[Inequality]:
-    from .geometry import Inequality
-
-    return [
-        Inequality(
-            tuple(
-                _int(c, "a facet coefficient")
-                for c in _list(item["coeffs"], "field 'coeffs'")
-            ),
-            _int(item["rhs"], "field 'rhs'"),
-        )
-        for item in map(_object, _list(_object(obj)["facets"], "field 'facets'"))
-    ]
-
-
-def matroid_to_json(m: Matroid) -> dict:
-    return {
-        "ground": [encode_label(x) for x in m.ground.labels],
-        "independents": [
-            [encode_label(x) for x in m.ground.labels_of(s)]
-            for s in m.independents
-        ],
-    }
-
-
 def matroid_from_json(obj: dict) -> Matroid:
     from .matroids import Matroid, build_graphic, build_partition, build_uniform
 
@@ -256,8 +226,9 @@ def poset_from_json(obj: dict) -> Poset:
 
 
 def _dot_name(subset: Sequence[Label]) -> str:
+    """The subset as "{a,b}", escaped to sit inside a quoted DOT string."""
     inner = ",".join(str(x) for x in subset)
-    return "{" + inner + "}"
+    return "{" + inner.replace("\\", "\\\\").replace('"', '\\"') + "}"
 
 
 def skeleton_to_dot(vertices: Sequence[Sequence[Label]], s: Skeleton) -> str:

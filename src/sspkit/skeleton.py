@@ -116,10 +116,6 @@ class ZeroOnePolytope:
     def n(self) -> int:
         return len(self.ground)
 
-    def vertex_vector(self, i: int) -> tuple[int, ...]:
-        v = self.vertices[i]
-        return tuple((v >> k) & 1 for k in range(self.n))
-
     def __repr__(self) -> str:
         return (
             f"ZeroOnePolytope(kind={self.kind!r}, n={self.n}, "
@@ -168,15 +164,6 @@ def _split_pairs(
         if s == 0:
             return out
         s = (s - 1) & rest
-
-
-def decompositions(p: ZeroOnePolytope, a: int, b: int) -> list[tuple[int, int]]:
-    """All unordered vertex-index pairs whose indicator vectors sum to
-    e_A + e_B; always contains {a, b} itself."""
-    _check_pair(p, a, b)
-    out = _split_pairs(p.index, p.vertices[a], p.vertices[b])
-    out.sort()
-    return out
 
 
 def is_edge_E(p: ZeroOnePolytope, a: int, b: int) -> bool:

@@ -3,6 +3,7 @@ contract (0 all-pass, 1 failed verification, 2 bad input)."""
 
 import hashlib
 import json
+import re
 import time
 
 import pytest
@@ -229,6 +230,21 @@ class TestSkeletonCmd:
         code, out, _ = run(capsys, "export-dot", "--input", str(sk))
         assert code == 0
         assert out.count(" -- ") == 8
+
+    def test_dot_escapes_quotes_and_backslashes(self, tmp_path, capsys):
+        rel, poly, sk = (tmp_path / f for f in ("rel.json", "p.json", "sk.json"))
+        rel.write_text(json.dumps({"labels": ['a"b', "c\\d"], "pairs": []}))
+        run(capsys, "build", "--family", "relation", "--input", str(rel),
+            "--output", str(poly))
+        run(capsys, "skeleton", "--input", str(poly), "--output", str(sk))
+        for argv in (["skeleton", "--input", str(poly), "--format", "dot"],
+                     ["export-dot", "--input", str(sk)]):
+            code, out, _ = run(capsys, *argv)
+            assert code == 0
+            labels = re.findall(r'\[label=(.*)\];', out)
+            assert labels == ['"{}"', r'"{a\"b}"', r'"{c\\d}"', r'"{a\"b,c\\d}"']
+            # each label is one DOT quoted string: only \" and \\ escapes
+            assert all(re.fullmatch(r'"(?:[^"\\]|\\["\\])*"', x) for x in labels)
 
 
 class TestGoldenStdout:

@@ -13,6 +13,7 @@ import os
 import sys
 import tempfile
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -138,6 +139,28 @@ command = st.one_of(builds, on_files, paths, verifies, junk)
 # under the interpreter's own limit, read here at import.
 RECURSION_LIMIT = sys.getrecursionlimit()
 
+def run_cli(argv, text):
+    """(exit code, stderr) of main(argv) at the interpreter's recursion
+    limit, with "{input}" a file holding text."""
+    with tempfile.TemporaryDirectory() as tmp:
+        inp, outp = os.path.join(tmp, "in.json"), os.path.join(tmp, "out")
+        with open(inp, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        argv = [{"{input}": inp, "{output}": outp}.get(a, a) for a in argv]
+        out, err = io.StringIO(), io.StringIO()
+        raised_limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(RECURSION_LIMIT)
+        try:
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main(argv)
+        except SystemExit as exc:
+            assert exc.code == 2, exc.code  # argparse usage errors only
+            code = exc.code
+        finally:
+            sys.setrecursionlimit(raised_limit)
+    return code, err.getvalue()
+
+
 CHAIN_240 = json.dumps({
     "labels": list(range(1, 241)),
     "less_than": [[i, i + 1] for i in range(1, 240)],
@@ -157,21 +180,32 @@ CHAIN_240 = json.dumps({
     CHAIN_240,
 )
 def test_exit_contract(argv, text):
-    with tempfile.TemporaryDirectory() as tmp:
-        inp, outp = os.path.join(tmp, "in.json"), os.path.join(tmp, "out")
-        with open(inp, "w", encoding="utf-8") as fh:
-            fh.write(text)
-        argv = [{"{input}": inp, "{output}": outp}.get(a, a) for a in argv]
-        out, err = io.StringIO(), io.StringIO()
-        raised_limit = sys.getrecursionlimit()
-        sys.setrecursionlimit(RECURSION_LIMIT)
-        try:
-            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-                code = main(argv)
-        except SystemExit as exc:
-            assert exc.code == 2, exc.code  # argparse usage errors only
-            code = exc.code
-        finally:
-            sys.setrecursionlimit(raised_limit)
+    code, err = run_cli(argv, text)
     assert code in (0, 1, 2)
-    assert "Traceback" not in err.getvalue()
+    assert "Traceback" not in err
+
+
+DEEP_ARRAY = "[" * 100_000 + "]" * 100_000
+DEEP_LABEL = "[" * 900 + "]" * 900  # a label the codec decodes recursively
+
+
+@pytest.mark.parametrize(
+    "argv, text",
+    [
+        (["skeleton", "--input", "{input}"], DEEP_ARRAY),
+        (["diameter", "--input", "{input}"],
+         '{"kind": "raw", "ground": [%s], "vertices": [[]]}' % DEEP_LABEL),
+        (["export-dot", "--input", "{input}"],
+         '{"vertices": [[%s]], "edges": [], "provenance": "oracle"}' % DEEP_LABEL),
+        (["build", "--family", "relation", "--input", "{input}"],
+         '{"labels": [%s], "pairs": []}' % DEEP_LABEL),
+        (["path", "--input", "{input}", "--from", "[" * 5000 + "]" * 5000,
+          "--to", "[]"], json.dumps(BELL3_JSON)),
+    ],
+    ids=["skeleton", "diameter", "export-dot", "build-relation", "path-from"],
+)
+def test_deep_nesting_is_bad_input(argv, text):
+    """JSON nested past the recursion limit exits 2 with one error line."""
+    code, err = run_cli(argv, text)
+    assert code == 2
+    assert err.startswith("error:") and len(err.splitlines()) == 1

@@ -135,7 +135,7 @@ class TestPoset:
         else:
             assert pair_set_is_strict_order(n, rel)
             assert {
-                (i, j) for i in range(n) for j in range(n) if p.less(i, j)
+                (i, j) for i in range(n) for j in range(n) if p.below[j] >> i & 1
             } == rel
 
     def test_mask_outside_the_ground_set_rejected(self):
@@ -144,7 +144,7 @@ class TestPoset:
 
     def test_from_relation_closes(self):
         p = Poset.from_relation([1, 2, 3], [(1, 2), (2, 3)])
-        assert p.less(0, 2)
+        assert p.below == (0, 0b001, 0b011)
 
     def test_comparability_graph(self):
         p = Poset.from_relation([1, 2, 3], [(1, 2), (2, 3)])
@@ -155,10 +155,11 @@ class TestPoset:
         p = containment_poset(4)
         gs = p.ground
         # (2,3) nests weakly inside (1,4) and inside (2,4) and (1,3)
-        assert p.less(gs.index((2, 3)), gs.index((1, 4)))
-        assert p.less(gs.index((2, 3)), gs.index((2, 4)))
-        assert p.less(gs.index((2, 3)), gs.index((1, 3)))
-        assert not p.comparable(gs.index((1, 2)), gs.index((3, 4)))
+        inner = 1 << gs.index((2, 3))
+        for outer in ((1, 4), (2, 4), (1, 3)):
+            assert p.below[gs.index(outer)] & inner
+        a, b = gs.index((1, 2)), gs.index((3, 4))
+        assert not (p.below[a] >> b & 1 or p.below[b] >> a & 1)
 
 
 class TestStableSetCounts:
@@ -263,7 +264,7 @@ class TestNonnestingGraph:
             for c in enumerate_max_cliques(g):
                 members = [i for i in range(len(p.ground)) if c >> i & 1]
                 assert all(
-                    p.comparable(u, v)
+                    p.below[u] >> v & 1 or p.below[v] >> u & 1
                     for u in members
                     for v in members
                     if u != v

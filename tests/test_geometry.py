@@ -40,11 +40,9 @@ from sspkit.geometry import (
     nonnegativity,
     normalized_int_form,
     oracle_is_edge,
-    polytope_dim,
 )
 from sspkit.graphs import SimpleGraph, enumerate_max_cliques
 from sspkit.linalg import (
-    affine_dim,
     cone_rays,
     independent_rows,
     lp_feasible,
@@ -212,7 +210,7 @@ class TestValidityAndFacets:
         for _ in range(25):
             g = random_graph(rng, rng.randrange(2, 7))
             p = ZeroOnePolytope.from_graph(g)
-            rows = [p.vertex_vector(i) for i in range(len(p.vertices))]
+            rows = [(1, *(v >> k & 1 for k in range(g.n))) for v in p.vertices]
             # (inequality, known verdict or None)
             candidates = [(q, True) for q in always_facet_inequalities(g)]
             # 0 <= 0 cuts out the whole polytope: valid, not a facet
@@ -230,10 +228,10 @@ class TestValidityAndFacets:
                 best = max(sum(w[b] for b in range(g.n) if v >> b & 1)
                            for v in p.vertices)
                 candidates.append((Inequality(tuple(w), best), None))
-            dim = affine_dim(rows)
+            dim = len(independent_rows(rows))
             for q, known in candidates:
                 tight = [r for r, v in zip(rows, p.vertices) if q.tight(v)]
-                want = affine_dim(tight) == dim - 1
+                want = len(independent_rows(tight)) == dim - 1
                 assert known is None or want == known, (g, q)
                 assert is_facet(p, q) == want, (g, q)
                 facets += want
@@ -242,7 +240,8 @@ class TestValidityAndFacets:
 
     def test_polytope_dim_full_for_stable_set(self):
         g, p = path3_polytope()
-        assert polytope_dim(p) == 3
+        rows = [(1, *(v >> k & 1 for k in range(p.n))) for v in p.vertices]
+        assert len(independent_rows(rows)) - 1 == 3
 
 
 class TestEnumerateFacets:

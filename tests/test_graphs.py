@@ -15,7 +15,6 @@ from sspkit.graphs import (
     connected_components,
     enumerate_max_cliques,
     enumerate_stable_sets,
-    is_stable,
     is_union_of_complete_graphs,
 )
 
@@ -60,18 +59,14 @@ class TestSimpleGraph:
         with pytest.raises(ValueError):
             SimpleGraph(gs, [0b10, 0b00])
 
-    def test_ground_mismatch_in_is_stable(self):
-        g = path3()
-        with pytest.raises(ValueError):
-            is_stable(g, 1 << 5)
-
 
 class TestStableSets:
     def test_path3_membership(self):
         g = path3()
-        assert is_stable(g, g.ground.mask_of([1, 3]))
-        assert not is_stable(g, g.ground.mask_of([1, 2]))
-        assert is_stable(g, 0)
+        stabs = enumerate_stable_sets(g)
+        assert g.ground.mask_of([1, 3]) in stabs
+        assert g.ground.mask_of([1, 2]) not in stabs
+        assert 0 in stabs
 
     def test_path3_enumeration(self):
         g = path3()

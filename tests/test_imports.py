@@ -12,6 +12,7 @@ creeps back shows in every benchmark workload.
 The lazy package namespace (PEP 562) is checked here too.
 """
 
+import ast
 import importlib
 import json
 import os
@@ -130,3 +131,22 @@ def test_unknown_attribute_raises_attribute_error():
     with pytest.raises(AttributeError, match="no_such_name"):
         sspkit.no_such_name
     assert not hasattr(sspkit, "dataclass")
+
+
+def test_every_public_name_has_a_caller_in_the_package():
+    """Each name in _EXPORTS is used by package code other than its own
+    definition and __init__.py, so caller-less API cannot linger."""
+    used: set[str] = set()
+    for path in (Path(SRC) / "sspkit").glob("*.py"):
+        if path.name == "__init__.py":
+            continue
+        for top in ast.parse(path.read_text()).body:
+            own = getattr(top, "name", None)  # a def calling itself is no caller
+            used.update(
+                node.id
+                for node in ast.walk(top)
+                if isinstance(node, ast.Name)
+                and isinstance(node.ctx, ast.Load)
+                and node.id != own
+            )
+    assert sorted(set(sspkit._MODULE_OF) - used) == []

@@ -1,4 +1,4 @@
-"""Exact rank, affine dimension, cone rays, and LP feasibility.
+"""Exact rank (by independent rows), cone rays, and LP feasibility.
 
 Frozen expectations are hand-checked (row3 = row1 + row2 and the like);
 rank and row selection are cross-checked against a Fraction Gaussian
@@ -19,13 +19,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sspkit.linalg import (
-    affine_dim,
     cone_rays,
     independent_rows,
     lp_feasible,
     nonnegative_certificate,
     primitive,
-    rank,
 )
 
 
@@ -75,17 +73,17 @@ def rational_matrices(draw, max_side=6):
 class TestRank:
     def test_identity(self):
         ident = [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
-        assert rank(ident) == 3
+        assert len(independent_rows(ident)) == 3
 
     def test_zero_matrix(self):
-        assert rank([[0, 0, 0, 0], [0, 0, 0, 0]]) == 0
+        assert independent_rows([[0, 0, 0, 0], [0, 0, 0, 0]]) == []
 
     def test_dependent_row(self):
         # row3 = row1 + row2
-        assert rank([(1, 0, 1), (0, 1, 0), (1, 1, 1)]) == 2
+        assert len(independent_rows([(1, 0, 1), (0, 1, 0), (1, 1, 1)])) == 2
 
     def test_empty(self):
-        assert rank([]) == 0
+        assert independent_rows([]) == []
 
     def test_fractions(self):
         m = [
@@ -94,10 +92,10 @@ class TestRank:
         ]
         # second row = 3 * first row; both scale to [3, 2]
         assert [scaled(row) for row in m] == [[3, 2], [3, 2]]
-        assert rank([scaled(row) for row in m]) == 1
+        assert len(independent_rows([scaled(row) for row in m])) == 1
         # pivot's // would floor a Fraction silently, so one is refused
         with pytest.raises(TypeError):
-            rank(m)
+            independent_rows(m)
 
     @given(
         st.lists(
@@ -109,14 +107,15 @@ class TestRank:
     @settings(max_examples=60, deadline=None)
     def test_rank_equals_transpose_rank(self, rows):
         cols = [[row[j] for row in rows] for j in range(3)]
-        assert rank(rows) == rank(cols)
+        assert len(independent_rows(rows)) == len(independent_rows(cols))
 
 
 class TestIndependentRows:
     @given(rational_matrices())
     @settings(max_examples=100, deadline=None)
     def test_rank_matches_fraction_reference(self, rows):
-        assert rank([scaled(row) for row in rows]) == fraction_rank(rows)
+        chosen = independent_rows([scaled(row) for row in rows])
+        assert len(chosen) == fraction_rank(rows)
 
     @given(rational_matrices())
     @settings(max_examples=100, deadline=None)
@@ -185,6 +184,15 @@ class TestConeRays:
         with pytest.raises(ValueError):
             cone_rays([[1, 2], [2, 4]])
 
+    @pytest.mark.parametrize(
+        "basis",
+        [[[1, 0, 0], [0, 1, 0]], [[1, 0], [0, 1], [1, 1]]],
+        ids=["wide", "tall"],
+    )
+    def test_not_square_rejected(self, basis):
+        with pytest.raises(ValueError, match="square"):
+            cone_rays(basis)
+
 
 def test_only_linalg_imports_fractions():
     """Plain int is the one exact number type: no module, linalg
@@ -202,6 +210,11 @@ def test_only_linalg_imports_fractions():
             if "fractions" in names:
                 importers.append(path.name)
     assert importers == []
+
+
+def affine_dim(points):
+    """The rank of the lifted rows (1, p) less one, as is_facet counts."""
+    return len(independent_rows([(1, *p) for p in points])) - 1
 
 
 class TestAffineDim:

@@ -25,11 +25,11 @@ from sspkit.graphs import GroundSet, enumerate_stable_sets, reach
 from sspkit.skeleton import (
     Skeleton,
     ZeroOnePolytope,
+    _split_pairs,
     base_change,
     birkhoff_restrict,
     bp_path,
     build_skeleton_E,
-    decompositions,
     diameter,
     is_edge_E,
     quasimatroid_exchange,
@@ -100,7 +100,7 @@ class TestDecompositions:
         a = gs.mask_of([(1, 2)])
         b = gs.mask_of([(2, 3)])
         # e_A + e_B also splits as e_{} + e_{(1,2),(2,3)}
-        splits = decompositions(p, p.index[a], p.index[b])
+        splits = _split_pairs(p.index, a, b)
         assert len(splits) == 2
 
     def test_empty_vs_doubleton(self):
@@ -108,7 +108,7 @@ class TestDecompositions:
         gs = p.ground
         a = 0
         b = gs.mask_of([(1, 2), (2, 3)])
-        splits = decompositions(p, p.index[a], p.index[b])
+        splits = _split_pairs(p.index, a, b)
         assert len(splits) == 2
 
     def test_adjacent_has_one_split(self):
@@ -116,7 +116,7 @@ class TestDecompositions:
         gs = p.ground
         a = 0
         b = gs.mask_of([(1, 3)])
-        splits = decompositions(p, p.index[a], p.index[b])
+        splits = _split_pairs(p.index, a, b)
         assert splits == [tuple(sorted((p.index[a], p.index[b])))]
 
     def test_splits_respect_union_and_intersection(self):
@@ -130,7 +130,7 @@ class TestDecompositions:
             if i == j:
                 continue
             a, b = p.vertices[i], p.vertices[j]
-            for ci, di in decompositions(p, i, j):
+            for ci, di in _split_pairs(p.index, a, b):
                 c, d = p.vertices[ci], p.vertices[di]
                 assert c & d == a & b
                 assert c | d == a | b
