@@ -264,8 +264,8 @@ def make_parser() -> argparse.ArgumentParser:
 
     f = sub.add_parser("facets", help="complete facet list (double description)")
     f.add_argument("--input", required=True)
-    f.add_argument("--facet-vertex-cap", type=int, default=150)
-    f.add_argument("--facet-dim-cap", type=int, default=16)
+    f.add_argument("--facet-vertex-cap", type=int, default=1500)
+    f.add_argument("--facet-dim-cap", type=int, default=28)
     f.add_argument("--format", choices=("json", "text"), default="json")
     f.add_argument("--output")
     f.set_defaults(fn=cmd_facets)

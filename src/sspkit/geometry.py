@@ -155,7 +155,7 @@ def _lifted(v: int, n: int) -> tuple[int, ...]:
 
 
 def enumerate_facets(
-    p: ZeroOnePolytope, vertex_cap: int = 150, dim_cap: int = 16
+    p: ZeroOnePolytope, vertex_cap: int = 1500, dim_cap: int = 28
 ) -> list[Inequality]:
     """The complete irredundant facet list of a full-dimensional polytope.
 
@@ -163,6 +163,11 @@ def enumerate_facets(
     {y : y . (1, w) >= 0 for all vertices w} are exactly the facets. All
     ray arithmetic stays in primitive integer vectors. Inputs beyond the
     caps are refused rather than attempted.
+
+    The lifted rows are sorted lexicographically ascending before the start
+    basis is chosen, so the basis and every later insertion follow lexmin
+    order, cdd's default; insertion order can change the cost of double
+    description by orders of magnitude (Avis, Bremner and Seidel, 1997).
 
     A positive and a negative ray combine iff no third ray's zero set (the
     rows it is tight on) contains their common zero set z. Adjacent rays
@@ -181,7 +186,7 @@ def enumerate_facets(
         raise SizeLimitError(
             f"ambient dimension {n} exceeds the facet enumeration cap of {dim_cap}"
         )
-    rows = [_lifted(v, n) for v in p.vertices]
+    rows = sorted(_lifted(v, n) for v in p.vertices)
     d = n + 1
     chosen = independent_rows(rows)
     if len(chosen) != d:
@@ -197,8 +202,8 @@ def enumerate_facets(
     tight = [((1 << d) - 1) ^ (1 << j) for j in range(d)]  # zero sets
 
     for t in range(d, nv):
-        ones = [k + 1 for k in bits(p.vertices[order[t]])]
-        vals = [r[0] + sum([r[k] for k in ones]) for r in rays]  # r . (1, e_v)
+        ones = [k for k, x in enumerate(rows[order[t]]) if x]  # 0 and e_v
+        vals = [sum([r[k] for k in ones]) for r in rays]  # r . (1, e_v)
         bit = 1 << t
         plus = [k for k, v in enumerate(vals) if v > 0]
         minus = [k for k, v in enumerate(vals) if v < 0]

@@ -352,6 +352,35 @@ class TestFacetsCmd:
         assert code == 2
         assert "error" in err
 
+    def test_nc7_at_default_caps(self, tmp_path, capsys):
+        p = tmp_path / "p.json"
+        run(capsys, "build", "--family", "nc", "--n", "7",
+            "--output", str(p))
+        code, out, _ = run(capsys, "facets", "--input", str(p),
+                           "--format", "text")
+        assert code == 0
+        assert out == "facets 65 nonnegativity 21 clique 32 other 12\n"
+
+    @pytest.mark.parametrize(
+        "family, n, message",
+        [
+            ("complete", "29", "ambient dimension 29 exceeds the facet "
+                               "enumeration cap of 28"),
+            ("empty", "11", "2048 vertices exceeds the facet enumeration "
+                            "cap of 1500"),
+        ],
+        ids=["dimension", "vertices"],
+    )
+    def test_default_caps_refuse(self, tmp_path, capsys, family, n, message):
+        p = tmp_path / "p.json"
+        code, _, _ = run(capsys, "build", "--family", family, "--n", n,
+                         "--output", str(p))
+        assert code == 0
+        code, out, err = run(capsys, "facets", "--input", str(p))
+        assert code == 2
+        assert out == ""
+        assert err == f"error: {message}\n"
+
 
 class TestPathCmd:
     def test_stable_set_walk(self, tmp_path, capsys):
