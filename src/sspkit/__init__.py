@@ -44,10 +44,9 @@ _EXPORTS = {
         "remark_graph", "verify_remark",
     ),
     "skeleton": (
-        "Skeleton", "ZeroOnePolytope", "base_change", "birkhoff_restrict",
-        "bp_path", "build_skeleton_E", "diameter",
-        "is_edge_E", "is_edge_walk", "quasimatroid_exchange", "ssp_path",
-        "unique_sum_skeleton",
+        "Skeleton", "ZeroOnePolytope", "birkhoff_restrict",
+        "build_skeleton_E", "diameter", "flip_path", "is_edge_E",
+        "is_edge_walk", "quasimatroid_exchange", "unique_sum_skeleton",
     ),
     "verify": ("SUITES", "run_suites"),
 }

@@ -20,11 +20,10 @@ from . import serialize
 from .skeleton import (
     ZeroOnePolytope,
     birkhoff_restrict,
-    bp_path,
     build_skeleton_E,
     diameter,
+    flip_path,
     is_edge_walk,
-    ssp_path,
 )
 
 # The parser's choices are spelled out so that parsing imports neither
@@ -178,12 +177,7 @@ def _endpoint(p: ZeroOnePolytope, text: str) -> int:
 
 def cmd_path(args: argparse.Namespace) -> int:
     p = _load_polytope(args.input)
-    if p.kind not in ("stable-set", "birkhoff"):
-        raise ValueError("path needs a stable-set or birkhoff polytope")
-    a, b = _endpoint(p, args.frm), _endpoint(p, args.to)
-    if a not in p.index or b not in p.index:
-        raise ValueError("endpoints must be vertices of the polytope")
-    walk = bp_path(p, a, b) if p.kind == "birkhoff" else ssp_path(p, a, b)
+    walk = flip_path(p, _endpoint(p, args.frm), _endpoint(p, args.to))
     valid = is_edge_walk(p, walk)
     report = {
         "path": [

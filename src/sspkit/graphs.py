@@ -197,13 +197,13 @@ def reach(adj: Sequence[int], start: int, within: int) -> int:
     return comp
 
 
-def connected_components(g: SimpleGraph) -> list[int]:
-    """Vertex sets of the connected components, as masks, by least member."""
-    everything = (1 << g.n) - 1
-    rest = everything
+def connected_components(g: SimpleGraph, within: int) -> list[int]:
+    """Vertex sets of the connected components of the subgraph induced on
+    the within mask, as masks, by least member."""
+    rest = within
     comps = []
     while rest:
-        comp = reach(g.adj, rest & -rest, everything)
+        comp = reach(g.adj, rest & -rest, within)
         comps.append(comp)
         rest &= ~comp
     return comps
@@ -211,7 +211,7 @@ def connected_components(g: SimpleGraph) -> list[int]:
 
 def is_union_of_complete_graphs(g: SimpleGraph) -> bool:
     """True iff every connected component induces a complete subgraph."""
-    for comp in connected_components(g):
+    for comp in connected_components(g, (1 << g.n) - 1):
         for v in bits(comp):
             if g.adj[v] != comp & ~(1 << v):
                 return False

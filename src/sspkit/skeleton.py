@@ -17,7 +17,12 @@ from operator import add
 from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .bitsets import bits
-from .graphs import GroundSet, SimpleGraph, enumerate_stable_sets
+from .graphs import (
+    GroundSet,
+    SimpleGraph,
+    connected_components,
+    enumerate_stable_sets,
+)
 
 KINDS = ("stable-set", "birkhoff", "matroid-independence", "matroid-bases", "raw")
 
@@ -389,105 +394,39 @@ def quasimatroid_exchange(
         cur = vc if not (vc & ibit) else vd
 
 
-def bp_path(p: ZeroOnePolytope, a: int, b: int) -> list[int]:
-    """Walk from a to b along edges of the birkhoff-kind polytope p.
+def flip_path(p: ZeroOnePolytope, a: int, b: int) -> list[int]:
+    """Walk from vertex a to vertex b of a stable-set or birkhoff-kind
+    polytope p: starting from a, flip the connected components of
+    G[a xor b] one at a time, in order of least element.
 
-    Every hop swaps some E sube current - b for an equal-size F sube b,
-    so the overlap with b grows and the walk has at most rank hops.
+    Every set on the walk is a vertex. It is (a & b) plus, per component
+    C, either C & a or C & b; each part is stable, no edge joins two
+    components, and a & b has no neighbour in a | b because a and b are
+    stable. In the birkhoff kind every component is balanced, or flipping
+    the one component alone would give a larger stable set than a or b,
+    so every set on the walk has the top cardinality.
+
+    Every hop is an edge: two consecutive sets differ by one component,
+    which is connected, the test of build_skeleton_E (Chvatal 1975).
+
+    The walk has k hops for k components, and k <= rank: a & b plus one
+    element from each component is a stable set.
     """
-    if p.kind != "birkhoff":
-        raise ValueError("bp_path needs a birkhoff-kind polytope")
+    if p.kind not in ("stable-set", "birkhoff"):
+        raise ValueError("path needs a stable-set or birkhoff polytope")
     if a not in p.index or b not in p.index:
-        raise ValueError("endpoints must be maximum stable sets of the graph")
+        raise ValueError("endpoints must be vertices of the polytope")
     path = [a]
-    cur = a
-    while cur != b:
-        i = ((cur & ~b) & -(cur & ~b)).bit_length() - 1
-        e, f = quasimatroid_exchange(p, cur, b, i)
-        cur = (cur & ~e) | f
-        path.append(cur)
-    return path
-
-
-def base_change(p: ZeroOnePolytope, a: int, b: int) -> int:
-    """A stable set C adjacent to a in the stable-set polytope p with
-    a cap b sube C sube a cup b and C meeting b - a.
-
-    Follows the splitting argument: either some split member strictly
-    contains a (then a plus one new element works), or some member meets
-    both differences and we restart from it with a larger overlap.
-    """
-    if a not in p.index or b not in p.index:
-        raise ValueError("endpoints must be stable sets of the graph")
-    if a == b or not (b & ~a):
-        raise ValueError("base_change needs b to contain something outside a")
-    index, verts = p.index, p.vertices
-    cur = b
-    while True:
-        pairs = _split_pairs(index, a, cur)
-        members: list[int] = []
-        for ci, di in pairs:
-            vc, vd = verts[ci], verts[di]
-            if (vc == a and vd == cur) or (vc == cur and vd == a):
-                continue
-            members.append(vc)
-            members.append(vd)
-        if not members:
-            return cur  # unique split: a and cur are adjacent
-        for m in members:
-            if m & a == a:  # m strictly contains a
-                extra = m & ~a
-                return a | (extra & -extra)
-        for m in members:
-            if (m & (a & ~cur)) and (m & (cur & ~a)):
-                cur = m
-                break
-        else:
-            raise AssertionError("splitting argument exhausted; family corrupt")
-
-
-def ssp_path(p: ZeroOnePolytope, a: int, b: int) -> list[int]:
-    """Walk from a to b along edges of the stable-set polytope p, at most
-    rank hops.
-
-    Small endpoints route down through the empty set and back up; otherwise
-    repeated base_change grows the overlap with b until b is contained,
-    after which surplus elements leave one at a time.
-    """
-    if p.kind != "stable-set":
-        raise ValueError("ssp_path needs a stable-set-kind polytope")
-    if a not in p.index or b not in p.index:
-        raise ValueError("endpoints must be stable sets of the graph")
-    if a == b:
-        return [a]
-    r = p.rank
-    path = [a]
-    cur = a
-    if a.bit_count() + b.bit_count() <= r:
-        while cur:
-            cur ^= cur & -cur
-            path.append(cur)
-        up = b
-        while up:
-            low = up & -up
-            cur |= low
-            up ^= low
-            path.append(cur)
-        return path
-    while b & ~cur:
-        cur = base_change(p, cur, b)
-        path.append(cur)
-    while cur != b:
-        extra = cur & ~b
-        cur ^= extra & -extra
-        path.append(cur)
+    for comp in connected_components(p.graph, a ^ b):
+        path.append(path[-1] ^ comp)
     return path
 
 
 def is_edge_walk(p: ZeroOnePolytope, walk: Sequence[int]) -> bool:
-    """True iff every hop of walk joins two distinct vertices of p that
-    pass the unique-sum edge test."""
-    return all(
-        u != v and is_edge_E(p, p.index[u], p.index[v])
+    """True iff every member of walk is a vertex of p and every hop joins
+    two distinct vertices that pass the unique-sum edge test."""
+    index = p.index
+    return all(v in index for v in walk) and all(
+        u != v and is_edge_E(p, index[u], index[v])
         for u, v in zip(walk, walk[1:])
     )

@@ -57,13 +57,12 @@ from .matroids import (
 from .skeleton import (
     ZeroOnePolytope,
     birkhoff_restrict,
-    bp_path,
     build_skeleton_E,
     diameter,
+    flip_path,
     is_edge_E,
     is_edge_walk,
     quasimatroid_exchange,
-    ssp_path,
     unique_sum_skeleton,
 )
 
@@ -137,22 +136,19 @@ def random_poset(rng: random.Random, n: int) -> Poset:
     return Poset.from_relation(labels, pairs)
 
 
-def _sample(rng: random.Random, items: Sequence, k: int) -> list:
-    """Deterministic partial Fisher-Yates sample without replacement."""
-    pool = list(items)
-    k = min(k, len(pool))
-    for i in range(k):
-        j = i + rng.randrange(len(pool) - i)
-        pool[i], pool[j] = pool[j], pool[i]
-    return pool[:k]
-
-
-def _walk_ok(
-    p: ZeroOnePolytope, path: list[int], a: int, b: int, bound: int
-) -> bool:
-    if not path or path[0] != a or path[-1] != b:
-        return False
-    return len(path) - 1 <= bound and is_edge_walk(p, path)
+def _walks_ok(rng: random.Random, p: ZeroOnePolytope, k: int) -> bool:
+    """flip_path between k seeded vertex pairs of p gives valid edge walks
+    of at most rank hops. Each pair is drawn from the vertex indices, so
+    no list of all pairs is built; one vertex has no pair to walk."""
+    nv = len(p.vertices)
+    for _ in range(k if nv > 1 else 0):
+        i, j = rng.sample(range(nv), 2)
+        a, b = p.vertices[i], p.vertices[j]
+        walk = flip_path(p, a, b)
+        if not (walk[0] == a and walk[-1] == b and len(walk) - 1 <= p.rank
+                and is_edge_walk(p, walk)):
+            return False
+    return True
 
 
 def suite_oracle_vs_e(
@@ -205,25 +201,9 @@ def suite_diameter_bounds(
             and d_ssp <= r
             and d_bp is not None
             and d_bp <= r
+            and _walks_ok(rng, ssp, 12)
+            and _walks_ok(rng, bp, 8)
         )
-        pairs = [
-            (a, b)
-            for a in range(len(ssp.vertices))
-            for b in range(a + 1, len(ssp.vertices))
-        ]
-        for a, b in _sample(rng, pairs, 12):
-            va, vb = ssp.vertices[a], ssp.vertices[b]
-            walk = ssp_path(ssp, va, vb)
-            ok = ok and _walk_ok(ssp, walk, va, vb, r)
-        bpairs = [
-            (a, b)
-            for a in range(len(bp.vertices))
-            for b in range(a + 1, len(bp.vertices))
-        ]
-        for a, b in _sample(rng, bpairs, 8):
-            va, vb = bp.vertices[a], bp.vertices[b]
-            walk = bp_path(bp, va, vb)
-            ok = ok and _walk_ok(bp, walk, va, vb, r)
         rep.add(f"graph-{idx}", ok, n=g.n, r=r, ssp=d_ssp, bp=d_bp)
 
     cube = ZeroOnePolytope.from_graph(build_empty_graph(3))
@@ -391,7 +371,7 @@ def suite_prop62(
         expected = is_union_of_complete_graphs(g)
         ok = ok_matroid == expected
         if ok and expected:
-            comps = connected_components(g)
+            comps = connected_components(g, (1 << g.n) - 1)
             part = {
                 m
                 for m in range(1 << g.n)
@@ -479,6 +459,10 @@ def run_suites(
     graphs: int = 200,
     max_n: int = 6,
 ) -> list[SuiteReport]:
+    if graphs < 0:
+        raise ValueError(f"graphs must not be negative, got {graphs}")
+    if max_n < 0:
+        raise ValueError(f"max_n must not be negative, got {max_n}")
     out = []
     for name in names:
         if name not in SUITES:

@@ -39,11 +39,10 @@ from sspkit.matroids import basis_exchange_adjacent, basis_polytope, independenc
 from sspkit.skeleton import (
     ZeroOnePolytope,
     birkhoff_restrict,
-    bp_path,
     build_skeleton_E,
     diameter,
+    flip_path,
     is_edge_E,
-    ssp_path,
     unique_sum_skeleton,
 )
 from sspkit.verify import (
@@ -291,7 +290,7 @@ def test_criterion_8_diameter_bounds_and_walks():
         verts = list(ssp.vertices)
         for _ in range(4):
             a, b = rng.choice(verts), rng.choice(verts)
-            walk = ssp_path(ssp, a, b)
+            walk = flip_path(ssp, a, b)
             assert walk[0] == a and walk[-1] == b
             assert len(walk) - 1 <= ssp.rank
             for u, v in zip(walk, walk[1:]):
@@ -299,7 +298,7 @@ def test_criterion_8_diameter_bounds_and_walks():
         bverts = list(bp.vertices)
         for _ in range(2):
             a, b = rng.choice(bverts), rng.choice(bverts)
-            walk = bp_path(bp, a, b)
+            walk = flip_path(bp, a, b)
             assert walk[0] == a and walk[-1] == b
             assert len(walk) - 1 <= bp.rank
             for u, v in zip(walk, walk[1:]):

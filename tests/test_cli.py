@@ -250,23 +250,27 @@ class TestSkeletonCmd:
 class TestGoldenStdout:
     """sha256 of stdout for build, skeleton (JSON) and diameter, recorded
     from the CLI before the bit-sliced skeleton kernel and the template
-    writer for edge lists; both must leave every byte as it was."""
+    writer for edge lists; both must leave every byte as it was. The
+    fourth digest pins the path walk from the first vertex to the last."""
 
     GOLDEN = {
         ("nc", "6", False): (
             "ac90deab0907422415a6924a6c869e25c110aa2b3e63d9f8e69294ace79611fe",
             "69bbd9eed1d83dfe2441aa2dcc4a6b1df174cd1f659b08b6eb13500da4fc9caf",
             "cea7e81d23512b27f943d63cc00a7940f81cccb1c445589b2fbe29304e744ede",
+            "60c1573e4521a7bd49060a4f853c25a64c949ad2a6304b02c26cbaf7c5d3cc6a",
         ),
         ("bell", "5", False): (
             "abf65edeb7f73da8e930297cce4055e0e65089d4e38de0fd6e31c08ca1619bee",
             "faf66957b61f9932fade3100053b643ec4ece24663d657e1c32a1beed5af134a",
             "a1a74e89d5fa9545facc8cbe759a0e4756f3d2dd4507fad02fefc375ef24bdce",
+            "2ddcc43924df7314a96fd50ff3c288aefc9fe6b658b4049b5168d36abd72742e",
         ),
         ("rook", "4", True): (
             "4c33b52d3826764dd13c83eded4ea7520ea7c768f691b870e09954fa1fde155f",
             "4bb18557d834dc8bb29d4d8462734e8747db89382d7e1138f0d32c0598d7c494",
             "f95759acae7f633e4c7a7378f110116d93febf0cd54bc14480030f6b275aad8a",
+            "f02626b47c894f510139d21b4c4065c87949fe45757c26e92d34c7d4273e7561",
         ),
     }
 
@@ -277,9 +281,11 @@ class TestGoldenStdout:
         assert code == 0
         path = tmp_path / "p.json"
         path.write_text(built, encoding="utf-8")
+        verts = json.loads(built)["vertices"]
+        ends = ["--from", json.dumps(verts[0]), "--to", json.dumps(verts[-1])]
         outs = [built]
-        for command in ("skeleton", "diameter"):
-            code, out, _ = run(capsys, command, "--input", str(path))
+        for command, extra in (("skeleton", []), ("diameter", []), ("path", ends)):
+            code, out, _ = run(capsys, command, "--input", str(path), *extra)
             assert code == 0
             outs.append(out)
         digests = tuple(hashlib.sha256(o.encode("utf-8")).hexdigest() for o in outs)
@@ -409,6 +415,16 @@ class TestPathCmd:
         assert "error" in err
 
 
+    def test_matroid_kind_is_error(self, tmp_path, capsys):
+        mj, p = tmp_path / "m.json", tmp_path / "p.json"
+        mj.write_text(json.dumps({"uniform": [4, 2]}))
+        run(capsys, "build", "--family", "matroid", "--input", str(mj),
+            "--output", str(p))
+        code, out, err = run(capsys, "path", "--input", str(p),
+                             "--from", "[]", "--to", "[1]")
+        assert code == 2 and out == ""
+        assert err == "error: path needs a stable-set or birkhoff polytope\n"
+
     @pytest.mark.parametrize("endpoint", ["5", "null", '"x"', '{"a": 1}'])
     @pytest.mark.parametrize("side", ["--from", "--to"])
     def test_endpoint_not_a_list_is_error(self, tmp_path, capsys, side, endpoint):
@@ -455,6 +471,16 @@ class TestVerifyCmd:
         assert data["passed"] is False
         assert data["reports"][0]["checks"] == []
         assert f"suite {suite}: FAIL" in err
+
+    @pytest.mark.parametrize(
+        "suite, option, value",
+        [("oracle-vs-E", "--graphs", "-1"), ("partitions", "--max-n", "-3")],
+    )
+    def test_negative_size_is_bad_input(self, capsys, suite, option, value):
+        code, out, err = run(capsys, "verify", "--suite", suite, option, value)
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and "negative" in err
+        assert len(err.strip().splitlines()) == 1
 
     def test_unknown_suite_rejected(self, capsys):
         with pytest.raises(SystemExit):

@@ -134,7 +134,7 @@ class TestMaxCliques:
 class TestStructure:
     def test_components(self):
         g = SimpleGraph.from_edges([1, 2, 3, 4], [(1, 2), (3, 4)])
-        assert connected_components(g) == [0b0011, 0b1100]
+        assert connected_components(g, 0b1111) == [0b0011, 0b1100]
 
     def test_union_of_complete_graphs(self):
         yes = SimpleGraph.from_edges(
@@ -145,11 +145,12 @@ class TestStructure:
         assert not is_union_of_complete_graphs(no)
 
 
-def components_by_search(g):
-    """Reference: depth-first search from each unseen vertex."""
+def components_by_search(g, within):
+    """Reference: depth-first search from each unseen vertex of within,
+    along edges that stay inside it."""
     seen = set()
     comps = []
-    for v in range(g.n):
+    for v in bits(within):
         if v in seen:
             continue
         comp, stack = 0, [v]
@@ -157,7 +158,7 @@ def components_by_search(g):
         while stack:
             u = stack.pop()
             comp |= 1 << u
-            for w in bits(g.adj[u]):
+            for w in bits(g.adj[u] & within):
                 if w not in seen:
                     seen.add(w)
                     stack.append(w)
@@ -172,5 +173,6 @@ def test_components_match_search(seed, n, density):
     labels = range(n)
     edges = [(i, j) for i in labels for j in labels if i < j and rng.random() < density]
     g = SimpleGraph.from_edges(labels, edges)
-    assert connected_components(g) == components_by_search(g)
+    for within in ((1 << n) - 1, rng.getrandbits(n) if n else 0):
+        assert connected_components(g, within) == components_by_search(g, within)
 

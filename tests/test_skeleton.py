@@ -21,19 +21,19 @@ from sspkit.families import (
     build_rook_graph,
 )
 from sspkit.geometry import build_skeleton_oracle, oracle_is_edge
-from sspkit.graphs import GroundSet, enumerate_stable_sets, reach
+from sspkit.graphs import GroundSet, connected_components, enumerate_stable_sets, reach
+from sspkit.matroids import basis_polytope, build_uniform, independence_polytope
 from sspkit.skeleton import (
     Skeleton,
     ZeroOnePolytope,
     _split_pairs,
-    base_change,
     birkhoff_restrict,
-    bp_path,
     build_skeleton_E,
     diameter,
+    flip_path,
     is_edge_E,
+    is_edge_walk,
     quasimatroid_exchange,
-    ssp_path,
     unique_sum_skeleton,
 )
 from sspkit.verify import random_graph
@@ -390,74 +390,62 @@ class TestQuasimatroidExchange:
 
 
 class TestPaths:
-    def test_bp_path_base_case(self):
+    def test_flip_path_base_case(self):
         g = build_bell_graph(3)
-        walk = bp_path(birkhoff_restrict(g), g.ground.mask_of([(1, 2), (2, 3)]),
-                       g.ground.mask_of([(1, 2), (2, 3)]))
-        assert len(walk) == 1
+        a = g.ground.mask_of([(1, 2), (2, 3)])
+        assert flip_path(birkhoff_restrict(g), a, a) == [a]
 
-    def test_bp_path_random_contract(self):
-        rng = random.Random(31337)
+    @pytest.mark.parametrize("kind", ["stable-set", "birkhoff"])
+    def test_flip_path_random_contract(self, kind):
+        # one hop per component of G[a xor b], every set on the walk a
+        # vertex, every hop an E-test edge, and so at most rank hops
+        rng = random.Random(31337 if kind == "birkhoff" else 2718)
         done = 0
-        while done < 30:
-            g = random_graph(rng, 6)
-            p = birkhoff_restrict(g)
+        while done < 40:
+            g = random_graph(rng, rng.randrange(2, 9))
+            p = birkhoff_restrict(g) if kind == "birkhoff" else ZeroOnePolytope.from_graph(g)
             if len(p.vertices) < 2:
                 continue
             a, b = rng.sample(list(p.vertices), 2)
-            walk = bp_path(p, a, b)
+            walk = flip_path(p, a, b)
             assert walk[0] == a and walk[-1] == b
+            assert len(walk) - 1 == len(connected_components(g, a ^ b))
             assert len(walk) - 1 <= p.rank
+            assert all(v in p.index for v in walk)
             for u, v in zip(walk, walk[1:]):
                 assert u != v
                 assert is_edge_E(p, p.index[u], p.index[v])
             done += 1
 
-    def test_base_change_worked_example(self):
-        # ground {(1,2),(1,3),(2,3)} with clash graph of the 3-pair family:
-        # from {(1,3)} toward {(1,2),(2,3)} the unique-split member is the
-        # target itself
-        g = build_bell_graph(3)
-        gs = g.ground
-        a = gs.mask_of([(1, 3)])
-        b = gs.mask_of([(1, 2), (2, 3)])
-        nxt = base_change(ZeroOnePolytope.from_graph(g), a, b)
-        assert nxt == b
-
-    def test_ssp_path_through_empty_set(self):
+    def test_flip_path_worked_example(self):
+        # (1,3) and (1,2) clash, so G[a xor b] is one component: one hop
         g = build_bell_graph(3)
         gs = g.ground
         a = gs.mask_of([(1, 3)])
         b = gs.mask_of([(1, 2)])
-        walk = ssp_path(ZeroOnePolytope.from_graph(g), a, b)
         p = ZeroOnePolytope.from_graph(g)
-        assert walk[0] == a and walk[-1] == b
+        walk = flip_path(p, a, b)
+        assert walk == [a, b]
         assert len(walk) - 1 <= p.rank
-        for u, v in zip(walk, walk[1:]):
-            assert is_edge_E(p, p.index[u], p.index[v])
+        assert is_edge_E(p, p.index[a], p.index[b])
 
-    def test_ssp_path_random_contract(self):
-        rng = random.Random(2718)
-        for _ in range(40):
-            g = random_graph(rng, 6)
-            p = ZeroOnePolytope.from_graph(g)
-            a, b = rng.sample(list(p.vertices), 2)
-            walk = ssp_path(p, a, b)
-            assert walk[0] == a and walk[-1] == b
-            assert len(walk) - 1 <= p.rank
-            for u, v in zip(walk, walk[1:]):
-                assert u != v
-                assert is_edge_E(p, p.index[u], p.index[v])
-
-    def test_ssp_path_needs_stable_set_kind(self):
+    def test_flip_path_needs_graph_kind(self):
         g = build_bell_graph(3)
         vertices = ZeroOnePolytope.from_graph(g).vertices
-        for p in (birkhoff_restrict(g), ZeroOnePolytope.raw(g.ground, vertices)):
-            with pytest.raises(ValueError, match="stable-set"):
-                ssp_path(p, p.vertices[0], p.vertices[-1])
+        u24 = build_uniform(4, 2)
+        raw = ZeroOnePolytope.raw(g.ground, vertices)
+        for p in (raw, independence_polytope(u24), basis_polytope(u24)):
+            with pytest.raises(ValueError, match="stable-set or birkhoff"):
+                flip_path(p, p.vertices[0], p.vertices[-1])
 
     def test_path_endpoints_must_be_vertices(self):
         g = build_bell_graph(3)
         bad = g.ground.mask_of([(1, 2), (1, 3)])  # not stable
-        with pytest.raises(ValueError):
-            ssp_path(ZeroOnePolytope.from_graph(g), bad, 0)
+        with pytest.raises(ValueError, match="must be vertices"):
+            flip_path(ZeroOnePolytope.from_graph(g), bad, 0)
+
+    def test_is_edge_walk_refuses_a_non_vertex(self):
+        p = bell3_polytope()
+        assert is_edge_walk(p, [p.vertices[0], p.vertices[1]])
+        assert is_edge_walk(p, [p.vertices[0], 0b111]) is False
+        assert is_edge_walk(p, [0b111]) is False

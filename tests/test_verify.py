@@ -1,9 +1,12 @@
 """Cross-validation suite plumbing: determinism and report shape."""
 
+import tracemalloc
+
 from sspkit.verify import (
     SUITES,
     random_graph_corpus,
     run_suites,
+    suite_diameter_bounds,
 )
 
 
@@ -51,3 +54,17 @@ def test_all_suites_pass_on_small_corpus():
         for r in reports
         if not r.passed
     ]
+
+
+def test_diameter_bounds_draws_pairs_without_listing_them():
+    # The corpus ends at n = 24, a graph with 656 stable sets and 214,840
+    # vertex pairs. Listing every pair to sample 12 peaked near 40 MB
+    # traced; drawing each pair from the vertex indices peaks near 8 MB.
+    tracemalloc.start()
+    try:
+        rep = suite_diameter_bounds(seed=7, graphs=23, max_n=24)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep.passed
+    assert peak < 16_000_000
