@@ -138,21 +138,20 @@ def cmd_diameter(args: argparse.Namespace) -> int:
 
 
 def cmd_facets(args: argparse.Namespace) -> int:
-    from .geometry import classify_inequality, enumerate_facets, normalized_int_form
+    from .geometry import classify_inequality, enumerate_facets
 
     p = _load_polytope(args.input)
     facets = enumerate_facets(
         p, vertex_cap=args.facet_vertex_cap, dim_cap=args.facet_dim_cap
     )
+    out = serialize.facets_to_json(facets)
     counts = {"nonnegativity": 0, "clique": 0, "other": 0}
     others = []
-    for q in facets:
+    for q, entry in zip(facets, out["facets"]):
         kind = classify_inequality(q, p.graph)
         counts[kind] += 1
         if kind == "other":
-            coeffs, rhs = normalized_int_form(q)
-            others.append({"coeffs": list(coeffs), "rhs": rhs})
-    out = serialize.facets_to_json(facets)
+            others.append(entry)
     out["classification"] = counts
     out["non_clique_facets"] = others
     if args.format == "text":

@@ -14,7 +14,7 @@ from typing import NamedTuple, Optional
 from .bitsets import bits
 from .graphs import SimpleGraph, enumerate_max_cliques
 from .linalg import cone_rays, independent_rows, lp_feasible, primitive
-from .skeleton import Skeleton, ZeroOnePolytope, _check_pair, _split_pairs
+from .skeleton import Skeleton, ZeroOnePolytope, _check_pair
 
 
 class SizeLimitError(ValueError):
@@ -76,35 +76,33 @@ def normalized_int_form(q: Inequality) -> tuple[tuple[int, ...], int]:
 
 
 def oracle_is_edge(p: ZeroOnePolytope, a: int, b: int) -> bool:
-    """Geometric adjacency of vertices a and b: a checked witness, else LP.
+    """Geometric adjacency of vertices a and b: a witness found here, else LP.
 
     Non-adjacency is witnessed by a nonnegative solution of
     sum_k g_k (w_k - v_b) = v_a - v_b over the other vertices w_k; any
     such solution is automatically nonzero because v_a != v_b.
 
-    A second split e_C + e_D = e_A + e_B is such a solution (g_C = g_D = 1),
-    so when the subset walk finds one, the pair is re-checked here and
-    settled without an LP. Every other pair, every edge included, goes to
-    the LP.
-
     The LP's columns are cut to the vertices sandwiched between the
     intersection and the union of a and b, which any support of a witness
     must respect, and its rows to the coordinates where a and b differ;
     the other rows read 0 = 0 on those columns.
+
+    A column w whose complement w xor (v_a xor v_b) in that sandwich is
+    also a vertex gives a second split e_w + e_w' = e_A + e_B, which is
+    such a solution (g_w = g_w' = 1), so the pair is settled without an
+    LP. Every other pair, every edge included, goes to the LP.
     """
     _check_pair(p, a, b)
     va, vb = p.vertices[a], p.vertices[b]
-    inter, union = va & vb, va | vb
-    for c, d in _split_pairs(p.index, va, vb, limit=2):
-        vc, vd = p.vertices[c], p.vertices[d]
-        if {c, d} != {a, b} and vc & vd == inter and vc | vd == union:
-            return False
+    inter, union, diff = va & vb, va | vb, va ^ vb
     cols = [
         w
         for k, w in enumerate(p.vertices)
         if k != a and k != b and w & inter == inter and not (w & ~union)
     ]
-    coords = list(bits(va ^ vb))
+    if any(w ^ diff in p.index for w in cols):
+        return False
+    coords = list(bits(diff))
     lhs = [
         [((w >> c) & 1) - ((vb >> c) & 1) for w in cols]
         for c in coords

@@ -141,34 +141,33 @@ def _largest(sets: Sequence[int]) -> list[int]:
     return [s for s in sets if s.bit_count() == r]
 
 
-def _split_pairs(
-    index: dict[int, int], va: int, vb: int, limit: int = 0
-) -> list[tuple[int, int]]:
-    """Unordered index pairs {C, D} in the family with e_C + e_D = e_A + e_B.
+def _other_split(p: ZeroOnePolytope, va: int, vb: int) -> Optional[tuple[int, int]]:
+    """Masks (C, D) of two members with e_C + e_D = e_A + e_B other than
+    {A, B}, or None when {A, B} is the only such split. Needs A != B.
 
-    Any such pair satisfies C cap D = A cap B and C cup D = A cup B, so it
-    is enough to walk the subsets of the symmetric difference. Requiring
-    the lowest difference bit to lie in C visits each pair exactly once.
+    Any such C has A & B sube C sube A | B and D = C xor (A xor B). The
+    search takes the cheaper of two sides it can count up front: the
+    2^(k-1) subsets of the k-element difference that hold its lowest
+    element (one per unordered pair), or the members themselves. So no
+    pair costs more than min(2^(k-1), |family|) probes.
     """
-    inter = va & vb
-    diff = va ^ vb
-    low = diff & -diff
-    rest = diff ^ low
-    out: list[tuple[int, int]] = []
-    s = rest
-    while True:
-        c = inter | low | s
-        d = inter | (rest ^ s)
-        ci = index.get(c)
-        if ci is not None:
-            di = index.get(d)
-            if di is not None:
-                out.append((ci, di) if ci < di else (di, ci))
-                if limit and len(out) >= limit:
-                    return out
-        if s == 0:
-            return out
-        s = (s - 1) & rest
+    index = p.index
+    inter, diff = va & vb, va ^ vb
+    if 1 << (diff.bit_count() - 1) <= len(index):
+        low = diff & -diff
+        rest = diff ^ low
+        s = rest
+        while True:
+            c = inter | low | s
+            if c != va and c != vb and c in index and c ^ diff in index:
+                return c, c ^ diff
+            if not s:
+                return None
+            s = (s - 1) & rest
+    for c in p.vertices:
+        if c & ~diff == inter and c != va and c != vb and c ^ diff in index:
+            return c, c ^ diff
+    return None
 
 
 def is_edge_E(p: ZeroOnePolytope, a: int, b: int) -> bool:
@@ -178,7 +177,7 @@ def is_edge_E(p: ZeroOnePolytope, a: int, b: int) -> bool:
     with geometric adjacency there.
     """
     _check_pair(p, a, b)
-    return len(_split_pairs(p.index, p.vertices[a], p.vertices[b], limit=2)) == 1
+    return _other_split(p, p.vertices[a], p.vertices[b]) is None
 
 
 def _check_pair(p: ZeroOnePolytope, a: int, b: int) -> None:
@@ -217,13 +216,13 @@ class Skeleton(NamedTuple):
 
 def unique_sum_skeleton(p: ZeroOnePolytope) -> Skeleton:
     """Skeleton under the unique-decomposition edge test, all vertex pairs."""
-    nv = len(p.vertices)
-    index, verts = p.index, p.vertices
+    verts = p.vertices
+    nv = len(verts)
     edges = []
     for a in range(nv):
         va = verts[a]
         for b in range(a + 1, nv):
-            if len(_split_pairs(index, va, verts[b], limit=2)) == 1:
+            if _other_split(p, va, verts[b]) is None:
                 edges.append((a, b))
     return Skeleton(nv, tuple(edges), "condition-E")
 
@@ -231,7 +230,7 @@ def unique_sum_skeleton(p: ZeroOnePolytope) -> Skeleton:
 def build_skeleton_E(p: ZeroOnePolytope) -> Skeleton:
     """Skeleton under condition E (the unique-sum edge test).
 
-    Matroid and raw kinds walk the splits of every pair
+    Matroid and raw kinds ask every pair for a second split
     (unique_sum_skeleton). For the stable-set and birkhoff kinds the test
     reduces to "G[A xor B] is connected" (Chvatal 1975): A - B and B - A
     are stable and A & B has no neighbour in A | B, so a split
@@ -364,8 +363,10 @@ def quasimatroid_exchange(
     F sube b - a, |E| = |F|, (a - E) | F a vertex of p, and e_a + e_(a-E|F)
     admitting no other two-member split.
 
-    Walks alternative splits of e_a + e_b, always recursing toward the side
-    that avoids i; each step grows the overlap with a, so it terminates.
+    Starts from cur = b and, while e_a + e_cur has a second split (C, D),
+    moves cur to the one of C and D that avoids i. That side has the
+    cardinality of cur, lies between a & cur and a | cur and differs from
+    cur, so it shares more elements with a; the walk terminates.
     """
     if p.kind not in ("birkhoff", "matroid-bases"):
         raise ValueError("family members must have equal cardinality")
@@ -377,19 +378,11 @@ def quasimatroid_exchange(
     if not (a & ~b) & ibit:
         raise ValueError("i must lie in a minus b")
 
-    verts = p.vertices
     cur = b
     while True:
-        alt = None
-        for ci, di in _split_pairs(p.index, a, cur):
-            vc, vd = verts[ci], verts[di]
-            if (vc == a and vd == cur) or (vc == cur and vd == a):
-                continue
-            alt = (vc, vd)
-            break
+        alt = _other_split(p, a, cur)
         if alt is None:
-            e, f = a & ~cur, cur & ~a
-            return e, f
+            return a & ~cur, cur & ~a
         vc, vd = alt
         cur = vc if not (vc & ibit) else vd
 
@@ -424,7 +417,8 @@ def flip_path(p: ZeroOnePolytope, a: int, b: int) -> list[int]:
 
 def is_edge_walk(p: ZeroOnePolytope, walk: Sequence[int]) -> bool:
     """True iff every member of walk is a vertex of p and every hop joins
-    two distinct vertices that pass the unique-sum edge test."""
+    two distinct vertices that pass the unique-sum edge test. A hop over a
+    k-element difference costs at most min(2^(k-1), |family|) probes."""
     index = p.index
     return all(v in index for v in walk) and all(
         u != v and is_edge_E(p, index[u], index[v])

@@ -155,7 +155,7 @@ def suite_oracle_vs_e(
     seed: int = 7, graphs: int = 200, max_n: int = 6
 ) -> SuiteReport:
     """Three routes give one skeleton on stable-set and top-cardinality
-    polytopes of the random corpus: the unique-sum walk, the connectivity
+    polytopes of the random corpus: the unique-sum test, the connectivity
     test of build_skeleton_E and the LP oracle."""
     rep = SuiteReport(
         "oracle-vs-E", seed, {"graphs": graphs, "max_n": max_n}
@@ -313,13 +313,13 @@ def suite_matroid_e(
         ok = ok and d_b is not None and d_b <= m.rank
 
         exchange_ok = True
+        fam = set(m.independents)
         for a in bases:
             for b in bases:
                 if a == b:
                     continue
                 for x in bits(a & ~b):
                     y = strong_exchange(m, a, b, x)
-                    fam = set(m.independents)
                     exchange_ok = exchange_ok and (
                         (a ^ (1 << x)) | (1 << y) in fam
                         and (b ^ (1 << y)) | (1 << x) in fam

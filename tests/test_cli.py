@@ -246,6 +246,32 @@ class TestSkeletonCmd:
             # each label is one DOT quoted string: only \" and \\ escapes
             assert all(re.fullmatch(r'"(?:[^"\\]|\\["\\])*"', x) for x in labels)
 
+    @pytest.mark.parametrize(
+        "kind, vertices",
+        [("raw", [[], list(range(40))]),
+         ("matroid-bases", [list(range(20)), list(range(20, 40))])],
+        ids=["raw", "matroid-bases"],
+    )
+    @pytest.mark.parametrize(
+        "command",
+        [["skeleton"], ["skeleton", "--oracle"], ["diameter"]],
+        ids=["skeleton", "oracle", "diameter"],
+    )
+    def test_two_vertices_over_40_elements(self, tmp_path, capsys, kind,
+                                           vertices, command):
+        # The two vertices differ in all 40 elements: 2^39 subsets to walk
+        # for the one pair, against a family of two members.
+        p = tmp_path / "p.json"
+        p.write_text(json.dumps({
+            "kind": kind, "ground": list(range(40)), "vertices": vertices,
+        }))
+        start = time.perf_counter()
+        code, out, _ = run(capsys, command[0], "--input", str(p), *command[1:])
+        assert time.perf_counter() - start < 2
+        assert code == 0
+        # diameter reports the edge count, skeleton the edge list
+        assert json.loads(out)["edges"] in (1, [[0, 1]])
+
 
 class TestGoldenStdout:
     """sha256 of stdout for build, skeleton (JSON) and diameter, recorded
@@ -402,6 +428,26 @@ class TestPathCmd:
         assert data["edges_valid"] is True
         assert data["within_bound"] is True
         assert data["hops"] <= 2
+
+    def test_across_complete_bipartite_k14_14(self, tmp_path, capsys):
+        # 2^14 + 2^14 - 1 = 32767 stable sets, under the cap; the walk is
+        # one hop over a 28-element difference.
+        rel, p = tmp_path / "rel.json", tmp_path / "p.json"
+        rel.write_text(json.dumps({
+            "labels": list(range(28)),
+            "pairs": [[i, j] for i in range(14) for j in range(14, 28)],
+        }))
+        code, _, _ = run(capsys, "build", "--family", "relation",
+                         "--input", str(rel), "--output", str(p))
+        assert code == 0
+        start = time.perf_counter()
+        code, out, _ = run(capsys, "path", "--input", str(p),
+                           "--from", json.dumps(list(range(14))),
+                           "--to", json.dumps(list(range(14, 28))))
+        assert time.perf_counter() - start < 5
+        assert code == 0
+        data = json.loads(out)
+        assert data["hops"] == 1 and data["edges_valid"] is True
 
     def test_nonvertex_endpoint_is_error(self, tmp_path, capsys):
         p = tmp_path / "p.json"

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from sspkit import geometry
+from sspkit import geometry, skeleton
 from sspkit.counterexample import (
     maximal_family_polytope,
     modified_cube,
@@ -113,17 +113,16 @@ class TestOracle:
                     rhs = [((va >> c) & 1) - ((vb >> c) & 1) for c in range(p.n)]
                     assert oracle_is_edge(p, a, b) == (not lp_feasible(lhs, rhs))
 
-    def test_witness_pairs_are_rechecked(self, monkeypatch):
-        # A split walk that offers every vertex pair as a second split must
-        # not change a verdict: the oracle keeps only genuine splits.
+    def test_independent_of_the_split_search(self, monkeypatch):
+        # The oracle finds its witnesses itself: with the E-test's split
+        # search broken, its verdicts do not change.
         p = ZeroOnePolytope.from_graph(build_bell_graph(4))
         want = build_skeleton_E(p).edges
-        every_pair = [
-            (c, d)
-            for c in range(len(p.vertices))
-            for d in range(c + 1, len(p.vertices))
-        ]
-        monkeypatch.setattr(geometry, "_split_pairs", lambda *a, **k: every_pair)
+
+        def broken(*args):
+            raise AssertionError("the oracle asked the E-test's split search")
+
+        monkeypatch.setattr(skeleton, "_other_split", broken)
         assert build_skeleton_oracle(p).edges == want
 
     def test_witnesses_settle_every_non_edge_on_nc5(self, monkeypatch):

@@ -26,7 +26,7 @@ from sspkit.matroids import basis_polytope, build_uniform, independence_polytope
 from sspkit.skeleton import (
     Skeleton,
     ZeroOnePolytope,
-    _split_pairs,
+    _other_split,
     birkhoff_restrict,
     build_skeleton_E,
     diameter,
@@ -93,47 +93,76 @@ class TestPolytopeValidation:
         assert [bin(v).count("1") for v in p.vertices] == [2]
 
 
+def reference_splits(p, va, vb):
+    """Reference: every unordered pair {C, D} of members whose indicator
+    vectors sum to e_A + e_B, compared coordinate by coordinate."""
+    want = [(va >> k & 1) + (vb >> k & 1) for k in range(p.n)]
+    verts = p.vertices
+    return {
+        frozenset((c, d))
+        for i, c in enumerate(verts)
+        for d in verts[i + 1 :]
+        if [(c >> k & 1) + (d >> k & 1) for k in range(p.n)] == want
+    }
+
+
+def assert_matches_reference(p, va, vb):
+    got = _other_split(p, va, vb)
+    others = reference_splits(p, va, vb) - {frozenset((va, vb))}
+    if got is None:
+        assert not others
+    else:
+        c, d = got
+        assert c in p.index and d in p.index
+        assert frozenset(got) in others
+        assert c & d == va & vb and c | d == va | vb
+    return got
+
+
 class TestDecompositions:
-    def test_bell3_adjacent_pair_unique_split(self):
+    def test_bell3_adjacent_pair_has_other_split(self):
         p = bell3_polytope()
         gs = p.ground
         a = gs.mask_of([(1, 2)])
         b = gs.mask_of([(2, 3)])
         # e_A + e_B also splits as e_{} + e_{(1,2),(2,3)}
-        splits = _split_pairs(p.index, a, b)
-        assert len(splits) == 2
+        got = assert_matches_reference(p, a, b)
+        assert set(got) == {0, a | b}
 
     def test_empty_vs_doubleton(self):
         p = bell3_polytope()
         gs = p.ground
         a = 0
         b = gs.mask_of([(1, 2), (2, 3)])
-        splits = _split_pairs(p.index, a, b)
-        assert len(splits) == 2
+        got = assert_matches_reference(p, a, b)
+        assert set(got) == {gs.mask_of([(1, 2)]), gs.mask_of([(2, 3)])}
 
-    def test_adjacent_has_one_split(self):
+    def test_adjacent_has_no_other_split(self):
         p = bell3_polytope()
         gs = p.ground
-        a = 0
-        b = gs.mask_of([(1, 3)])
-        splits = _split_pairs(p.index, a, b)
-        assert splits == [tuple(sorted((p.index[a], p.index[b])))]
+        assert assert_matches_reference(p, 0, gs.mask_of([(1, 3)])) is None
 
-    def test_splits_respect_union_and_intersection(self):
+    def test_matches_reference_on_random_graphs(self):
         rng = random.Random(99)
         for _ in range(30):
-            g = random_graph(rng, 5)
-            p = ZeroOnePolytope.from_graph(g)
-            k = len(p.vertices)
-            i = rng.randrange(k)
-            j = rng.randrange(k)
-            if i == j:
-                continue
-            a, b = p.vertices[i], p.vertices[j]
-            for ci, di in _split_pairs(p.index, a, b):
-                c, d = p.vertices[ci], p.vertices[di]
-                assert c & d == a & b
-                assert c | d == a | b
+            p = ZeroOnePolytope.from_graph(random_graph(rng, 5))
+            for i, va in enumerate(p.vertices):
+                for vb in p.vertices[i + 1 :]:
+                    assert_matches_reference(p, va, vb)
+
+    @given(st.lists(st.integers(0, 63), max_size=28))
+    @settings(max_examples=150, deadline=None)
+    def test_matches_reference_on_random_raw_families(self, drawn):
+        # The empty set, {0} and the full 6-set are always members. With at
+        # most 31 members, the pair (empty, full) has 2^5 subsets to walk,
+        # more than the members, so it takes the member scan; the pair
+        # (empty, {0}) has one subset, so it takes the walk.
+        verts = list(dict.fromkeys([0, 1, 63, *drawn]))
+        p = ZeroOnePolytope.raw(GroundSet(range(6)), verts)
+        assert len(verts) < 32
+        for i, va in enumerate(verts):
+            for vb in verts[i + 1 :]:
+                assert_matches_reference(p, va, vb)
 
 
 class TestEdgeE:
@@ -207,7 +236,7 @@ def flood_fill_skeleton(p):
 class TestConnectivityRoute:
     """build_skeleton_E decides the graph kinds by connectivity of
     G[A xor B], many pairs per bit-sliced pass; the per-pair flood fill
-    and the unique-sum walk must give the same skeleton."""
+    and the unique-sum test must give the same skeleton."""
 
     @given(st.integers(0, 2**32), st.integers(0, 9))
     @settings(max_examples=60, deadline=None)
