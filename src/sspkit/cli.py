@@ -5,8 +5,8 @@ Files are JSON (see serialize); skeletons can also leave as DOT. Exit code
 0 means every requested check passed; bad input exits 2 with a message.
 
 Start-up is most of a short call's wall time, so each cmd_* imports only the
-layers it runs: geometry for --oracle and facets, families and
-matroids for build, verify for verify.
+layers it runs: geometry for --oracle and facets, families for build (and
+matroids for --family matroid), and verify, whose suites import their own.
 """
 
 from __future__ import annotations
@@ -57,10 +57,11 @@ def cmd_build(args: argparse.Namespace) -> int:
         check_edge_count,
         check_stable_set_count,
     )
-    from .matroids import basis_polytope, independence_polytope
 
     fam = args.family
     if fam == "matroid":
+        from .matroids import basis_polytope, independence_polytope
+
         if not args.input:
             raise ValueError("--family matroid needs --input with matroid JSON")
         m = serialize.matroid_from_json(_read_json(args.input))

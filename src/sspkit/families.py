@@ -7,7 +7,7 @@ with 1 <= i < j <= n in lexicographic order; the rook family uses all pairs
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from itertools import combinations
 from math import comb, factorial
 from typing import Iterable, Sequence
@@ -237,26 +237,26 @@ def check_edge_count(family: str, n: int) -> None:
         raise ValueError(f"graph has more than {MAX_EDGES} edges")
 
 
-@dataclass(frozen=True)
-class SetPartition:
-    """Partition of {1..n}; blocks are sorted tuples, ordered by least member."""
+class SetPartition(namedtuple("SetPartition", "n blocks")):
+    """Partition of {1..n}; blocks are sorted tuples, ordered by least member.
+    A tuple, so equal and hashed by value."""
 
-    n: int
-    blocks: tuple[tuple[int, ...], ...]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
+    def __new__(cls, n: int, blocks: tuple[tuple[int, ...], ...]) -> "SetPartition":
         seen: set[int] = set()
-        for block in self.blocks:
+        for block in blocks:
             if not block or tuple(sorted(block)) != block:
                 raise ValueError("blocks must be nonempty and sorted")
             for x in block:
-                if not 1 <= x <= self.n or x in seen:
+                if not 1 <= x <= n or x in seen:
                     raise ValueError("blocks must partition 1..n")
                 seen.add(x)
-        if len(seen) != self.n:
+        if len(seen) != n:
             raise ValueError("blocks must cover 1..n")
-        if list(self.blocks) != sorted(self.blocks, key=lambda b: b[0]):
+        if list(blocks) != sorted(blocks, key=lambda b: b[0]):
             raise ValueError("blocks must be ordered by least member")
+        return super().__new__(cls, n, blocks)
 
     def arcs(self) -> list[tuple[int, int]]:
         """Consecutive-in-block arcs of the standard arc diagram."""

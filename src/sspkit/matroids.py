@@ -2,10 +2,9 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations, product
 from math import comb, prod
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .bitsets import bits
 from .graphs import GroundSet, Label
@@ -19,8 +18,7 @@ from .skeleton import ZeroOnePolytope
 MAX_INDEPENDENTS = 1024
 
 
-@dataclass(frozen=True)
-class AxiomViolation:
+class AxiomViolation(NamedTuple):
     """First failed independence axiom, with the witnessing subsets."""
 
     axiom: str  # "I1", "I2" or "I3"

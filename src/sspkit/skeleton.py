@@ -190,8 +190,8 @@ def _check_pair(p: ZeroOnePolytope, a: int, b: int) -> None:
 class Skeleton(NamedTuple):
     """Edge list of a polytope graph, with the method that produced it.
 
-    A NamedTuple rather than a dataclass: importing dataclasses costs every
-    skeleton, diameter and path call several milliseconds of start-up.
+    A NamedTuple rather than a dataclass: no sspkit module imports dataclasses,
+    whose import costs milliseconds of start-up; tests/test_imports.py keeps it so.
 
     The builders emit each edge once, as (a, b) with a < b, in ascending
     order, and construct it directly; `make` brings an edge list read from

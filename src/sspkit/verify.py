@@ -5,81 +5,39 @@ is a thin wrapper around these."""
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import TYPE_CHECKING, Callable, NamedTuple, Sequence
 
 from .bitsets import bits
-from .counterexample import (
-    is_stable_set_family,
-    modified_cube,
-    verify_remark,
-)
-from .families import (
-    arcs_to_partition,
-    bell_number,
-    build_bell_graph,
-    build_comparability_graph,
-    build_complete_graph,
-    build_empty_graph,
-    build_noncrossing_graph,
-    build_nonnesting_graph,
-    catalan_number,
-    containment_poset,
-    is_noncrossing,
-    is_nonnesting,
-    Poset,
-)
-from .geometry import (
-    always_facet_inequalities,
-    build_skeleton_oracle,
-    enumerate_facets,
-    is_facet,
-    is_valid,
-)
 from .graphs import (
-    SimpleGraph,
-    connected_components,
-    enumerate_max_cliques,
-    enumerate_stable_sets,
+    SimpleGraph, connected_components, enumerate_max_cliques, enumerate_stable_sets,
     is_union_of_complete_graphs,
 )
-from .matroids import (
-    Matroid,
-    basis_exchange_adjacent,
-    basis_polytope,
-    build_graphic,
-    build_partition,
-    build_uniform,
-    check_matroid_axioms,
-    independence_polytope,
-    strong_exchange,
-)
 from .skeleton import (
-    ZeroOnePolytope,
-    birkhoff_restrict,
-    build_skeleton_E,
-    diameter,
-    flip_path,
-    is_edge_E,
-    is_edge_walk,
-    quasimatroid_exchange,
-    unique_sum_skeleton,
+    ZeroOnePolytope, birkhoff_restrict, build_skeleton_E, diameter, flip_path,
+    is_edge_E, is_edge_walk, quasimatroid_exchange, unique_sum_skeleton,
 )
 
+if TYPE_CHECKING:  # each suite imports the layers it runs when it runs
+    from .families import Poset
+    from .matroids import Matroid
 
-@dataclass(frozen=True)
-class CheckResult:
+
+class CheckResult(NamedTuple):
     name: str
     passed: bool
     details: dict
 
 
-@dataclass
 class SuiteReport:
-    suite: str
-    seed: int
-    params: dict
-    checks: list[CheckResult] = field(default_factory=list)
+    """One suite's checks, in the order they ran."""
+
+    __slots__ = ("suite", "seed", "params", "checks")
+
+    def __init__(self, suite: str, seed: int, params: dict) -> None:
+        self.suite = suite
+        self.seed = seed
+        self.params = params
+        self.checks: list[CheckResult] = []
 
     @property
     def passed(self) -> bool:
@@ -126,6 +84,8 @@ def random_graph_corpus(
 
 def random_poset(rng: random.Random, n: int) -> Poset:
     """Random strict order: i < j adopted with probability 1/2, then closed."""
+    from .families import Poset
+
     labels = range(1, n + 1)
     pairs = [
         (i, j)
@@ -157,6 +117,8 @@ def suite_oracle_vs_e(
     """Three routes give one skeleton on stable-set and top-cardinality
     polytopes of the random corpus: the unique-sum test, the connectivity
     test of build_skeleton_E and the LP oracle."""
+    from .geometry import build_skeleton_oracle
+
     rep = SuiteReport(
         "oracle-vs-E", seed, {"graphs": graphs, "max_n": max_n}
     )
@@ -186,6 +148,8 @@ def suite_diameter_bounds(
 ) -> SuiteReport:
     """Skeleton diameters within the top cardinality r, and the
     constructive walks valid with at most r hops."""
+    from .families import build_bell_graph, build_empty_graph
+
     rep = SuiteReport(
         "diameter-bounds", seed, {"graphs": graphs, "max_n": max_n}
     )
@@ -227,6 +191,13 @@ def suite_facets_always(
     """Nonnegativity and maximal-clique inequalities are facets on the whole
     corpus; chain-polytope facet counts match ground size plus maximal
     cliques; the 4th bell polytope's facet list is exactly the expected one."""
+    from .families import (
+        build_bell_graph, build_comparability_graph, build_nonnesting_graph,
+    )
+    from .geometry import (
+        always_facet_inequalities, enumerate_facets, is_facet, is_valid,
+    )
+
     rep = SuiteReport(
         "facets-always", seed, {"graphs": graphs, "max_n": max_n}
     )
@@ -272,13 +243,25 @@ def suite_facets_always(
     return rep
 
 
+def _matroid(spec: dict) -> Callable[[], Matroid]:
+    """Maker of the matroid that `build --family matroid` reads from spec;
+    matroids is imported when it is called, not when the catalog is made."""
+
+    def make() -> Matroid:
+        from .serialize import matroid_from_json
+
+        return matroid_from_json(spec)
+
+    return make
+
+
 MATROID_CATALOG: dict[str, Callable[[], Matroid]] = {
-    "uniform-1-3": lambda: build_uniform(3, 1),
-    "uniform-2-4": lambda: build_uniform(4, 2),
-    "uniform-2-5": lambda: build_uniform(5, 2),
-    "partition-2-3": lambda: build_partition([2, 3]),
-    "graphic-k4": lambda: build_graphic(
-        [(1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4)]
+    "uniform-1-3": _matroid({"uniform": [3, 1]}),
+    "uniform-2-4": _matroid({"uniform": [4, 2]}),
+    "uniform-2-5": _matroid({"uniform": [5, 2]}),
+    "partition-2-3": _matroid({"partition": [2, 3]}),
+    "graphic-k4": _matroid(
+        {"graphic": [[1, 2], [1, 3], [1, 4], [2, 3], [2, 4], [3, 4]]}
     ),
 }
 
@@ -289,6 +272,13 @@ def suite_matroid_e(
     """On the matroid catalog: unique-sum skeleton equals the LP oracle for
     independence and basis polytopes, basis adjacency is the two-element
     swap, diameters respect the rank, and the exchange steps agree."""
+    from .families import build_complete_graph
+    from .geometry import build_skeleton_oracle
+    from .matroids import (
+        basis_exchange_adjacent, basis_polytope, build_uniform,
+        independence_polytope, strong_exchange,
+    )
+
     rep = SuiteReport("matroid-E", seed, {"catalog": sorted(MATROID_CATALOG)})
     for name, make in MATROID_CATALOG.items():
         m = make()
@@ -364,6 +354,8 @@ def suite_prop62(
 ) -> SuiteReport:
     """Stable sets form a matroid exactly when every component is complete;
     in that case they agree with the obvious partition matroid."""
+    from .matroids import check_matroid_axioms
+
     rep = SuiteReport("prop62", seed, {"graphs": graphs, "max_n": max_n})
     for idx, g in enumerate(random_graph_corpus(seed, graphs, max_n)):
         stabs = enumerate_stable_sets(g)
@@ -387,6 +379,9 @@ def suite_remark43(
 ) -> SuiteReport:
     """The pinned disagreement family, plus the modified cube that agrees
     with the oracle without being any graph's stable-set family."""
+    from .counterexample import is_stable_set_family, modified_cube, verify_remark
+    from .geometry import build_skeleton_oracle
+
     rep = SuiteReport("remark43", seed, {})
     for name, passed, note in verify_remark():
         rep.add(name, passed, note=note)
@@ -411,6 +406,12 @@ def suite_partitions(
     for nc; the nn and nc graphs coincide exactly up to n = 3, and nn is
     the comparability graph of interval containment (so its stable-set
     polytope is a chain polytope)."""
+    from .families import (
+        arcs_to_partition, bell_number, build_bell_graph, build_comparability_graph,
+        build_noncrossing_graph, build_nonnesting_graph, catalan_number,
+        containment_poset, is_noncrossing, is_nonnesting,
+    )
+
     rep = SuiteReport("partitions", seed, {"max_n": max_n})
     for n in range(1, max_n + 1):
         stabs = enumerate_stable_sets(build_bell_graph(n))

@@ -18,10 +18,12 @@ from sspkit.counterexample import (
     verify_remark,
 )
 from sspkit.families import (
+    bell_number,
     build_bell_graph,
     build_empty_graph,
     build_noncrossing_graph,
     build_nonnesting_graph,
+    catalan_number,
 )
 from sspkit.geometry import (
     Inequality,
@@ -47,8 +49,6 @@ from sspkit.skeleton import (
 )
 from sspkit.verify import (
     MATROID_CATALOG,
-    bell_number,
-    catalan_number,
     random_graph_corpus,
     suite_facets_always,
     suite_prop62,

@@ -277,7 +277,10 @@ class TestGoldenStdout:
     """sha256 of stdout for build, skeleton (JSON) and diameter, recorded
     from the CLI before the bit-sliced skeleton kernel and the template
     writer for edge lists; both must leave every byte as it was. The
-    fourth digest pins the path walk from the first vertex to the last."""
+    fourth digest pins the path walk from the first vertex to the last.
+
+    VERIFY pins the reports of the four suites the benchmark runs, recorded
+    before each suite came to import its own layers."""
 
     GOLDEN = {
         ("nc", "6", False): (
@@ -299,6 +302,30 @@ class TestGoldenStdout:
             "f02626b47c894f510139d21b4c4065c87949fe45757c26e92d34c7d4273e7561",
         ),
     }
+
+    VERIFY = {
+        "remark43": (
+            (), "85b6ddff522733978da26243f6be3e83f8284aa81705cdd6ad89ee7a205e0432"
+        ),
+        "matroid-E": (
+            (), "2e8f2be6988ddb4ae4671f4e2b0471cdd5583e33f1dabd79573e1b64a83f1015"
+        ),
+        "oracle-vs-E": (
+            ("--seed", "3", "--graphs", "100", "--max-n", "5"),
+            "4d3b78a226b0e7699508e78b32667c08fbbd71451d20529d9351a659685cf9cf",
+        ),
+        "facets-always": (
+            ("--seed", "3", "--graphs", "100", "--max-n", "6"),
+            "1e1d4298dcc4b66b69247562ae81939e34536de13d222fd85be676ee609cb7e4",
+        ),
+    }
+
+    @pytest.mark.parametrize("suite", list(VERIFY))
+    def test_verify_digests(self, capsys, suite):
+        extra, digest = self.VERIFY[suite]
+        code, out, _ = run(capsys, "verify", "--suite", suite, *extra)
+        assert code == 0
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
 
     @pytest.mark.parametrize("family, n, birkhoff", list(GOLDEN), ids=["nc6", "bell5", "B4"])
     def test_stdout_digests(self, tmp_path, capsys, family, n, birkhoff):

@@ -2,12 +2,15 @@
 
 A fresh interpreter runs one subcommand through `cli.main` and reports the
 modules it loaded. `skeleton`, `diameter` and `path` must not load the LP,
-facet, matroid, family or verify layers, nor `dataclasses` (which pulls in
-`inspect`); `skeleton --oracle` and `facets` may load geometry, but not the
-verify suites. Exact arithmetic is plain int throughout, so the LP and
-facet subcommands and `verify` load neither `fractions` nor `decimal`.
-Start-up is most of a short job's wall time, so a top-level import that
-creeps back shows in every benchmark workload.
+facet, matroid, family or verify layers; `skeleton --oracle` and `facets`
+may load geometry, but not the verify suites; `build` of a graph family
+does not load matroids. Each `verify` suite loads exactly the layers it
+runs, so `oracle-vs-E` loads neither families, matroids nor
+counterexample. No call loads `dataclasses` (which pulls in `inspect`).
+Exact arithmetic is plain int throughout, so the LP and facet subcommands
+and `verify` load neither `fractions` nor `decimal`. Start-up is most of a
+short job's wall time, so a top-level import that creeps back shows in
+every benchmark workload.
 
 The lazy package namespace (PEP 562) is checked here too.
 """
@@ -26,6 +29,7 @@ import sspkit
 from sspkit import serialize
 from sspkit.families import build_bell_graph
 from sspkit.skeleton import ZeroOnePolytope
+from sspkit.verify import SUITES
 
 SRC = str(Path(sspkit.__file__).resolve().parents[1])
 
@@ -42,6 +46,18 @@ LIGHT_ONLY = [
     "sspkit.families", "sspkit.counterexample", "dataclasses",
 ]
 NO_SUITES = ["sspkit.verify", "sspkit.matroids", "sspkit.counterexample"]
+# Every verify call loads cli, serialize, verify, graphs, skeleton and
+# bitsets; these are the layers each suite adds.
+SUITE_LAYERS = {
+    "oracle-vs-E": {"geometry", "linalg"},
+    "diameter-bounds": {"families"},
+    "facets-always": {"families", "geometry", "linalg"},
+    "matroid-E": {"families", "geometry", "linalg", "matroids"},
+    "prop62": {"matroids"},
+    "remark43": {"counterexample", "geometry", "linalg"},
+    "partitions": {"families"},
+}
+VERIFY_BASE = {"cli", "serialize", "verify", "graphs", "skeleton", "bitsets"}
 NUMBER_TYPES = ["fractions", "decimal"]
 
 
@@ -103,6 +119,20 @@ def test_exact_subcommands_load_no_rational_types(bell3, argv):
     mods = loaded(*(a.replace("{p}", bell3) for a in argv))
     assert "sspkit.linalg" in mods
     assert mods.isdisjoint(NUMBER_TYPES), sorted(mods & set(NUMBER_TYPES))
+
+
+@pytest.mark.parametrize("suite", sorted(SUITES))
+def test_each_suite_loads_only_its_layers(suite):
+    mods = loaded("verify", "--suite", suite, "--graphs", "5", "--max-n", "4")
+    layers = {m.removeprefix("sspkit.") for m in mods if m.startswith("sspkit.")}
+    assert layers == VERIFY_BASE | SUITE_LAYERS[suite]
+    assert "dataclasses" not in mods
+
+
+def test_graph_family_build_skips_matroids():
+    mods = loaded("build", "--family", "nc", "--n", "4")
+    assert "sspkit.families" in mods
+    assert mods.isdisjoint(["sspkit.matroids", "dataclasses"])
 
 
 def test_every_public_name_is_its_submodule_attribute():
