@@ -7,15 +7,8 @@ from math import comb, prod
 from typing import NamedTuple, Optional, Sequence
 
 from .bitsets import bits
-from .graphs import GroundSet, Label
+from .graphs import MAX_INDEPENDENTS, GroundSet, Label
 from .skeleton import ZeroOnePolytope
-
-
-# The exchange-axiom check in Matroid is quadratic in the family size: 1024
-# independent sets (the free matroid on 10 elements) take about 0.75 s under
-# CPython 3.11 on a 2-core x86-64 machine, 2048 about 3 s. The shorthand
-# builders refuse larger families before generating any member.
-MAX_INDEPENDENTS = 1024
 
 
 class AxiomViolation(NamedTuple):

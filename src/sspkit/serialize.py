@@ -10,7 +10,7 @@ from __future__ import annotations
 import json
 from typing import TYPE_CHECKING, Any, Sequence
 
-from .graphs import GroundSet, Label, SimpleGraph
+from .graphs import MAX_INDEPENDENTS, GroundSet, Label, SimpleGraph
 from .skeleton import Skeleton, ZeroOnePolytope
 
 if TYPE_CHECKING:  # the readers and writers below import these when run
@@ -98,10 +98,13 @@ def _labels(obj: dict, key: str) -> list[Label]:
     return [decode_label(x) for x in _list(obj[key], f"field {key!r}")]
 
 
-def _label_lists(obj: dict, key: str) -> list[list[Label]]:
+def _label_lists(obj: dict, key: str, capped: bool = False) -> list[list[Label]]:
+    items = _list(obj[key], f"field {key!r}")
+    if capped and len(items) > MAX_INDEPENDENTS:  # before any is read
+        raise ValueError(f"field {key!r} lists more than {MAX_INDEPENDENTS} sets")
     return [
         [decode_label(x) for x in _list(item, f"each entry of {key!r}")]
-        for item in _list(obj[key], f"field {key!r}")
+        for item in items
     ]
 
 
@@ -145,7 +148,9 @@ def polytope_to_json(p: ZeroOnePolytope) -> dict:
 def polytope_from_json(obj: dict) -> ZeroOnePolytope:
     obj = _object(obj)
     ground = GroundSet(_labels(obj, "ground"))
-    vertices = [ground.mask_of(subset) for subset in _label_lists(obj, "vertices")]
+    # the graph kinds' families are capped by their graph's enumeration
+    capped = obj.get("kind") not in ("stable-set", "birkhoff")
+    vertices = [ground.mask_of(s) for s in _label_lists(obj, "vertices", capped)]
     graph = None
     if "graph" in obj:
         edges = _pairs(_object(obj["graph"]), "edges")
@@ -207,7 +212,7 @@ def matroid_from_json(obj: dict) -> Matroid:
     if "graphic" in obj:
         return build_graphic(_pairs(obj, "graphic"))
     ground = GroundSet(_labels(obj, "ground"))
-    fam = [ground.mask_of(subset) for subset in _label_lists(obj, "independents")]
+    fam = [ground.mask_of(s) for s in _label_lists(obj, "independents", capped=True)]
     return Matroid(ground, fam)
 
 

@@ -39,7 +39,8 @@ class ZeroOnePolytope:
       raw                  any distinct subsets
 
     rank is the largest vertex cardinality, the paper's bound on the
-    skeleton diameter.
+    skeleton diameter. Every polytope is built through the checks here; a
+    graph kind compares with the stable sets its graph enumerates once.
     """
 
     __slots__ = ("ground", "vertices", "kind", "graph", "rank", "index")
@@ -67,29 +68,21 @@ class ZeroOnePolytope:
                 raise ValueError(f"kind {kind!r} requires its graph")
             if graph.ground != ground:
                 raise ValueError("graph ground set does not match")
-            stabs = enumerate_stable_sets(graph)
-            if kind == "stable-set":
-                if sorted(verts) != sorted(stabs):
-                    raise ValueError(
-                        "stable-set kind requires exactly the stable sets of the graph"
-                    )
-            elif sorted(verts) != sorted(_largest(stabs)):
-                raise ValueError(
-                    "birkhoff kind requires exactly the maximum stable sets"
-                )
+            family = enumerate_stable_sets(graph)
+            what = "the stable sets of the graph"
+            if kind == "birkhoff":
+                family, what = _largest(family), "the maximum stable sets"
+            if index.keys() != set(family):
+                raise ValueError(f"{kind} kind requires exactly {what}")
         elif kind == "matroid-independence":
-            famset = set(verts)
             for v in verts:
                 for b in bits(v):
-                    if v ^ (1 << b) not in famset:
+                    if v ^ (1 << b) not in index:
                         raise ValueError("independence family must be downward closed")
         elif kind == "matroid-bases":
             cards = {v.bit_count() for v in verts}
             if len(cards) != 1:
                 raise ValueError("basis family must have equal cardinalities")
-        self._fill(ground, verts, kind, graph, index)
-
-    def _fill(self, ground, verts, kind, graph, index) -> None:
         self.ground = ground
         self.vertices = verts
         self.kind = kind
@@ -98,20 +91,9 @@ class ZeroOnePolytope:
         self.index = index
 
     @classmethod
-    def _enumerated(
-        cls, g: SimpleGraph, verts: list[int], kind: str
-    ) -> "ZeroOnePolytope":
-        """A graph kind built from one enumeration of g's stable sets. The
-        checks in __init__ would enumerate them again only to compare the
-        list with itself, so they are skipped here and nowhere else."""
-        p = cls.__new__(cls)
-        p._fill(g.ground, tuple(verts), kind, g, {v: i for i, v in enumerate(verts)})
-        return p
-
-    @classmethod
     def from_graph(cls, g: SimpleGraph) -> "ZeroOnePolytope":
         """Stable-set polytope of g, vertices in enumeration order."""
-        return cls._enumerated(g, enumerate_stable_sets(g), "stable-set")
+        return cls(g.ground, enumerate_stable_sets(g), "stable-set", g)
 
     @classmethod
     def raw(cls, ground: GroundSet, vertices: Sequence[int]) -> "ZeroOnePolytope":
@@ -130,8 +112,8 @@ class ZeroOnePolytope:
 
 def birkhoff_restrict(g: SimpleGraph) -> ZeroOnePolytope:
     """Restriction of the stable-set polytope of g to its top cardinality."""
-    return ZeroOnePolytope._enumerated(
-        g, _largest(enumerate_stable_sets(g)), "birkhoff"
+    return ZeroOnePolytope(
+        g.ground, _largest(enumerate_stable_sets(g)), "birkhoff", g
     )
 
 

@@ -5,6 +5,7 @@ import hashlib
 import json
 import re
 import time
+from itertools import combinations
 
 import pytest
 
@@ -558,6 +559,70 @@ class TestVerifyCmd:
     def test_unknown_suite_rejected(self, capsys):
         with pytest.raises(SystemExit):
             main(["verify", "--suite", "nope"])
+
+
+def subsets_by_size(n, count):
+    """The first count subsets of 1..n, smallest first, as label lists."""
+    ground = range(1, n + 1)
+    fam = [list(c) for k in range(n + 1) for c in combinations(ground, k)]
+    return fam[:count]
+
+
+class TestSubsetInputs:
+    """A label listed twice in one subset, and a family not read off a graph
+    past the 1024-set cap, are bad input: exit 2, one line, refused before
+    any quadratic work starts."""
+
+    @staticmethod
+    def refused(capsys, *argv):
+        start = time.perf_counter()
+        code, out, err = run(capsys, *argv)
+        assert time.perf_counter() - start < 1
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and "Traceback" not in err
+        assert len(err.strip().splitlines()) == 1
+        return err
+
+    def test_raw_vertex_with_a_repeated_label(self, tmp_path, capsys):
+        p = tmp_path / "p.json"
+        p.write_text(json.dumps({"kind": "raw", "ground": [1, 2], "vertices": [[1, 1]]}))
+        err = self.refused(capsys, "skeleton", "--input", str(p))
+        assert err == "error: label 1 listed twice in one subset\n"
+
+    def test_path_endpoint_with_a_repeated_label(self, tmp_path, capsys):
+        p = tmp_path / "p.json"
+        run(capsys, "build", "--family", "nc", "--n", "5", "--output", str(p))
+        err = self.refused(capsys, "path", "--input", str(p),
+                           "--from", "[[1, 3], [1, 3]]", "--to", "[]")
+        assert err == "error: label (1, 3) listed twice in one subset\n"
+
+    def test_independent_set_with_a_repeated_label(self, tmp_path, capsys):
+        mj = tmp_path / "m.json"
+        mj.write_text(json.dumps({"ground": [1, 2], "independents": [[], [1], [2, 2]]}))
+        err = self.refused(capsys, "build", "--family", "matroid", "--input", str(mj))
+        assert err == "error: label 2 listed twice in one subset\n"
+
+    @pytest.mark.parametrize("kind", ["raw", "matroid-independence", "matroid-bases"])
+    @pytest.mark.parametrize(
+        "command", [["skeleton"], ["skeleton", "--oracle"], ["diameter"]],
+        ids=["skeleton", "oracle", "diameter"],
+    )
+    def test_polytope_file_past_the_cap(self, tmp_path, capsys, kind, command):
+        p = tmp_path / "p.json"
+        p.write_text(json.dumps({
+            "kind": kind, "ground": list(range(1, 12)),
+            "vertices": subsets_by_size(11, 1025),
+        }))
+        err = self.refused(capsys, *command, "--input", str(p))
+        assert err == "error: field 'vertices' lists more than 1024 sets\n"
+
+    def test_explicit_matroid_past_the_cap(self, tmp_path, capsys):
+        mj = tmp_path / "m.json"
+        mj.write_text(json.dumps({
+            "ground": list(range(1, 12)), "independents": subsets_by_size(11, 1025),
+        }))
+        err = self.refused(capsys, "build", "--family", "matroid", "--input", str(mj))
+        assert err == "error: field 'independents' lists more than 1024 sets\n"
 
 
 def _choices(command, option):

@@ -1,6 +1,7 @@
 """Ground sets, simple graphs, stable sets, cliques."""
 
 import random
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -12,6 +13,7 @@ from sspkit.graphs import (
     MAX_STABLE_SETS,
     GroundSet,
     SimpleGraph,
+    _subset_sort_key,
     connected_components,
     enumerate_max_cliques,
     enumerate_stable_sets,
@@ -41,6 +43,10 @@ class TestGroundSet:
     def test_mask_out_of_range(self):
         with pytest.raises(ValueError):
             GroundSet([1, 2]).check_mask(1 << 2)
+
+    def test_label_listed_twice_rejected(self):
+        with pytest.raises(ValueError, match="label 'b' listed twice"):
+            GroundSet(["a", "b"]).mask_of(["b", "a", "b"])
 
 
 class TestSimpleGraph:
@@ -96,6 +102,36 @@ class TestStableSets:
     def test_refused_past_the_cap(self):
         with pytest.raises(ValueError, match="more than 32768 stable sets"):
             enumerate_stable_sets(build_empty_graph(16))
+
+    @pytest.mark.parametrize("n", [16, 40])
+    def test_refusal_costs_about_the_cap(self, n):
+        # the level loop counts sets as it makes them; building the cap's
+        # 32,768 sets takes about 10 ms, so 0.5 s leaves room for a slow box
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="more than 32768 stable sets"):
+            enumerate_stable_sets(build_empty_graph(n))
+        assert time.perf_counter() - start < 0.5
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(0, 11).flatmap(
+        lambda n: st.tuples(st.just(n), st.sets(st.tuples(
+            st.integers(0, max(n - 1, 0)), st.integers(0, max(n - 1, 0)))))))
+    def test_matches_filter_of_all_masks(self, n_edges):
+        n, pairs = n_edges
+        g = SimpleGraph.from_edges(range(n), [(u, v) for u, v in pairs if u != v])
+        want = sorted(
+            (m for m in range(1 << n)
+             if all(not g.adj[v] & m for v in range(n) if m >> v & 1)),
+            key=_subset_sort_key,
+        )
+        assert enumerate_stable_sets(g) == want
+
+    def test_each_call_returns_a_new_list(self):
+        g = path3()
+        first = enumerate_stable_sets(g)
+        first.append(0b111)
+        first.sort(reverse=True)
+        assert enumerate_stable_sets(g) == [0, 0b001, 0b010, 0b100, 0b101]
 
     def test_complete_graph_deeper_than_the_recursion_limit(self):
         n = 1500

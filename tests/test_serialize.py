@@ -1,6 +1,7 @@
 """JSON formats round-trip byte-identically; DOT export is stable."""
 
 import json
+from itertools import combinations
 
 import pytest
 from hypothesis import example, given, settings
@@ -13,6 +14,7 @@ from sspkit.families import (
     build_nonnesting_graph,
 )
 from sspkit.geometry import Inequality, enumerate_facets
+from sspkit.graphs import MAX_INDEPENDENTS
 from sspkit.matroids import build_graphic, build_partition, build_uniform
 from sspkit.skeleton import (
     ZeroOnePolytope,
@@ -175,6 +177,38 @@ class TestMatroidJson:
         )
         direct = build_graphic(edges)
         assert via_json.independents == direct.independents
+
+
+# every subset of 1..11 with at most five elements: 1024 sets, U(11, 5)
+CAP_GROUND = list(range(1, 12))
+CAP_FAMILY = [list(c) for k in range(6) for c in combinations(CAP_GROUND, k)]
+
+
+class TestFamilyCap:
+    """Families not read off a graph stop at 1024 sets, checked before any
+    set is read."""
+
+    def test_readers_accept_the_cap(self):
+        m = serialize.matroid_from_json(
+            {"ground": CAP_GROUND, "independents": CAP_FAMILY}
+        )
+        assert len(m.independents) == MAX_INDEPENDENTS == 1024
+        for kind in ("raw", "matroid-independence"):
+            p = serialize.polytope_from_json(
+                {"kind": kind, "ground": CAP_GROUND, "vertices": CAP_FAMILY}
+            )
+            assert len(p.vertices) == 1024
+
+    @pytest.mark.parametrize("kind", ["raw", "matroid-independence", "matroid-bases"])
+    def test_polytope_reader_refuses_past_the_cap(self, kind):
+        obj = {"kind": kind, "ground": CAP_GROUND, "vertices": CAP_FAMILY + [[1] * 6]}
+        with pytest.raises(ValueError, match="'vertices' lists more than 1024 sets"):
+            serialize.polytope_from_json(obj)
+
+    def test_matroid_reader_refuses_past_the_cap(self):
+        obj = {"ground": CAP_GROUND, "independents": CAP_FAMILY + [[1] * 6]}
+        with pytest.raises(ValueError, match="'independents' lists more than 1024"):
+            serialize.matroid_from_json(obj)
 
 
 class TestDot:

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sspkit import skeleton
+from sspkit import graphs, skeleton
 from sspkit.families import (
     build_bell_graph,
     build_empty_graph,
@@ -21,7 +21,7 @@ from sspkit.families import (
     build_rook_graph,
 )
 from sspkit.geometry import build_skeleton_oracle, oracle_is_edge
-from sspkit.graphs import GroundSet, connected_components, enumerate_stable_sets, reach
+from sspkit.graphs import GroundSet, connected_components, reach
 from sspkit.matroids import basis_polytope, build_uniform, independence_polytope
 from sspkit.skeleton import (
     Skeleton,
@@ -63,19 +63,27 @@ class TestPolytopeValidation:
 
     @pytest.mark.parametrize("build", [ZeroOnePolytope.from_graph, birkhoff_restrict])
     def test_graph_builders_enumerate_once(self, monkeypatch, build):
-        calls = []
+        # counts the enumerations actually run, not the calls that read the
+        # graph's kept result
+        enumerations = []
+        level_order = graphs._level_order
 
-        def counted(g):
-            calls.append(g)
-            return enumerate_stable_sets(g)
+        def counted(adj):
+            enumerations.append(adj)
+            return level_order(adj)
 
-        monkeypatch.setattr(skeleton, "enumerate_stable_sets", counted)
+        monkeypatch.setattr(graphs, "_level_order", counted)
         g = build_bell_graph(4)
         p = build(g)
-        assert len(calls) == 1
-        # the polytope equals one built through the checked constructor
-        q = ZeroOnePolytope(g.ground, p.vertices, p.kind, graph=g)
+        assert len(enumerations) == 1
+        # the other builder in turn, then the checked constructor, reuse it
+        for other in (ZeroOnePolytope.from_graph, birkhoff_restrict):
+            other(g)
+        q = ZeroOnePolytope(g.ground, p.vertices, p.kind, g)
+        assert len(enumerations) == 1
         assert (p.vertices, p.rank, p.index) == (q.vertices, q.rank, q.index)
+        build(build_bell_graph(4))  # an equal but new graph enumerates anew
+        assert len(enumerations) == 2
 
     def test_raw_accepts_anything_distinct(self):
         g = build_empty_graph(2)
