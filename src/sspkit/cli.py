@@ -7,14 +7,17 @@ Files are JSON (see serialize); skeletons can also leave as DOT. Exit code
 Start-up is most of a short call's wall time, so each cmd_* imports only the
 layers it runs: geometry for --oracle and facets, families for build (and
 matroids for --family matroid), and verify, whose suites import their own.
+For the same reason argv is read against one option table, COMMANDS, and
+not by argparse, whose import (with gettext) and parser set-up cost more
+than reading the handful of options a call has.
 """
 
 from __future__ import annotations
 
-import argparse
 import json
 import sys
-from typing import Optional, Sequence
+from types import SimpleNamespace
+from typing import Callable, NoReturn, Optional, Sequence
 
 from . import serialize
 from .skeleton import (
@@ -25,17 +28,6 @@ from .skeleton import (
     flip_path,
     is_edge_walk,
 )
-
-# The parser's choices are spelled out so that parsing imports neither
-# families nor verify; tests pin them to FAMILY_BUILDERS and SUITES.
-FAMILIES = [
-    "bell", "complete", "empty", "nc", "nn", "rook", "relation", "chain", "matroid",
-]
-SUITE_CHOICES = [
-    "diameter-bounds", "facets-always", "matroid-E", "oracle-vs-E",
-    "partitions", "prop62", "remark43", "all",
-]
-
 
 def _read_json(path: str) -> dict:
     with open(path, "r", encoding="utf-8") as fh:
@@ -50,7 +42,7 @@ def _emit(text: str, output: Optional[str]) -> None:
         sys.stdout.write(text)
 
 
-def cmd_build(args: argparse.Namespace) -> int:
+def cmd_build(args: SimpleNamespace) -> int:
     from .families import (
         FAMILY_BUILDERS,
         build_comparability_graph,
@@ -59,43 +51,32 @@ def cmd_build(args: argparse.Namespace) -> int:
     )
 
     fam = args.family
+    if fam in ("relation", "chain", "matroid") and not args.input:
+        raise ValueError(f"--family {fam} needs --input")
     if fam == "matroid":
         from .matroids import basis_polytope, independence_polytope
 
-        if not args.input:
-            raise ValueError("--family matroid needs --input with matroid JSON")
         m = serialize.matroid_from_json(_read_json(args.input))
         p = basis_polytope(m) if args.birkhoff else independence_polytope(m)
     else:
         if fam == "relation":
-            if not args.input:
-                raise ValueError("--family relation needs --input")
             g = serialize.relation_graph_from_json(_read_json(args.input))
         elif fam == "chain":
-            if not args.input:
-                raise ValueError("--family chain needs --input")
-            g = build_comparability_graph(
-                serialize.poset_from_json(_read_json(args.input))
-            )
-        elif fam in FAMILY_BUILDERS:
+            poset = serialize.poset_from_json(_read_json(args.input))
+            g = build_comparability_graph(poset)
+        else:  # the option table admits only FAMILY_BUILDERS' names here
             if args.n is None:
                 raise ValueError(f"--family {fam} needs --n")
             check_stable_set_count(fam, args.n)
             check_edge_count(fam, args.n)
             g = FAMILY_BUILDERS[fam](args.n)
-        else:
-            raise ValueError(f"unknown family {fam!r}")
         p = birkhoff_restrict(g) if args.birkhoff else ZeroOnePolytope.from_graph(g)
     _emit(serialize.dumps(serialize.polytope_to_json(p)), args.output)
     return 0
 
 
-def _load_polytope(path: str) -> ZeroOnePolytope:
-    return serialize.polytope_from_json(_read_json(path))
-
-
-def cmd_skeleton(args: argparse.Namespace) -> int:
-    p = _load_polytope(args.input)
+def cmd_skeleton(args: SimpleNamespace) -> int:
+    p = serialize.polytope_from_json(_read_json(args.input))
     if args.oracle:
         from .geometry import build_skeleton_oracle
 
@@ -116,8 +97,8 @@ def cmd_skeleton(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_diameter(args: argparse.Namespace) -> int:
-    p = _load_polytope(args.input)
+def cmd_diameter(args: SimpleNamespace) -> int:
+    p = serialize.polytope_from_json(_read_json(args.input))
     s = build_skeleton_E(p)
     d = diameter(s)
     report = {
@@ -138,10 +119,10 @@ def cmd_diameter(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_facets(args: argparse.Namespace) -> int:
+def cmd_facets(args: SimpleNamespace) -> int:
     from .geometry import classify_inequality, enumerate_facets
 
-    p = _load_polytope(args.input)
+    p = serialize.polytope_from_json(_read_json(args.input))
     facets = enumerate_facets(
         p, vertex_cap=args.facet_vertex_cap, dim_cap=args.facet_dim_cap
     )
@@ -175,8 +156,8 @@ def _endpoint(p: ZeroOnePolytope, text: str) -> int:
     return p.ground.mask_of(serialize.decode_label(x) for x in labels)
 
 
-def cmd_path(args: argparse.Namespace) -> int:
-    p = _load_polytope(args.input)
+def cmd_path(args: SimpleNamespace) -> int:
+    p = serialize.polytope_from_json(_read_json(args.input))
     walk = flip_path(p, _endpoint(p, args.frm), _endpoint(p, args.to))
     valid = is_edge_walk(p, walk)
     report = {
@@ -193,7 +174,7 @@ def cmd_path(args: argparse.Namespace) -> int:
     return 0 if valid and report["within_bound"] else 1
 
 
-def cmd_verify(args: argparse.Namespace) -> int:
+def cmd_verify(args: SimpleNamespace) -> int:
     from .verify import SUITES, run_suites
 
     names = list(SUITES) if args.suite == "all" else [args.suite]
@@ -214,83 +195,117 @@ def cmd_verify(args: argparse.Namespace) -> int:
     return 0 if payload["passed"] else 1
 
 
-def cmd_export_dot(args: argparse.Namespace) -> int:
+def cmd_export_dot(args: SimpleNamespace) -> int:
     verts, s = serialize.skeleton_from_json(_read_json(args.input))
     _emit(serialize.skeleton_to_dot(verts, s), args.output)
     return 0
 
 
-def make_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
-        prog="sspkit",
-        description="0/1-polytope skeletons, facets, and verification suites",
-    )
-    sub = ap.add_subparsers(dest="command", required=True)
+REQUIRED = ...  # the default of an option that must be given
+# command: (handler, help, {option: (default, kind)}); kind is bool (a flag),
+# int, str or a tuple of choices, spelled out so that parsing imports neither
+# families nor verify (tests pin them to FAMILY_BUILDERS and SUITES).
+COMMANDS = {
+    "build": (cmd_build, "write a polytope JSON file (--input for relation, chain "
+              "and matroid; --birkhoff keeps the top cardinality)", {
+        "--family": (REQUIRED, ("bell", "complete", "empty", "nc", "nn", "rook",
+                                "relation", "chain", "matroid")),
+        "--n": (None, int), "--input": (None, str), "--birkhoff": (False, bool),
+        "--output": (None, str)}),
+    "skeleton": (cmd_skeleton, "compute the edge graph (--oracle: by LP instead of "
+                 "the unique-sum test)", {
+        "--input": (REQUIRED, str), "--oracle": (False, bool),
+        "--format": ("json", ("json", "dot", "text")), "--output": (None, str)}),
+    "diameter": (cmd_diameter, "skeleton diameter and rank bound", {
+        "--input": (REQUIRED, str), "--format": ("json", ("json", "text")),
+        "--output": (None, str)}),
+    "facets": (cmd_facets, "complete facet list (double description)", {
+        "--input": (REQUIRED, str), "--facet-vertex-cap": (1500, int),
+        "--facet-dim-cap": (28, int), "--format": ("json", ("json", "text")),
+        "--output": (None, str)}),
+    "path": (cmd_path, "edge walk between two vertices, each a JSON label list", {
+        "--input": (REQUIRED, str), "--from": (REQUIRED, str), "--to": (REQUIRED, str),
+        "--output": (None, str)}),
+    "verify": (cmd_verify, "run a cross-validation suite", {
+        "--suite": (REQUIRED, ("diameter-bounds", "facets-always", "matroid-E",
+                               "oracle-vs-E", "partitions", "prop62", "remark43",
+                               "all")),
+        "--seed": (7, int), "--graphs": (200, int), "--max-n": (6, int),
+        "--output": (None, str)}),
+    "export-dot": (cmd_export_dot, "skeleton JSON to DOT", {
+        "--input": (REQUIRED, str), "--output": (None, str)}),
+}
 
-    b = sub.add_parser("build", help="write a polytope JSON file")
-    b.add_argument("--family", required=True, choices=FAMILIES)
-    b.add_argument("--n", type=int)
-    b.add_argument("--input", help="JSON payload for relation/chain/matroid")
-    b.add_argument(
-        "--birkhoff",
-        action="store_true",
-        help="restrict to the top cardinality (bases for matroids)",
-    )
-    b.add_argument("--output")
-    b.set_defaults(fn=cmd_build)
 
-    s = sub.add_parser("skeleton", help="compute the edge graph")
-    s.add_argument("--input", required=True)
-    s.add_argument(
-        "--oracle",
-        action="store_true",
-        help="use the LP adjacency oracle instead of the unique-sum test",
-    )
-    s.add_argument("--format", choices=("json", "dot", "text"), default="json")
-    s.add_argument("--output")
-    s.set_defaults(fn=cmd_skeleton)
+def _usage(cmd: Optional[str], full: bool = False) -> str:
+    """The usage line; with full, the help text that -h prints."""
+    if cmd is None:
+        words = ["usage: sspkit [-h] {" + ",".join(COMMANDS) + "} ..."]
+        more = ["0/1-polytope skeletons, facets, and verification suites", ""]
+        more += [f"  {name:<11} {entry[1]}" for name, entry in COMMANDS.items()]
+    else:
+        words, more = [f"usage: sspkit {cmd} [-h]"], [COMMANDS[cmd][1]]
+        for option, (default, kind) in COMMANDS[cmd][2].items():
+            if type(kind) is tuple:  # --format defaults to its first choice
+                option += " {" + ",".join(kind) + "}"
+            elif kind is not bool:  # an int default stands in for its value
+                option += " " + str(default if kind is int and default else
+                                    option[2:].upper())
+            words.append(option if default is REQUIRED else f"[{option}]")
+    line = " ".join(words)
+    return "\n\n".join([line, "\n".join(more)]) + "\n" if full else line
 
-    d = sub.add_parser("diameter", help="skeleton diameter and rank bound")
-    d.add_argument("--input", required=True)
-    d.add_argument("--format", choices=("json", "text"), default="json")
-    d.add_argument("--output")
-    d.set_defaults(fn=cmd_diameter)
 
-    f = sub.add_parser("facets", help="complete facet list (double description)")
-    f.add_argument("--input", required=True)
-    f.add_argument("--facet-vertex-cap", type=int, default=1500)
-    f.add_argument("--facet-dim-cap", type=int, default=28)
-    f.add_argument("--format", choices=("json", "text"), default="json")
-    f.add_argument("--output")
-    f.set_defaults(fn=cmd_facets)
+def _fail(cmd: Optional[str], message: str) -> NoReturn:
+    prog = "sspkit" if cmd is None else f"sspkit {cmd}"
+    print(_usage(cmd), f"{prog}: error: {message}", sep="\n", file=sys.stderr)
+    raise SystemExit(2)
 
-    pa = sub.add_parser("path", help="constructive edge walk between vertices")
-    pa.add_argument("--input", required=True)
-    pa.add_argument("--from", dest="frm", required=True, help="JSON label list")
-    pa.add_argument("--to", dest="to", required=True, help="JSON label list")
-    pa.add_argument("--output")
-    pa.set_defaults(fn=cmd_path)
 
-    v = sub.add_parser("verify", help="run a cross-validation suite")
-    v.add_argument("--suite", required=True, choices=SUITE_CHOICES)
-    v.add_argument("--seed", type=int, default=7)
-    v.add_argument("--graphs", type=int, default=200)
-    v.add_argument("--max-n", type=int, default=6)
-    v.add_argument("--output")
-    v.set_defaults(fn=cmd_verify)
-
-    e = sub.add_parser("export-dot", help="skeleton JSON to DOT")
-    e.add_argument("--input", required=True)
-    e.add_argument("--output")
-    e.set_defaults(fn=cmd_export_dot)
-
-    return ap
+def _parse(argv: Sequence[str]) -> tuple[Callable[..., int], SimpleNamespace]:
+    """The handler of argv's command, and its options by attribute name
+    (--max-n as max_n, --from as frm). A value may follow its option or an
+    "=" and start with "-"; the last of a repeated option counts, and no
+    prefix is accepted. -h prints help and exits 0; usage errors exit 2."""
+    cmd, *rest = argv or [""]
+    if cmd in ("-h", "--help"):
+        sys.stdout.write(_usage(None, full=True))
+        raise SystemExit(0)
+    if cmd not in COMMANDS:
+        _fail(None, f"argument command: invalid choice: {cmd!r}" if argv else
+              "the following arguments are required: command")
+    fn, _, table = COMMANDS[cmd]
+    values = {option: default for option, (default, _) in table.items()}
+    tokens = iter(rest)
+    for token in tokens:
+        if token in ("-h", "--help"):
+            sys.stdout.write(_usage(cmd, full=True))
+            raise SystemExit(0)
+        option, eq, value = token.partition("=")
+        kind = table.get(option, (None, None))[1]
+        if kind is None or kind is bool and eq:
+            _fail(cmd, f"unrecognized arguments: {token}")
+        if kind is bool:
+            value = True
+        elif not eq and (value := next(tokens, None)) is None:
+            _fail(cmd, f"argument {option}: expected one argument")
+        if type(kind) is tuple and value not in kind:
+            _fail(cmd, f"argument {option}: invalid choice: {value!r} (choose from "
+                  + ", ".join(kind) + ")")
+        try:
+            values[option] = int(value) if kind is int else value
+        except ValueError:
+            _fail(cmd, f"argument {option}: invalid int value: {value!r}")
+    if missing := [option for option, value in values.items() if value is REQUIRED]:
+        _fail(cmd, "the following arguments are required: " + ", ".join(missing))
+    dest = {o: "frm" if o == "--from" else o[2:].replace("-", "_") for o in values}
+    return fn, SimpleNamespace(**{dest[o]: v for o, v in values.items()})
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    args = make_parser().parse_args(argv)
+    fn, args = _parse(sys.argv[1:] if argv is None else argv)
     try:
-        return args.fn(args)
+        return fn(args)
     except KeyError as exc:
         print(f"error: input is missing required key {exc}", file=sys.stderr)
         return 2

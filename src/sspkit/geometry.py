@@ -39,9 +39,6 @@ class Inequality(NamedTuple):
     def holds(self, mask: int) -> bool:
         return self.evaluate(mask) <= self.rhs
 
-    def tight(self, mask: int) -> bool:
-        return self.evaluate(mask) == self.rhs
-
 
 def nonnegativity(n: int, v: int) -> Inequality:
     if not 0 <= v < n:
@@ -133,18 +130,26 @@ def is_valid(p: ZeroOnePolytope, q: Inequality) -> bool:
 def is_facet(p: ZeroOnePolytope, q: Inequality) -> bool:
     """True iff the face q cuts out has dimension dim(p) - 1.
 
-    One pass over the lifted vertices (1, v), tight ones first: the rows
-    chosen among the tight vertices span the face, all chosen rows span
-    the polytope, and the face is a facet iff exactly one row is chosen
-    outside it. q must be valid for p; calling with an invalid inequality
-    is a contract violation.
+    One evaluation per vertex sorts the lifted rows (1, v) into tight ones
+    and the rest. Tight rows are orthogonal to (-rhs, c), so with it in
+    front their scan stops at rank n, and then any other row completes the
+    rank. Else the face is a facet iff one row of the rest is chosen after
+    a basis of the tight rows. An invalid q raises ValueError.
     """
-    if not is_valid(p, q):
-        raise ValueError("is_facet requires a valid inequality")
-    tight = [_lifted(v, p.n) for v in p.vertices if q.tight(v)]
-    rest = [_lifted(v, p.n) for v in p.vertices if not q.tight(v)]
-    chosen = independent_rows(tight + rest)
-    return sum(i >= len(tight) for i in chosen) == 1
+    if len(q.coeffs) != p.n:
+        raise ValueError("inequality dimension does not match the polytope")
+    tight, rest = [], []
+    for v in p.vertices:
+        value = q.evaluate(v)
+        if value > q.rhs:
+            raise ValueError("is_facet requires a valid inequality")
+        (tight if value == q.rhs else rest).append(v)
+    rows = [_lifted(v, p.n) for v in tight]
+    face = [rows[i - 1] for i in independent_rows([(-q.rhs, *q.coeffs), *rows]) if i]
+    if len(face) == p.n:
+        return bool(rest)
+    chosen = independent_rows(face + [_lifted(v, p.n) for v in rest])
+    return sum(i >= len(face) for i in chosen) == 1
 
 
 def _lifted(v: int, n: int) -> tuple[int, ...]:

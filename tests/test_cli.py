@@ -9,7 +9,7 @@ from itertools import combinations
 
 import pytest
 
-from sspkit.cli import main, make_parser
+from sspkit.cli import COMMANDS, _parse, main
 from sspkit.families import FAMILY_BUILDERS
 from sspkit.verify import SUITES
 
@@ -626,15 +626,13 @@ class TestSubsetInputs:
 
 
 def _choices(command, option):
-    sub = next(a for a in make_parser()._actions if a.dest == "command")
-    return next(
-        a.choices for a in sub.choices[command]._actions if option in a.option_strings
-    )
+    return list(COMMANDS[command][2][option][1])
 
 
 class TestParser:
-    """The parser spells its choices out so that it imports neither
-    families nor verify; they must stay equal to the tables they name."""
+    """The option table spells its choices out so that parsing imports
+    neither families nor verify; they must stay equal to the tables they
+    name."""
 
     def test_family_choices(self):
         assert _choices("build", "--family") == sorted(FAMILY_BUILDERS) + [
@@ -652,3 +650,71 @@ class TestParser:
             main(argv)
         assert exc.value.code == 2
         assert "invalid choice" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            ([], "sspkit: error: the following arguments are required: command"),
+            (["nope"], "sspkit: error: argument command: invalid choice: 'nope'"),
+            (["--input", "p.json"], "sspkit: error: argument command: invalid choice"),
+            (["diameter", "--input", "p.json", "--bogus"],
+             "sspkit diameter: error: unrecognized arguments: --bogus"),
+            (["diameter", "--inp", "p.json"],
+             "sspkit diameter: error: unrecognized arguments: --inp"),
+            (["diameter", "--input"], "sspkit diameter: error: argument --input: expected one argument"),
+            (["build", "--family", "nc", "--n", "x"],
+             "sspkit build: error: argument --n: invalid int value: 'x'"),
+            (["build", "--family", "nc", "--n="], "sspkit build: error: argument --n: invalid int value: ''"),
+            (["skeleton", "--input", "p.json", "--format", "svg"],
+             "sspkit skeleton: error: argument --format: invalid choice: 'svg'"),
+            (["skeleton", "--input", "p.json", "--oracle=yes"],
+             "sspkit skeleton: error: unrecognized arguments: --oracle=yes"),
+            (["path", "--input", "p.json"],
+             "sspkit path: error: the following arguments are required: --from, --to"),
+            (["diameter", "--input", "p.json", "stray"],
+             "sspkit diameter: error: unrecognized arguments: stray"),
+        ],
+        ids=["empty", "command", "option-first", "option", "prefix", "missing-value",
+             "int", "empty-int", "choice", "flag-value", "required", "stray"],
+    )
+    def test_usage_error_exits_2(self, capsys, argv, message):
+        """Each usage error exits 2 before any file is read: usage on
+        stderr, then one error line, and nothing on stdout."""
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        usage, error = err.splitlines()
+        assert usage.startswith("usage: sspkit") and "error:" not in usage
+        assert error.startswith(message)
+
+    @pytest.mark.parametrize("argv", [["-h"], ["--help"]] + [[c, "-h"] for c in COMMANDS])
+    def test_help_exits_0(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--bogus"])  # help comes first, as the option is read
+        assert exc.value.code == 0
+        out, err = capsys.readouterr()
+        assert out.startswith("usage: sspkit") and err == ""
+        for command in COMMANDS if len(argv) == 1 else []:
+            assert f"\n  {command} " in out
+
+    def test_spellings(self):
+        fn, args = _parse(["verify", "--suite=all", "--seed", "-1", "--graphs=-2"])
+        assert fn is COMMANDS["verify"][0]
+        assert (args.suite, args.seed, args.graphs, args.max_n) == ("all", -1, -2, 6)
+        _, args = _parse(["path", "--input", "-p.json", "--from", "[]", "--to=[[1, 2]]"])
+        assert (args.input, args.frm, args.to, args.output) == ("-p.json", "[]", "[[1, 2]]", None)
+        _, args = _parse(["skeleton", "--input", "a", "--oracle", "--input", "b"])
+        assert (args.input, args.oracle, args.format) == ("b", True, "json")
+
+    def test_defaults(self):
+        _, args = _parse(["facets", "--input", "p.json"])
+        assert vars(args) == {
+            "input": "p.json", "facet_vertex_cap": 1500, "facet_dim_cap": 28,
+            "format": "json", "output": None,
+        }
+        _, args = _parse(["build", "--family", "rook"])
+        assert vars(args) == {
+            "family": "rook", "n": None, "input": None, "birkhoff": False, "output": None,
+        }

@@ -1,9 +1,10 @@
 """Property test of the CLI exit contract on arbitrary input.
 
 Whatever the subcommand, options and payload file, `main` returns 0, 1 or
-2, the only exception that leaves it is argparse's SystemExit(2), and
-stderr never holds a traceback. An argv token "{input}" stands for a file
-holding the drawn payload text, "{output}" for a fresh output file.
+2, the only exception that leaves it is the SystemExit(2) of a usage
+error, and stderr never holds a traceback. An argv token "{input}" stands
+for a file holding the drawn payload text, "{output}" for a fresh output
+file.
 """
 
 import contextlib
@@ -154,7 +155,7 @@ def run_cli(argv, text):
             with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
                 code = main(argv)
         except SystemExit as exc:
-            assert exc.code == 2, exc.code  # argparse usage errors only
+            assert exc.code == 2, exc.code  # usage errors only
             code = exc.code
         finally:
             sys.setrecursionlimit(raised_limit)

@@ -6,7 +6,9 @@ facet, matroid, family or verify layers; `skeleton --oracle` and `facets`
 may load geometry, but not the verify suites; `build` of a graph family
 does not load matroids. Each `verify` suite loads exactly the layers it
 runs, so `oracle-vs-E` loads neither families, matroids nor
-counterexample. No call loads `dataclasses` (which pulls in `inspect`).
+counterexample. No call loads `dataclasses` (which pulls in `inspect`),
+nor `argparse` or `gettext`: the CLI reads argv against its own option
+table.
 Exact arithmetic is plain int throughout, so the LP and facet subcommands
 and `verify` load neither `fractions` nor `decimal`. Start-up is most of a
 short job's wall time, so a top-level import that creeps back shows in
@@ -59,6 +61,7 @@ SUITE_LAYERS = {
 }
 VERIFY_BASE = {"cli", "serialize", "verify", "graphs", "skeleton", "bitsets"}
 NUMBER_TYPES = ["fractions", "decimal"]
+PARSERS = ["argparse", "gettext"]  # no call loads these
 
 
 @pytest.fixture(scope="module")
@@ -77,7 +80,9 @@ def loaded(*argv):
     )
     report = json.loads(proc.stdout)
     assert report["code"] == 0, proc.stderr
-    return set(report["modules"])
+    mods = set(report["modules"])
+    assert mods.isdisjoint(PARSERS), sorted(mods & set(PARSERS))
+    return mods
 
 
 @pytest.mark.parametrize(
