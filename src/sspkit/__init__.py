@@ -26,8 +26,7 @@ _EXPORTS = {
     "geometry": (
         "Inequality", "SizeLimitError", "always_facet_inequalities",
         "build_skeleton_oracle", "classify_inequality", "clique_inequality",
-        "enumerate_facets", "is_facet", "is_valid", "nonnegativity",
-        "oracle_is_edge",
+        "enumerate_facets", "is_facet", "nonnegativity", "oracle_is_edge",
     ),
     "graphs": (
         "GroundSet", "SimpleGraph", "enumerate_max_cliques",

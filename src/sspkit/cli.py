@@ -178,17 +178,12 @@ def cmd_verify(args: SimpleNamespace) -> int:
     from .verify import SUITES, run_suites
 
     names = list(SUITES) if args.suite == "all" else [args.suite]
-    reports = run_suites(
-        names, seed=args.seed, graphs=args.graphs, max_n=args.max_n
-    )
-    payload = {
-        "passed": all(r.passed for r in reports),
-        "reports": [r.to_json() for r in reports],
-    }
+    reports = run_suites(names, args.seed, args.graphs, args.max_n)
+    payload = {"passed": all(r["passed"] for r in reports), "reports": reports}
     _emit(serialize.dumps(payload), args.output)
     for r in reports:
-        bad = [c.name for c in r.checks if not c.passed]
-        line = f"suite {r.suite}: {'pass' if r.passed else 'FAIL'}"
+        bad = [c["name"] for c in r["checks"] if not c["passed"]]
+        line = f"suite {r['suite']}: {'pass' if r['passed'] else 'FAIL'}"
         if bad:
             line += f" ({len(bad)} failing: {', '.join(bad[:5])})"
         print(line, file=sys.stderr)

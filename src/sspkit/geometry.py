@@ -36,9 +36,6 @@ class Inequality(NamedTuple):
             mask ^= low
         return total
 
-    def holds(self, mask: int) -> bool:
-        return self.evaluate(mask) <= self.rhs
-
 
 def nonnegativity(n: int, v: int) -> Inequality:
     if not 0 <= v < n:
@@ -118,13 +115,6 @@ def build_skeleton_oracle(p: ZeroOnePolytope) -> Skeleton:
         if oracle_is_edge(p, a, b)
     ]
     return Skeleton(nv, tuple(edges), "oracle")
-
-
-def is_valid(p: ZeroOnePolytope, q: Inequality) -> bool:
-    """True iff every vertex of p satisfies q."""
-    if len(q.coeffs) != p.n:
-        raise ValueError("inequality dimension does not match the polytope")
-    return all(q.holds(v) for v in p.vertices)
 
 
 def is_facet(p: ZeroOnePolytope, q: Inequality) -> bool:

@@ -117,17 +117,6 @@ def _pairs(obj: dict, key: str) -> list[tuple[Label, Label]]:
     return out
 
 
-def graph_to_json(g: SimpleGraph) -> dict:
-    labels = g.ground.labels
-    return {
-        "labels": [encode_label(x) for x in labels],
-        "edges": [
-            [encode_label(labels[i]), encode_label(labels[j])]
-            for i, j in g.edges()
-        ],
-    }
-
-
 def polytope_to_json(p: ZeroOnePolytope) -> dict:
     out: dict[str, Any] = {
         "kind": p.kind,
@@ -139,9 +128,8 @@ def polytope_to_json(p: ZeroOnePolytope) -> dict:
         "rank": p.rank,
     }
     if p.graph is not None:
-        out["graph"] = {
-            "edges": graph_to_json(p.graph)["edges"],
-        }
+        labels = [encode_label(x) for x in p.graph.ground.labels]
+        out["graph"] = {"edges": [[labels[i], labels[j]] for i, j in p.graph.edges()]}
     return out
 
 

@@ -1,11 +1,16 @@
 """Cross-validation suites: every claim the toolkit rests on, re-checked
 against an independent route on seeded corpora. The CLI `verify` command
-is a thin wrapper around these."""
+is a thin wrapper around these.
+
+Each suite returns the report that `verify` prints: a dict with "suite",
+"seed", "params" and "checks", each check a {"name", "passed", "details"}
+dict in the order it ran. run_suites adds "passed": the suite ran at
+least one check and every check passed."""
 
 from __future__ import annotations
 
 import random
-from typing import TYPE_CHECKING, Callable, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Callable, Sequence
 
 from .bitsets import bits
 from .graphs import (
@@ -19,56 +24,18 @@ from .skeleton import (
 
 if TYPE_CHECKING:  # each suite imports the layers it runs when it runs
     from .families import Poset
-    from .matroids import Matroid
 
 
-class CheckResult(NamedTuple):
-    name: str
-    passed: bool
-    details: dict
-
-
-class SuiteReport:
-    """One suite's checks, in the order they ran."""
-
-    __slots__ = ("suite", "seed", "params", "checks")
-
-    def __init__(self, suite: str, seed: int, params: dict) -> None:
-        self.suite = suite
-        self.seed = seed
-        self.params = params
-        self.checks: list[CheckResult] = []
-
-    @property
-    def passed(self) -> bool:
-        return bool(self.checks) and all(c.passed for c in self.checks)
-
-    def add(self, name: str, passed: bool, **details) -> None:
-        self.checks.append(CheckResult(name, bool(passed), details))
-
-    def to_json(self) -> dict:
-        return {
-            "suite": self.suite,
-            "seed": self.seed,
-            "params": self.params,
-            "passed": self.passed,
-            "checks": [
-                {"name": c.name, "passed": c.passed, "details": c.details}
-                for c in self.checks
-            ],
-        }
+def _random_pairs(rng: random.Random, n: int) -> list[tuple[int, int]]:
+    """Each pair i < j of 1..n independently with probability 1/2."""
+    return [
+        (i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1) if rng.getrandbits(1)
+    ]
 
 
 def random_graph(rng: random.Random, n: int) -> SimpleGraph:
     """Each of the n-choose-2 edges independently with probability 1/2."""
-    labels = range(1, n + 1)
-    edges = [
-        (i, j)
-        for i in labels
-        for j in range(i + 1, n + 1)
-        if rng.getrandbits(1)
-    ]
-    return SimpleGraph.from_edges(labels, edges)
+    return SimpleGraph.from_edges(range(1, n + 1), _random_pairs(rng, n))
 
 
 def random_graph_corpus(
@@ -86,14 +53,7 @@ def random_poset(rng: random.Random, n: int) -> Poset:
     """Random strict order: i < j adopted with probability 1/2, then closed."""
     from .families import Poset
 
-    labels = range(1, n + 1)
-    pairs = [
-        (i, j)
-        for i in labels
-        for j in range(i + 1, n + 1)
-        if rng.getrandbits(1)
-    ]
-    return Poset.from_relation(labels, pairs)
+    return Poset.from_relation(range(1, n + 1), _random_pairs(rng, n))
 
 
 def _walks_ok(rng: random.Random, p: ZeroOnePolytope, k: int) -> bool:
@@ -111,17 +71,13 @@ def _walks_ok(rng: random.Random, p: ZeroOnePolytope, k: int) -> bool:
     return True
 
 
-def suite_oracle_vs_e(
-    seed: int = 7, graphs: int = 200, max_n: int = 6
-) -> SuiteReport:
+def suite_oracle_vs_e(seed: int, graphs: int, max_n: int) -> dict:
     """Three routes give one skeleton on stable-set and top-cardinality
     polytopes of the random corpus: the unique-sum test, the connectivity
     test of build_skeleton_E and the LP oracle."""
     from .geometry import build_skeleton_oracle
 
-    rep = SuiteReport(
-        "oracle-vs-E", seed, {"graphs": graphs, "max_n": max_n}
-    )
+    checks = []
     for idx, g in enumerate(random_graph_corpus(seed, graphs, max_n)):
         ssp = ZeroOnePolytope.from_graph(g)
         e_edges = build_skeleton_E(ssp).edges
@@ -129,30 +85,26 @@ def suite_oracle_vs_e(
         bp = birkhoff_restrict(g)
         be = build_skeleton_E(bp).edges
         bo = build_skeleton_oracle(bp).edges
-        rep.add(
-            f"graph-{idx}",
-            unique_sum_skeleton(ssp).edges == e_edges == o_edges
+        checks.append({
+            "name": f"graph-{idx}",
+            "passed": unique_sum_skeleton(ssp).edges == e_edges == o_edges
             and unique_sum_skeleton(bp).edges == be == bo,
-            n=g.n,
-            m=g.edge_count(),
-            ssp_vertices=len(ssp.vertices),
-            ssp_edges=len(e_edges),
-            bp_vertices=len(bp.vertices),
-            bp_edges=len(be),
-        )
-    return rep
+            "details": {
+                "n": g.n, "m": g.edge_count(), "ssp_vertices": len(ssp.vertices),
+                "ssp_edges": len(e_edges), "bp_vertices": len(bp.vertices),
+                "bp_edges": len(be),
+            },
+        })
+    params = {"graphs": graphs, "max_n": max_n}
+    return {"suite": "oracle-vs-E", "seed": seed, "params": params, "checks": checks}
 
 
-def suite_diameter_bounds(
-    seed: int = 7, graphs: int = 200, max_n: int = 6
-) -> SuiteReport:
+def suite_diameter_bounds(seed: int, graphs: int, max_n: int) -> dict:
     """Skeleton diameters within the top cardinality r, and the
     constructive walks valid with at most r hops."""
     from .families import build_bell_graph, build_empty_graph
 
-    rep = SuiteReport(
-        "diameter-bounds", seed, {"graphs": graphs, "max_n": max_n}
-    )
+    checks = []
     rng = random.Random(seed ^ 0x5EED)
     for idx, g in enumerate(random_graph_corpus(seed, graphs, max_n)):
         ssp = ZeroOnePolytope.from_graph(g)
@@ -168,107 +120,71 @@ def suite_diameter_bounds(
             and _walks_ok(rng, ssp, 12)
             and _walks_ok(rng, bp, 8)
         )
-        rep.add(f"graph-{idx}", ok, n=g.n, r=r, ssp=d_ssp, bp=d_bp)
+        checks.append({"name": f"graph-{idx}", "passed": ok,
+                       "details": {"n": g.n, "r": r, "ssp": d_ssp, "bp": d_bp}})
 
-    cube = ZeroOnePolytope.from_graph(build_empty_graph(3))
-    rep.add(
-        "cube-3",
-        diameter(build_skeleton_E(cube)) == 3 and cube.rank == 3,
-        expected=3,
-    )
-    bell3 = ZeroOnePolytope.from_graph(build_bell_graph(3))
-    rep.add(
-        "bell-3",
-        diameter(build_skeleton_E(bell3)) == 2 and bell3.rank == 2,
-        expected=2,
-    )
-    return rep
+    for name, g, d in (("cube-3", build_empty_graph(3), 3),
+                       ("bell-3", build_bell_graph(3), 2)):
+        p = ZeroOnePolytope.from_graph(g)
+        checks.append({"name": name,
+                       "passed": diameter(build_skeleton_E(p)) == d and p.rank == d,
+                       "details": {"expected": d}})
+    params = {"graphs": graphs, "max_n": max_n}
+    return {"suite": "diameter-bounds", "seed": seed, "params": params, "checks": checks}
 
 
-def suite_facets_always(
-    seed: int = 7, graphs: int = 200, max_n: int = 6
-) -> SuiteReport:
+def suite_facets_always(seed: int, graphs: int, max_n: int) -> dict:
     """Nonnegativity and maximal-clique inequalities are facets on the whole
     corpus; chain-polytope facet counts match ground size plus maximal
     cliques; the 4th bell polytope's facet list is exactly the expected one."""
     from .families import (
         build_bell_graph, build_comparability_graph, build_nonnesting_graph,
     )
-    from .geometry import (
-        always_facet_inequalities, enumerate_facets, is_facet, is_valid,
-    )
+    from .geometry import always_facet_inequalities, enumerate_facets, is_facet
 
-    rep = SuiteReport(
-        "facets-always", seed, {"graphs": graphs, "max_n": max_n}
-    )
+    checks = []
     for idx, g in enumerate(random_graph_corpus(seed, graphs, max_n)):
         ssp = ZeroOnePolytope.from_graph(g)
         qs = always_facet_inequalities(g)
-        ok = all(is_valid(ssp, q) and is_facet(ssp, q) for q in qs)
-        rep.add(f"graph-{idx}", ok, n=g.n, inequalities=len(qs))
+        try:
+            ok = all(is_facet(ssp, q) for q in qs)
+        except ValueError:  # is_facet refuses an invalid inequality
+            ok = False
+        checks.append({"name": f"graph-{idx}", "passed": ok,
+                       "details": {"n": g.n, "inequalities": len(qs)}})
 
-    for n in (2, 3, 4):
-        g = build_nonnesting_graph(n)
-        ssp = ZeroOnePolytope.from_graph(g)
-        facets = enumerate_facets(ssp)
-        want = len(g.ground) + len(enumerate_max_cliques(g))
-        rep.add(
-            f"chain-nn-{n}",
-            len(facets) == want,
-            facets=len(facets),
-            expected=want,
-        )
-
+    chains = [(f"chain-nn-{n}", build_nonnesting_graph(n), {}) for n in (2, 3, 4)]
     rng = random.Random(seed ^ 0xBED)
     for k in range(10):
         n = 3 + (k % 4)
-        poset = random_poset(rng, n)
-        g = build_comparability_graph(poset)
-        ssp = ZeroOnePolytope.from_graph(g)
-        facets = enumerate_facets(ssp)
+        g = build_comparability_graph(random_poset(rng, n))
+        chains.append((f"chain-poset-{k}", g, {"n": n}))
+    for name, g, details in chains:
+        facets = len(enumerate_facets(ZeroOnePolytope.from_graph(g)))
         want = len(g.ground) + len(enumerate_max_cliques(g))
-        rep.add(
-            f"chain-poset-{k}",
-            len(facets) == want,
-            n=n,
-            facets=len(facets),
-            expected=want,
-        )
+        checks.append({"name": name, "passed": facets == want,
+                       "details": {**details, "facets": facets, "expected": want}})
 
     g4 = build_bell_graph(4)
-    ssp4 = ZeroOnePolytope.from_graph(g4)
-    got = set(enumerate_facets(ssp4))
+    got = set(enumerate_facets(ZeroOnePolytope.from_graph(g4)))
     expect = set(always_facet_inequalities(g4))
-    rep.add("bell-4-exact", got == expect, facets=len(got), expected=len(expect))
-    return rep
+    checks.append({"name": "bell-4-exact", "passed": got == expect,
+                   "details": {"facets": len(got), "expected": len(expect)}})
+    params = {"graphs": graphs, "max_n": max_n}
+    return {"suite": "facets-always", "seed": seed, "params": params, "checks": checks}
 
 
-def _matroid(spec: dict) -> Callable[[], Matroid]:
-    """Maker of the matroid that `build --family matroid` reads from spec;
-    matroids is imported when it is called, not when the catalog is made."""
-
-    def make() -> Matroid:
-        from .serialize import matroid_from_json
-
-        return matroid_from_json(spec)
-
-    return make
-
-
-MATROID_CATALOG: dict[str, Callable[[], Matroid]] = {
-    "uniform-1-3": _matroid({"uniform": [3, 1]}),
-    "uniform-2-4": _matroid({"uniform": [4, 2]}),
-    "uniform-2-5": _matroid({"uniform": [5, 2]}),
-    "partition-2-3": _matroid({"partition": [2, 3]}),
-    "graphic-k4": _matroid(
-        {"graphic": [[1, 2], [1, 3], [1, 4], [2, 3], [2, 4], [3, 4]]}
-    ),
+# name -> the matroid spec that `build --family matroid` reads
+MATROID_CATALOG: dict[str, dict] = {
+    "uniform-1-3": {"uniform": [3, 1]},
+    "uniform-2-4": {"uniform": [4, 2]},
+    "uniform-2-5": {"uniform": [5, 2]},
+    "partition-2-3": {"partition": [2, 3]},
+    "graphic-k4": {"graphic": [[1, 2], [1, 3], [1, 4], [2, 3], [2, 4], [3, 4]]},
 }
 
 
-def suite_matroid_e(
-    seed: int = 7, graphs: int = 0, max_n: int = 0
-) -> SuiteReport:
+def suite_matroid_e(seed: int, graphs: int, max_n: int) -> dict:
     """On the matroid catalog: unique-sum skeleton equals the LP oracle for
     independence and basis polytopes, basis adjacency is the two-element
     swap, diameters respect the rank, and the exchange steps agree."""
@@ -278,10 +194,11 @@ def suite_matroid_e(
         basis_exchange_adjacent, basis_polytope, build_uniform,
         independence_polytope, strong_exchange,
     )
+    from .serialize import matroid_from_json
 
-    rep = SuiteReport("matroid-E", seed, {"catalog": sorted(MATROID_CATALOG)})
-    for name, make in MATROID_CATALOG.items():
-        m = make()
+    checks = []
+    for name, spec in MATROID_CATALOG.items():
+        m = matroid_from_json(spec)
         pi = independence_polytope(m)
         pb = basis_polytope(m)
         se_i = build_skeleton_E(pi)
@@ -324,39 +241,30 @@ def suite_matroid_e(
                         and new in fam
                         and is_edge_E(pb, pb.index[a], pb.index[new])
                     )
-        ok = ok and exchange_ok
-        rep.add(
-            name,
-            ok,
-            independents=len(pi.vertices),
-            bases=len(bases),
-            rank=m.rank,
-            diameter_bases=d_b,
-        )
+        checks.append({"name": name, "passed": ok and exchange_ok, "details": {
+            "independents": len(pi.vertices), "bases": len(bases), "rank": m.rank,
+            "diameter_bases": d_b,
+        }})
 
     u13 = independence_polytope(build_uniform(3, 1))
     k3 = ZeroOnePolytope.from_graph(build_complete_graph(3))
-    rep.add(
-        "uniform-1-3-is-triangle-ssp",
-        sorted(u13.vertices) == sorted(k3.vertices),
-    )
     u24 = basis_polytope(build_uniform(4, 2))
-    rep.add(
-        "uniform-2-4-octahedron",
-        len(u24.vertices) == 6
-        and len(build_skeleton_E(u24).edges) == 12,
-    )
-    return rep
+    checks += [
+        {"name": "uniform-1-3-is-triangle-ssp", "details": {},
+         "passed": sorted(u13.vertices) == sorted(k3.vertices)},
+        {"name": "uniform-2-4-octahedron", "details": {},
+         "passed": len(u24.vertices) == 6 and len(build_skeleton_E(u24).edges) == 12},
+    ]
+    params = {"catalog": sorted(MATROID_CATALOG)}
+    return {"suite": "matroid-E", "seed": seed, "params": params, "checks": checks}
 
 
-def suite_prop62(
-    seed: int = 7, graphs: int = 200, max_n: int = 6
-) -> SuiteReport:
+def suite_prop62(seed: int, graphs: int, max_n: int) -> dict:
     """Stable sets form a matroid exactly when every component is complete;
     in that case they agree with the obvious partition matroid."""
     from .matroids import check_matroid_axioms
 
-    rep = SuiteReport("prop62", seed, {"graphs": graphs, "max_n": max_n})
+    checks = []
     for idx, g in enumerate(random_graph_corpus(seed, graphs, max_n)):
         stabs = enumerate_stable_sets(g)
         ok_matroid = check_matroid_axioms(g.ground, stabs) is None
@@ -370,37 +278,34 @@ def suite_prop62(
                 if all((m & c).bit_count() <= 1 for c in comps)
             }
             ok = part == set(stabs)
-        rep.add(f"graph-{idx}", ok, n=g.n, matroid=ok_matroid)
-    return rep
+        checks.append({"name": f"graph-{idx}", "passed": ok,
+                       "details": {"n": g.n, "matroid": ok_matroid}})
+    params = {"graphs": graphs, "max_n": max_n}
+    return {"suite": "prop62", "seed": seed, "params": params, "checks": checks}
 
 
-def suite_remark43(
-    seed: int = 7, graphs: int = 0, max_n: int = 0
-) -> SuiteReport:
+def suite_remark43(seed: int, graphs: int, max_n: int) -> dict:
     """The pinned disagreement family, plus the modified cube that agrees
     with the oracle without being any graph's stable-set family."""
     from .counterexample import is_stable_set_family, modified_cube, verify_remark
     from .geometry import build_skeleton_oracle
 
-    rep = SuiteReport("remark43", seed, {})
-    for name, passed, note in verify_remark():
-        rep.add(name, passed, note=note)
+    checks = [
+        {"name": name, "passed": passed, "details": {"note": note}}
+        for name, passed, note in verify_remark()
+    ]
     cube = modified_cube()
-    rep.add(
-        "modified-cube-agreement",
-        build_skeleton_E(cube).edges == build_skeleton_oracle(cube).edges,
-        vertices=len(cube.vertices),
-    )
-    rep.add(
-        "modified-cube-not-ssp",
-        not is_stable_set_family(cube.ground, cube.vertices),
-    )
-    return rep
+    checks += [
+        {"name": "modified-cube-agreement",
+         "passed": build_skeleton_E(cube).edges == build_skeleton_oracle(cube).edges,
+         "details": {"vertices": len(cube.vertices)}},
+        {"name": "modified-cube-not-ssp", "details": {},
+         "passed": not is_stable_set_family(cube.ground, cube.vertices)},
+    ]
+    return {"suite": "remark43", "seed": seed, "params": {}, "checks": checks}
 
 
-def suite_partitions(
-    seed: int = 7, graphs: int = 0, max_n: int = 7
-) -> SuiteReport:
+def suite_partitions(seed: int, graphs: int, max_n: int) -> dict:
     """Arc encodings biject stable sets with set partitions: all partitions
     for the bell graph, the nonnesting ones for nn, the noncrossing ones
     for nc; the nn and nc graphs coincide exactly up to n = 3, and nn is
@@ -412,7 +317,7 @@ def suite_partitions(
         containment_poset, is_noncrossing, is_nonnesting,
     )
 
-    rep = SuiteReport("partitions", seed, {"max_n": max_n})
+    checks = []
     for n in range(1, max_n + 1):
         stabs = enumerate_stable_sets(build_bell_graph(n))
         parts = [arcs_to_partition(n, s) for s in stabs]
@@ -433,17 +338,15 @@ def suite_partitions(
         ok = ok and same == (n <= 3)
         chain = build_comparability_graph(containment_poset(n))
         ok = ok and nn_g.adj == chain.adj
-        rep.add(
-            f"n-{n}",
-            ok,
-            partitions=len(all_parts),
-            nonnesting=len(nn_img),
-            noncrossing=len(nc_img),
-        )
-    return rep
+        checks.append({"name": f"n-{n}", "passed": ok, "details": {
+            "partitions": len(all_parts), "nonnesting": len(nn_img),
+            "noncrossing": len(nc_img),
+        }})
+    params = {"max_n": max_n}
+    return {"suite": "partitions", "seed": seed, "params": params, "checks": checks}
 
 
-SUITES: dict[str, Callable[..., SuiteReport]] = {
+SUITES: dict[str, Callable[[int, int, int], dict]] = {
     "oracle-vs-E": suite_oracle_vs_e,
     "diameter-bounds": suite_diameter_bounds,
     "facets-always": suite_facets_always,
@@ -454,12 +357,8 @@ SUITES: dict[str, Callable[..., SuiteReport]] = {
 }
 
 
-def run_suites(
-    names: Sequence[str],
-    seed: int = 7,
-    graphs: int = 200,
-    max_n: int = 6,
-) -> list[SuiteReport]:
+def run_suites(names: Sequence[str], seed: int, graphs: int, max_n: int) -> list[dict]:
+    """The reports of the named suites, in order, each with its "passed"."""
     if graphs < 0:
         raise ValueError(f"graphs must not be negative, got {graphs}")
     if max_n < 0:
@@ -468,7 +367,7 @@ def run_suites(
     for name in names:
         if name not in SUITES:
             raise ValueError(f"unknown suite {name!r}")
-        out.append(
-            SUITES[name](seed=seed, graphs=graphs, max_n=max_n)
-        )
+        rep = SUITES[name](seed=seed, graphs=graphs, max_n=max_n)
+        rep["passed"] = bool(rep["checks"]) and all(c["passed"] for c in rep["checks"])
+        out.append(rep)
     return out

@@ -3,9 +3,14 @@ contract (0 all-pass, 1 failed verification, 2 bad input)."""
 
 import hashlib
 import json
+import os
 import re
+import subprocess
+import sys
 import time
+from importlib.metadata import EntryPoint
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 
@@ -280,8 +285,10 @@ class TestGoldenStdout:
     writer for edge lists; both must leave every byte as it was. The
     fourth digest pins the path walk from the first vertex to the last.
 
-    VERIFY pins the reports of the four suites the benchmark runs, recorded
-    before each suite came to import its own layers."""
+    VERIFY pins the reports of all seven suites: the four the benchmark
+    runs, recorded before each suite came to import its own layers, and
+    diameter-bounds, prop62 and partitions, recorded before the suites came
+    to build their report dicts themselves."""
 
     GOLDEN = {
         ("nc", "6", False): (
@@ -318,6 +325,18 @@ class TestGoldenStdout:
         "facets-always": (
             ("--seed", "3", "--graphs", "100", "--max-n", "6"),
             "1e1d4298dcc4b66b69247562ae81939e34536de13d222fd85be676ee609cb7e4",
+        ),
+        "diameter-bounds": (
+            ("--seed", "3", "--graphs", "60", "--max-n", "6"),
+            "c4e96095f36819e1e52a08d5071a188e832d153975e9aa60b4154752c680f9db",
+        ),
+        "prop62": (
+            ("--seed", "3", "--graphs", "100", "--max-n", "6"),
+            "0a1d3a2e6bdff5b1ae4641b02040198c0196ed42fbacaf10d466ad70a2371509",
+        ),
+        "partitions": (
+            ("--max-n", "6"),
+            "6e219c29130181c8327eb99f1211c2bc43f64eada3280f49362eabad5d8d3083",
         ),
     }
 
@@ -560,6 +579,27 @@ class TestVerifyCmd:
         with pytest.raises(SystemExit):
             main(["verify", "--suite", "nope"])
 
+    def test_invalid_always_facet_inequality_fails(self, capsys, monkeypatch):
+        """is_facet refuses an inequality that a vertex violates; the
+        facets-always suite counts that as a failed check (exit 1), not as
+        bad input."""
+        from sspkit import geometry
+
+        def one_invalid(g):  # each singleton {v} gives 1 > 0
+            return [geometry.Inequality((1,) * g.n, 0)]
+
+        monkeypatch.setattr(geometry, "always_facet_inequalities", one_invalid)
+        code, out, err = run(capsys, "verify", "--suite", "facets-always",
+                             "--graphs", "3", "--max-n", "3")
+        assert code == 1
+        data = json.loads(out)
+        assert data["passed"] is False
+        checks = data["reports"][0]["checks"]
+        graphs = [c for c in checks if c["name"].startswith("graph-")]
+        assert len(graphs) == 3 and not any(c["passed"] for c in graphs)
+        assert err.startswith("suite facets-always: FAIL")
+        assert "Traceback" not in err and "error" not in err
+
 
 def subsets_by_size(n, count):
     """The first count subsets of 1..n, smallest first, as label lists."""
@@ -718,3 +758,25 @@ class TestParser:
         assert vars(args) == {
             "family": "rook", "n": None, "input": None, "birkhoff": False, "output": None,
         }
+
+
+class TestConsoleScript:
+    """The [project.scripts] entry in pyproject.toml names cli.main, and
+    the script an install makes from it runs: `sspkit --help` exits 0."""
+
+    def test_entry_point_runs_help(self):
+        tomllib = pytest.importorskip("tomllib")  # Python 3.11+
+        root = Path(__file__).resolve().parents[1]
+        with open(root / "pyproject.toml", "rb") as fh:
+            spec = tomllib.load(fh)["project"]["scripts"]["sspkit"]
+        assert EntryPoint("sspkit", spec, "console_scripts").load() is main
+        script = (
+            "import sys; from importlib.metadata import EntryPoint; "
+            "sys.argv = ['sspkit', '--help']; "
+            f"sys.exit(EntryPoint('sspkit', {spec!r}, 'console_scripts').load()())"
+        )
+        env = dict(os.environ, PYTHONPATH=str(root / "src"))
+        proc = subprocess.run([sys.executable, "-c", script], env=env,
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.startswith("usage: sspkit ")

@@ -1,8 +1,9 @@
 """LP adjacency oracle, validity/facet checks, facet enumeration.
 
 The double-description output is certified three independent ways: each
-output passes is_valid + is_facet, the inequalities cut the 0/1 cube down
-to exactly the vertex set, and small cases match Qhull's floating hull.
+output passes is_facet (which refuses an inequality some vertex violates),
+the inequalities cut the 0/1 cube down to exactly the vertex set, and small
+cases match Qhull's floating hull.
 """
 
 import random
@@ -36,7 +37,6 @@ from sspkit.geometry import (
     clique_inequality,
     enumerate_facets,
     is_facet,
-    is_valid,
     nonnegativity,
     normalized_int_form,
     oracle_is_edge,
@@ -67,6 +67,11 @@ def random_n5_polytopes():
 def path3_polytope():
     g = SimpleGraph.from_edges([1, 2, 3], [(1, 2), (2, 3)])
     return g, ZeroOnePolytope.from_graph(g)
+
+
+def holds_on(p, q):
+    """Every vertex of p satisfies q."""
+    return all(q.evaluate(v) <= q.rhs for v in p.vertices)
 
 
 class TestOracle:
@@ -152,8 +157,8 @@ class TestInequality:
         q = Inequality((1, 2, 0), 3)
         assert q.evaluate(0b011) == 3
         assert q.evaluate(0b011) == q.rhs  # tight
-        assert q.holds(0b001)
-        assert not q.holds(0b010) or q.evaluate(0b010) <= 3
+        assert q.evaluate(0b001) <= q.rhs
+        assert q.evaluate(0b010) <= q.rhs
 
     def test_nonnegativity_form(self):
         q = nonnegativity(3, 1)
@@ -186,7 +191,7 @@ class TestValidityAndFacets:
     def test_valid_but_not_facet(self):
         g, p = path3_polytope()
         q = Inequality((1, 1, 1), 2)
-        assert is_valid(p, q)
+        assert holds_on(p, q)
         # only {1,3} is tight: affine dimension 0, needs 2
         assert not is_facet(p, q)
 
@@ -203,7 +208,6 @@ class TestValidityAndFacets:
             qs = always_facet_inequalities(g)
             assert len(qs) == g.n + len(enumerate_max_cliques(g))
             for q in qs:
-                assert is_valid(p, q)
                 assert is_facet(p, q)
 
     def test_is_facet_matches_two_rank_definition(self):
@@ -288,7 +292,7 @@ class TestEnumerateFacets:
             sat = [
                 m
                 for m in range(1 << g.n)
-                if all(q.holds(m) for q in facets)
+                if all(q.evaluate(m) <= q.rhs for q in facets)
             ]
             assert sorted(sat) == sorted(p.vertices)
 
@@ -486,7 +490,7 @@ class TestAgainstReferenceDD:
 def reference_is_facet(p, q):
     """is_facet as it stood before the one-pass scan: validity checked on
     every vertex, then every tight row reduced, then the rest."""
-    if not is_valid(p, q):
+    if not holds_on(p, q):
         raise ValueError("is_facet requires a valid inequality")
     tight = [_lifted(v, p.n) for v in p.vertices if q.evaluate(v) == q.rhs]
     rest = [_lifted(v, p.n) for v in p.vertices if q.evaluate(v) < q.rhs]
@@ -517,7 +521,7 @@ def polytopes_with_inequalities(draw):
     for c in draw(st.lists(st.lists(st.integers(-2, 2), min_size=n, max_size=n), max_size=4)):
         best = max(Inequality(tuple(c), 0).evaluate(v) for v in p.vertices)
         qs += [Inequality(tuple(c), best), Inequality(tuple(c), best + 1)]
-    valid = [q for q in qs if is_valid(p, q)]
+    valid = [q for q in qs if holds_on(p, q)]
     top = max(p.vertices, key=int.bit_count)
     invalid = [clique_inequality(n, top)] if top.bit_count() > 1 else []
     return p, valid, invalid
@@ -564,7 +568,7 @@ def test_nc7_facets_with_caps_lifted():
     counts = {"nonnegativity": 0, "clique": 0, "other": 0}
     for q in facets:
         counts[classify_inequality(q, g)] += 1
-        assert is_valid(p, q) and is_facet(p, q)
+        assert is_facet(p, q)
     elapsed = time.monotonic() - start
     assert len(facets) == 65
     assert counts == {"nonnegativity": 21, "clique": 32, "other": 12}
@@ -583,7 +587,7 @@ def test_nc8_facet_list():
     g = build_noncrossing_graph(8)
     p = ZeroOnePolytope.from_graph(g)
     facets = enumerate_facets(p)
-    assert all(is_valid(p, q) for q in facets)
+    assert all(holds_on(p, q) for q in facets)
     elapsed = time.monotonic() - start
     by_kind = {"nonnegativity": [], "clique": [], "other": []}
     for q in facets:
@@ -664,7 +668,7 @@ class TestNoncrossing6Facet:
 
     def test_valid_facet(self):
         q = self.extra_inequality()
-        assert is_valid(self.p, q)
+        assert holds_on(self.p, q)
         assert is_facet(self.p, q)
         assert classify_inequality(q, self.g) == "other"
 
@@ -689,7 +693,7 @@ class TestNoncrossing6Facet:
         witness = gs.mask_of([(1, 3), (4, 5), (5, 6)])
         assert witness in self.p.index
         assert q.evaluate(witness) == 3
-        assert not is_valid(self.p, q)
+        assert not holds_on(self.p, q)
 
 
 class TestClassify:

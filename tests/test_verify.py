@@ -1,12 +1,15 @@
 """Cross-validation suite plumbing: determinism and report shape."""
 
+import random
 import tracemalloc
 
+from sspkit.families import Poset
 from sspkit.verify import (
     SUITES,
+    random_graph,
     random_graph_corpus,
+    random_poset,
     run_suites,
-    suite_diameter_bounds,
 )
 
 
@@ -38,22 +41,33 @@ def test_registry_names():
 
 def test_run_suites_report_shape():
     reports = run_suites(["remark43", "prop62"], seed=3, graphs=6, max_n=4)
-    assert [r.suite for r in reports] == ["remark43", "prop62"]
+    assert [r["suite"] for r in reports] == ["remark43", "prop62"]
     for r in reports:
-        assert r.passed
-        blob = r.to_json()
-        assert blob["suite"] == r.suite
-        assert blob["passed"] is True
-        assert all(c["passed"] for c in blob["checks"])
+        assert set(r) == {"suite", "seed", "params", "passed", "checks"}
+        assert r["seed"] == 3 and r["passed"] is True
+        for c in r["checks"]:
+            assert set(c) == {"name", "passed", "details"}
+            assert c["passed"] is True
 
 
 def test_all_suites_pass_on_small_corpus():
     reports = run_suites(list(SUITES), seed=11, graphs=15, max_n=5)
-    assert all(r.passed for r in reports), [
-        (r.suite, [c.name for c in r.checks if not c.passed])
+    assert all(r["passed"] for r in reports), [
+        (r["suite"], [c["name"] for c in r["checks"] if not c["passed"]])
         for r in reports
-        if not r.passed
+        if not r["passed"]
     ]
+
+
+def test_graph_and_poset_draw_the_same_pairs():
+    """From one generator state, random_poset closes exactly the pairs that
+    random_graph joins, and both leave the generator in the same state."""
+    for n in range(2, 8):
+        rg, rp = random.Random(n), random.Random(n)
+        g = random_graph(rg, n)
+        want = Poset.from_relation(range(1, n + 1), [(i + 1, j + 1) for i, j in g.edges()])
+        assert random_poset(rp, n).below == want.below
+        assert rg.random() == rp.random()
 
 
 def test_diameter_bounds_draws_pairs_without_listing_them():
@@ -62,9 +76,9 @@ def test_diameter_bounds_draws_pairs_without_listing_them():
     # traced; drawing each pair from the vertex indices peaks near 8 MB.
     tracemalloc.start()
     try:
-        rep = suite_diameter_bounds(seed=7, graphs=23, max_n=24)
+        [rep] = run_suites(["diameter-bounds"], seed=7, graphs=23, max_n=24)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert rep.passed
+    assert rep["passed"]
     assert peak < 16_000_000
