@@ -42,6 +42,11 @@ def _emit(text: str, output: Optional[str]) -> None:
         sys.stdout.write(text)
 
 
+def _emit_text(fields: dict, output: Optional[str]) -> None:
+    """One line of "name value" pairs, for --format text."""
+    _emit(" ".join(f"{k} {v}" for k, v in fields.items()) + "\n", output)
+
+
 def cmd_build(args: SimpleNamespace) -> int:
     from .families import (
         FAMILY_BUILDERS,
@@ -87,11 +92,10 @@ def cmd_skeleton(args: SimpleNamespace) -> int:
         labels = [p.ground.labels_of(v) for v in p.vertices]
         _emit(serialize.skeleton_to_dot(labels, s), args.output)
     elif args.format == "text":
-        _emit(
-            f"vertices {s.vertex_count} edges {len(s.edges)} "
-            f"provenance {s.provenance}\n",
-            args.output,
-        )
+        _emit_text({
+            "vertices": s.vertex_count, "edges": len(s.edges),
+            "provenance": s.provenance,
+        }, args.output)
     else:
         _emit(serialize.dumps(serialize.skeleton_to_json(p, s)), args.output)
     return 0
@@ -109,10 +113,8 @@ def cmd_diameter(args: SimpleNamespace) -> int:
         "edges": len(s.edges),
     }
     if args.format == "text":
-        _emit(
-            f"diameter {report['diameter']} rank {report['rank']} "
-            f"bound_holds {report['bound_holds']}\n",
-            args.output,
+        _emit_text(
+            {k: report[k] for k in ("diameter", "rank", "bound_holds")}, args.output
         )
     else:
         _emit(serialize.dumps(report), args.output)
@@ -137,11 +139,7 @@ def cmd_facets(args: SimpleNamespace) -> int:
     out["classification"] = counts
     out["non_clique_facets"] = others
     if args.format == "text":
-        _emit(
-            f"facets {len(facets)} nonnegativity {counts['nonnegativity']} "
-            f"clique {counts['clique']} other {counts['other']}\n",
-            args.output,
-        )
+        _emit_text({"facets": len(facets), **counts}, args.output)
     else:
         _emit(serialize.dumps(out), args.output)
     return 0

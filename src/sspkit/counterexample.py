@@ -97,20 +97,19 @@ def verify_remark() -> list[tuple[str, bool, str]]:
     if not match:
         return clauses
 
-    a, b = p.index[ground.mask_of(SET_A)], p.index[ground.mask_of(SET_B)]
+    a, b = ground.mask_of(SET_A), ground.mask_of(SET_B)
     clauses.append((
         "oracle-refuses-AB",
         oracle_is_edge(p, a, b) is False,
         "LP found a nonnegative combination reaching e_A - e_B",
     ))
 
-    am, bm = ground.mask_of(SET_A), ground.mask_of(SET_B)
-    target = [((am >> k) & 1) - ((bm >> k) & 1) for k in range(p.n)]
+    target = [((a >> k) & 1) - ((b >> k) & 1) for k in range(p.n)]
     acc = [0] * p.n
     for w in WITNESSES:
         wm = ground.mask_of(w)
         for k in range(p.n):
-            acc[k] += ((wm >> k) & 1) - ((bm >> k) & 1)
+            acc[k] += ((wm >> k) & 1) - ((b >> k) & 1)
     clauses.append((
         "three-member-identity",
         acc == target,

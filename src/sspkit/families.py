@@ -12,8 +12,7 @@ from itertools import combinations
 from math import comb, factorial
 from typing import Iterable, Sequence
 
-from .bitsets import bits
-from .graphs import MAX_STABLE_SETS, GroundSet, Label, SimpleGraph
+from .graphs import MAX_STABLE_SETS, GroundSet, Label, SimpleGraph, bits
 
 
 def pair_ground(n: int) -> GroundSet:

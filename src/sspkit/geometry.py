@@ -11,8 +11,7 @@ from __future__ import annotations
 
 from typing import NamedTuple, Optional
 
-from .bitsets import bits
-from .graphs import SimpleGraph, enumerate_max_cliques
+from .graphs import SimpleGraph, bits, enumerate_max_cliques
 from .linalg import cone_rays, independent_rows, lp_feasible, primitive
 from .skeleton import Skeleton, ZeroOnePolytope, _check_pair
 
@@ -70,7 +69,8 @@ def normalized_int_form(q: Inequality) -> tuple[tuple[int, ...], int]:
 
 
 def oracle_is_edge(p: ZeroOnePolytope, a: int, b: int) -> bool:
-    """Geometric adjacency of vertices a and b: a witness found here, else LP.
+    """Geometric adjacency of vertex masks a and b: a witness found here,
+    else LP.
 
     Non-adjacency is witnessed by a nonnegative solution of
     sum_k g_k (w_k - v_b) = v_a - v_b over the other vertices w_k; any
@@ -81,38 +81,38 @@ def oracle_is_edge(p: ZeroOnePolytope, a: int, b: int) -> bool:
     must respect, and its rows to the coordinates where a and b differ;
     the other rows read 0 = 0 on those columns.
 
-    A column w whose complement w xor (v_a xor v_b) in that sandwich is
+    A column w whose complement w xor a xor b in that sandwich is
     also a vertex gives a second split e_w + e_w' = e_A + e_B, which is
     such a solution (g_w = g_w' = 1), so the pair is settled without an
     LP. Every other pair, every edge included, goes to the LP.
     """
     _check_pair(p, a, b)
-    va, vb = p.vertices[a], p.vertices[b]
-    inter, union, diff = va & vb, va | vb, va ^ vb
+    inter, union, diff = a & b, a | b, a ^ b
     cols = [
         w
-        for k, w in enumerate(p.vertices)
-        if k != a and k != b and w & inter == inter and not (w & ~union)
+        for w in p.vertices
+        if w != a and w != b and w & inter == inter and not (w & ~union)
     ]
     if any(w ^ diff in p.index for w in cols):
         return False
     coords = list(bits(diff))
     lhs = [
-        [((w >> c) & 1) - ((vb >> c) & 1) for w in cols]
+        [((w >> c) & 1) - ((b >> c) & 1) for w in cols]
         for c in coords
     ]
-    rhs = [((va >> c) & 1) - ((vb >> c) & 1) for c in coords]
+    rhs = [((a >> c) & 1) - ((b >> c) & 1) for c in coords]
     return not lp_feasible(lhs, rhs)
 
 
 def build_skeleton_oracle(p: ZeroOnePolytope) -> Skeleton:
     """Skeleton under the LP adjacency oracle, all vertex pairs."""
-    nv = len(p.vertices)
+    verts = p.vertices
+    nv = len(verts)
     edges = [
         (a, b)
         for a in range(nv)
         for b in range(a + 1, nv)
-        if oracle_is_edge(p, a, b)
+        if oracle_is_edge(p, verts[a], verts[b])
     ]
     return Skeleton(nv, tuple(edges), "oracle")
 

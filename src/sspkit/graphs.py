@@ -7,11 +7,17 @@ downstream artifacts (skeletons, facet files, DOT exports) deterministic.
 
 from __future__ import annotations
 
-from typing import Hashable, Iterable, Optional, Sequence
-
-from .bitsets import bits
+from typing import Hashable, Iterable, Iterator, Optional, Sequence
 
 Label = Hashable
+
+
+def bits(mask: int) -> Iterator[int]:
+    """Positions of the set bits, ascending."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
 
 class GroundSet:

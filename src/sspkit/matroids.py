@@ -6,8 +6,7 @@ from itertools import combinations, product
 from math import comb, prod
 from typing import NamedTuple, Optional, Sequence
 
-from .bitsets import bits
-from .graphs import MAX_INDEPENDENTS, GroundSet, Label
+from .graphs import MAX_INDEPENDENTS, GroundSet, Label, _subset_sort_key, bits
 from .skeleton import ZeroOnePolytope
 
 
@@ -25,8 +24,12 @@ def check_matroid_axioms(
     (I2) downward closure, (I3) exchange; else the first violation.
 
     Downward closure is checked by single-element deletions, which is
-    equivalent by induction. The exchange check is brute force over pairs
-    of members with different cardinalities.
+    equivalent by induction. The exchange check then compares each member
+    A only with the members one element larger: were B, with
+    |B| >= |A| + 2, to have no y in B - A augmenting A, neither would any
+    (|A|+1)-subset of B, a member by (I2). Levels go in (cardinality,
+    mask) order, so the first violation is the one that a check of every
+    pair would find.
     """
     fam = sorted(set(family), key=lambda m: (m.bit_count(), m))
     for m in fam:
@@ -38,13 +41,14 @@ def check_matroid_axioms(
         for x in bits(m):
             if m ^ (1 << x) not in famset:
                 return AxiomViolation("I2", (m, m ^ (1 << x)))
-    for a in fam:
-        ca = a.bit_count()
-        for b in fam:
-            if b.bit_count() <= ca:
-                continue
-            if not any(a | (1 << y) in famset for y in bits(b & ~a)):
-                return AxiomViolation("I3", (a, b))
+    levels: list[list[int]] = [[] for _ in range(fam[-1].bit_count() + 1)]
+    for m in fam:
+        levels[m.bit_count()].append(m)
+    for lower, upper in zip(levels, levels[1:]):
+        for a in lower:
+            for b in upper:
+                if not any(a | (1 << y) in famset for y in bits(b & ~a)):
+                    return AxiomViolation("I3", (a, b))
     return None
 
 
@@ -60,7 +64,7 @@ class Matroid:
                 f"independence axioms fail: {bad.axiom} with witness "
                 f"{[ground.labels_of(w) for w in bad.witness]}"
             )
-        fam = sorted(set(independents), key=lambda m: (m.bit_count(), tuple(bits(m))))
+        fam = sorted(set(independents), key=_subset_sort_key)
         self.ground = ground
         self.independents = tuple(fam)
         self.rank = max(m.bit_count() for m in fam)

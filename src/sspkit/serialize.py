@@ -117,14 +117,16 @@ def _pairs(obj: dict, key: str) -> list[tuple[Label, Label]]:
     return out
 
 
+def _vertex_labels(p: ZeroOnePolytope) -> list[list[Any]]:
+    """Each vertex as the list of its encoded labels, in ground order."""
+    return [[encode_label(x) for x in p.ground.labels_of(v)] for v in p.vertices]
+
+
 def polytope_to_json(p: ZeroOnePolytope) -> dict:
     out: dict[str, Any] = {
         "kind": p.kind,
         "ground": [encode_label(x) for x in p.ground.labels],
-        "vertices": [
-            [encode_label(x) for x in p.ground.labels_of(v)]
-            for v in p.vertices
-        ],
+        "vertices": _vertex_labels(p),
         "rank": p.rank,
     }
     if p.graph is not None:
@@ -156,10 +158,7 @@ def skeleton_to_json(p: ZeroOnePolytope, s: Skeleton) -> dict:
     if s.vertex_count != len(p.vertices):
         raise ValueError("skeleton does not match the polytope")
     return {
-        "vertices": [
-            [encode_label(x) for x in p.ground.labels_of(v)]
-            for v in p.vertices
-        ],
+        "vertices": _vertex_labels(p),
         "edges": [[i, j] for i, j in s.edges],
         "provenance": s.provenance,
     }

@@ -16,10 +16,10 @@ from itertools import accumulate, count, repeat
 from operator import add
 from typing import Iterable, NamedTuple, Optional, Sequence
 
-from .bitsets import bits
 from .graphs import (
     GroundSet,
     SimpleGraph,
+    bits,
     connected_components,
     enumerate_stable_sets,
 )
@@ -153,18 +153,19 @@ def _other_split(p: ZeroOnePolytope, va: int, vb: int) -> Optional[tuple[int, in
 
 
 def is_edge_E(p: ZeroOnePolytope, a: int, b: int) -> bool:
-    """True iff {a, b} is the only decomposition of e_A + e_B.
+    """True iff {a, b} is the only decomposition of e_a + e_b, for vertex
+    masks a and b of p.
 
     For kind "raw" this is only the uniqueness predicate; it need not agree
     with geometric adjacency there.
     """
     _check_pair(p, a, b)
-    return _other_split(p, p.vertices[a], p.vertices[b]) is None
+    return _other_split(p, a, b) is None
 
 
 def _check_pair(p: ZeroOnePolytope, a: int, b: int) -> None:
-    if not (0 <= a < len(p.vertices) and 0 <= b < len(p.vertices)):
-        raise ValueError("vertex index out of range")
+    if a not in p.index or b not in p.index:
+        raise ValueError("edge test needs two vertices of the polytope")
     if a == b:
         raise ValueError("edge test needs two distinct vertices")
 
@@ -401,8 +402,6 @@ def is_edge_walk(p: ZeroOnePolytope, walk: Sequence[int]) -> bool:
     """True iff every member of walk is a vertex of p and every hop joins
     two distinct vertices that pass the unique-sum edge test. A hop over a
     k-element difference costs at most min(2^(k-1), |family|) probes."""
-    index = p.index
-    return all(v in index for v in walk) and all(
-        u != v and is_edge_E(p, index[u], index[v])
-        for u, v in zip(walk, walk[1:])
+    return all(v in p.index for v in walk) and all(
+        u != v and is_edge_E(p, u, v) for u, v in zip(walk, walk[1:])
     )

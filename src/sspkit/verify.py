@@ -12,10 +12,9 @@ from __future__ import annotations
 import random
 from typing import TYPE_CHECKING, Callable, Sequence
 
-from .bitsets import bits
 from .graphs import (
-    SimpleGraph, connected_components, enumerate_max_cliques, enumerate_stable_sets,
-    is_union_of_complete_graphs,
+    SimpleGraph, bits, connected_components, enumerate_max_cliques,
+    enumerate_stable_sets, is_union_of_complete_graphs,
 )
 from .skeleton import (
     ZeroOnePolytope, birkhoff_restrict, build_skeleton_E, diameter, flip_path,
@@ -239,7 +238,7 @@ def suite_matroid_e(seed: int, graphs: int, max_n: int) -> dict:
                         and e.bit_count() == f.bit_count()
                         and bool(e & (1 << x))
                         and new in fam
-                        and is_edge_E(pb, pb.index[a], pb.index[new])
+                        and is_edge_E(pb, a, new)
                     )
         checks.append({"name": name, "passed": ok and exchange_ok, "details": {
             "independents": len(pi.vertices), "bases": len(bases), "rank": m.rank,

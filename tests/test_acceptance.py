@@ -128,7 +128,7 @@ def test_criterion_3_nine_vertex_family():
     assert all(clauses.values())
 
     p = maximal_family_polytope(remark_graph())
-    a, b = p.index[p.ground.mask_of(SET_A)], p.index[p.ground.mask_of(SET_B)]
+    a, b = p.ground.mask_of(SET_A), p.ground.mask_of(SET_B)
     assert is_edge_E(p, a, b) and not oracle_is_edge(p, a, b)
     assert len(REMARK_FAMILY) == 12 and len(WITNESSES) == 3
     budget.check()
@@ -293,7 +293,7 @@ def test_criterion_8_diameter_bounds_and_walks():
             assert walk[0] == a and walk[-1] == b
             assert len(walk) - 1 <= ssp.rank
             for u, v in zip(walk, walk[1:]):
-                assert u != v and is_edge_E(ssp, ssp.index[u], ssp.index[v])
+                assert u != v and is_edge_E(ssp, u, v)
         bverts = list(bp.vertices)
         for _ in range(2):
             a, b = rng.choice(bverts), rng.choice(bverts)
@@ -301,7 +301,7 @@ def test_criterion_8_diameter_bounds_and_walks():
             assert walk[0] == a and walk[-1] == b
             assert len(walk) - 1 <= bp.rank
             for u, v in zip(walk, walk[1:]):
-                assert u != v and is_edge_E(bp, bp.index[u], bp.index[v])
+                assert u != v and is_edge_E(bp, u, v)
 
     cube = ZeroOnePolytope.from_graph(build_empty_graph(3))
     assert diameter(build_skeleton_E(cube)) == 3 == cube.rank

@@ -288,7 +288,12 @@ class TestGoldenStdout:
     VERIFY pins the reports of all seven suites: the four the benchmark
     runs, recorded before each suite came to import its own layers, and
     diameter-bounds, prop62 and partitions, recorded before the suites came
-    to build their report dicts themselves."""
+    to build their report dicts themselves.
+
+    FORMATS pins skeleton --oracle, the text and DOT forms and facets (JSON
+    and text; B4 is not full-dimensional, so facets refuses it), recorded
+    before the point queries came to take vertex masks and the text lines
+    came to be written by one helper."""
 
     GOLDEN = {
         ("nc", "6", False): (
@@ -309,6 +314,47 @@ class TestGoldenStdout:
             "f95759acae7f633e4c7a7378f110116d93febf0cd54bc14480030f6b275aad8a",
             "f02626b47c894f510139d21b4c4065c87949fe45757c26e92d34c7d4273e7561",
         ),
+    }
+
+    FORMATS = {
+        ("nc", "6", False): {
+            ("skeleton", "--oracle"):
+                "02da767776487451c4835a3630fa416b557bc2b9bb5d32a07a681d09dbb3cd41",
+            ("skeleton", "--format", "text"):
+                "f601a2eaadaa8fe265c1a4012694119dbaf42be5ccbf8836e369b668e44457b5",
+            ("skeleton", "--format", "dot"):
+                "8321775484f4c08074ab53d277afc3e4bcf43cb092d8cc0402fec5448d151aa5",
+            ("diameter", "--format", "text"):
+                "05bd0b9c9191dc23aa9c17254d1315ab04999f8f6f9a71275310b6d8b1777073",
+            ("facets",):
+                "875ad27a186d958b498b1aacbab958020c7224bc2acc99cebf9d73e02c7f7202",
+            ("facets", "--format", "text"):
+                "3c070d6b87892bb2040c16537df59ab97351661d64192d1624c3aae4672691d9",
+        },
+        ("bell", "5", False): {
+            ("skeleton", "--oracle"):
+                "a72a8d03624e30cab0259fe308e917f9bbf89dadfb0ff42593da873b8ada7eb5",
+            ("skeleton", "--format", "text"):
+                "0c873d2ae3f342e34ad4a5853d9bdac58bf5c4e8326d6a22924e61ecb7742a6b",
+            ("skeleton", "--format", "dot"):
+                "b166e576d72732fa447f3e6820810c89ebe11b9dfa5f64553a5c4bf0b54180c5",
+            ("diameter", "--format", "text"):
+                "12279d5c20fd5fe3d92c64262bc7f0d9c2f18d97856330ced0932d3813c49830",
+            ("facets",):
+                "ca6cd32f62b7607314fe05b945d44c07b94211630c3259a92a42fd38e21f51d3",
+            ("facets", "--format", "text"):
+                "a2408bf383066140a5307a13ac72365da97003faa45ba6668fbd003f50819036",
+        },
+        ("rook", "4", True): {
+            ("skeleton", "--oracle"):
+                "20fae9edfa16d2c55a66bc811ae466d5571cff7a1cea2e6a26a37da9a1dd5ba9",
+            ("skeleton", "--format", "text"):
+                "95461ad57c0a9520ceb9108a1255e4a45e62c4ecf9817c1f74767dd2540a32ec",
+            ("skeleton", "--format", "dot"):
+                "dc540044a972e9e2e01c5e2bb2fe0fe78b4514859798af3414f8e9741a09164f",
+            ("diameter", "--format", "text"):
+                "f4ca0969b713aa0a4eb17189b0394c66ba40013ea657de0c530664b7eb4c3b97",
+        },
     }
 
     VERIFY = {
@@ -347,13 +393,18 @@ class TestGoldenStdout:
         assert code == 0
         assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
 
-    @pytest.mark.parametrize("family, n, birkhoff", list(GOLDEN), ids=["nc6", "bell5", "B4"])
-    def test_stdout_digests(self, tmp_path, capsys, family, n, birkhoff):
+    @staticmethod
+    def build(tmp_path, capsys, family, n, birkhoff):
         argv = ["build", "--family", family, "--n", n]
         code, built, _ = run(capsys, *argv, *(["--birkhoff"] if birkhoff else []))
         assert code == 0
         path = tmp_path / "p.json"
         path.write_text(built, encoding="utf-8")
+        return built, path
+
+    @pytest.mark.parametrize("family, n, birkhoff", list(GOLDEN), ids=["nc6", "bell5", "B4"])
+    def test_stdout_digests(self, tmp_path, capsys, family, n, birkhoff):
+        built, path = self.build(tmp_path, capsys, family, n, birkhoff)
         verts = json.loads(built)["vertices"]
         ends = ["--from", json.dumps(verts[0]), "--to", json.dumps(verts[-1])]
         outs = [built]
@@ -363,6 +414,14 @@ class TestGoldenStdout:
             outs.append(out)
         digests = tuple(hashlib.sha256(o.encode("utf-8")).hexdigest() for o in outs)
         assert digests == self.GOLDEN[family, n, birkhoff]
+
+    @pytest.mark.parametrize("family, n, birkhoff", list(FORMATS), ids=["nc6", "bell5", "B4"])
+    def test_format_digests(self, tmp_path, capsys, family, n, birkhoff):
+        _, path = self.build(tmp_path, capsys, family, n, birkhoff)
+        for (command, *extra), digest in self.FORMATS[family, n, birkhoff].items():
+            code, out, _ = run(capsys, command, "--input", str(path), *extra)
+            assert code == 0
+            assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest, (command, *extra)
 
 
 class TestDiameterCmd:

@@ -47,8 +47,8 @@ class TestNineVertexFamily:
 
     def test_unique_sum_claims_edge_but_oracle_refuses(self):
         p = maximal_family_polytope(remark_graph())
-        a = p.index[p.ground.mask_of(SET_A)]
-        b = p.index[p.ground.mask_of(SET_B)]
+        a = p.ground.mask_of(SET_A)
+        b = p.ground.mask_of(SET_B)
         assert is_edge_E(p, a, b)
         assert not oracle_is_edge(p, a, b)
 

@@ -82,8 +82,18 @@ class TestOracle:
 
     def test_rejects_same_vertex(self):
         _, p = path3_polytope()
-        with pytest.raises(ValueError):
-            oracle_is_edge(p, 2, 2)
+        v = p.vertices[2]
+        with pytest.raises(ValueError, match="distinct"):
+            oracle_is_edge(p, v, v)
+
+    @pytest.mark.parametrize("mask", [0b011, 0b1000], ids=["not-stable", "off-ground"])
+    def test_rejects_non_vertex(self, mask):
+        # {1, 2} is an edge of the path; bit 3 lies outside its ground set
+        _, p = path3_polytope()
+        assert mask not in p.index
+        for a, b in ((p.vertices[0], mask), (mask, p.vertices[0])):
+            with pytest.raises(ValueError, match="two vertices"):
+                oracle_is_edge(p, a, b)
 
     @pytest.mark.parametrize(
         "make",
@@ -116,7 +126,7 @@ class TestOracle:
                         for c in range(p.n)
                     ]
                     rhs = [((va >> c) & 1) - ((vb >> c) & 1) for c in range(p.n)]
-                    assert oracle_is_edge(p, a, b) == (not lp_feasible(lhs, rhs))
+                    assert oracle_is_edge(p, va, vb) == (not lp_feasible(lhs, rhs))
 
     def test_independent_of_the_split_search(self, monkeypatch):
         # The oracle finds its witnesses itself: with the E-test's split

@@ -7,13 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sspkit.bitsets import bits
 from sspkit.families import build_empty_graph
 from sspkit.graphs import (
     MAX_STABLE_SETS,
     GroundSet,
     SimpleGraph,
     _subset_sort_key,
+    bits,
     connected_components,
     enumerate_max_cliques,
     enumerate_stable_sets,

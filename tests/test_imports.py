@@ -48,8 +48,8 @@ LIGHT_ONLY = [
     "sspkit.families", "sspkit.counterexample", "dataclasses",
 ]
 NO_SUITES = ["sspkit.verify", "sspkit.matroids", "sspkit.counterexample"]
-# Every verify call loads cli, serialize, verify, graphs, skeleton and
-# bitsets; these are the layers each suite adds.
+# Every verify call loads cli, serialize, verify, graphs and skeleton;
+# these are the layers each suite adds.
 SUITE_LAYERS = {
     "oracle-vs-E": {"geometry", "linalg"},
     "diameter-bounds": {"families"},
@@ -59,7 +59,7 @@ SUITE_LAYERS = {
     "remark43": {"counterexample", "geometry", "linalg"},
     "partitions": {"families"},
 }
-VERIFY_BASE = {"cli", "serialize", "verify", "graphs", "skeleton", "bitsets"}
+VERIFY_BASE = {"cli", "serialize", "verify", "graphs", "skeleton"}
 NUMBER_TYPES = ["fractions", "decimal"]
 PARSERS = ["argparse", "gettext"]  # no call loads these
 

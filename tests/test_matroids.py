@@ -4,6 +4,8 @@ import random
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sspkit.families import build_complete_graph
 from sspkit.geometry import build_skeleton_oracle
@@ -50,7 +52,55 @@ def forests_by_mask_filter(edges):
     return out
 
 
+def down_closure(generators):
+    """Every subset of every generator mask."""
+    fam = set()
+    for g in generators:
+        s = g
+        while True:
+            fam.add(s)
+            if not s:
+                break
+            s = (s - 1) & g
+    return fam
+
+
+def axioms_all_pairs(n, family):
+    """Reference: (I1) and (I2) as check_matroid_axioms checks them, then
+    (I3) over every pair of members of different cardinality."""
+    fam = sorted(set(family), key=lambda m: (m.bit_count(), m))
+    famset = set(fam)
+    if 0 not in famset:
+        return AxiomViolation("I1", ())
+    for m in fam:
+        for x in range(n):
+            if m >> x & 1 and m ^ (1 << x) not in famset:
+                return AxiomViolation("I2", (m, m ^ (1 << x)))
+    for a in fam:
+        for b in fam:
+            if b.bit_count() > a.bit_count() and not any(
+                (b & ~a) >> y & 1 and a | (1 << y) in famset for y in range(n)
+            ):
+                return AxiomViolation("I3", (a, b))
+    return None
+
+
+down_closed = st.integers(0, 6).flatmap(
+    lambda n: st.tuples(
+        st.just(n), st.lists(st.integers(0, (1 << n) - 1), max_size=6).map(down_closure)
+    )
+)
+
+
 class TestAxioms:
+    @given(down_closed)
+    @settings(max_examples=300, deadline=None)
+    def test_matches_all_pairs_exchange(self, case):
+        # (I3) is checked only between consecutive levels; on down-closed
+        # families, matroids or not, verdict and witness are unchanged
+        n, fam = case
+        assert check_matroid_axioms(GroundSet(range(n)), fam) == axioms_all_pairs(n, fam)
+
     def test_stable_sets_of_path_fail_exchange(self):
         g = SimpleGraph.from_edges([1, 2, 3], [(1, 2), (2, 3)])
         fam = enumerate_stable_sets(g)

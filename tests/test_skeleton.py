@@ -193,7 +193,7 @@ class TestEdgeE:
             for y in range(x + 1, len(names)):
                 u, v = names[x], names[y]
                 want = (u, v) not in nonedges and (v, u) not in nonedges
-                got = is_edge_E(p, p.index[label[u]], p.index[label[v]])
+                got = is_edge_E(p, label[u], label[v])
                 assert got == want, (u, v)
 
     def test_skeleton_matches_oracle_on_bell3(self):
@@ -212,8 +212,19 @@ class TestEdgeE:
 
     def test_same_vertex_rejected(self):
         p = bell3_polytope()
-        with pytest.raises(ValueError):
-            is_edge_E(p, 1, 1)
+        v = p.vertices[1]
+        with pytest.raises(ValueError, match="distinct"):
+            is_edge_E(p, v, v)
+
+    @pytest.mark.parametrize("mask", [0b111, 0b1000], ids=["not-stable", "off-ground"])
+    def test_non_vertex_rejected(self, mask):
+        # bell3 has a single stable pair, so all three pairs are no vertex;
+        # bit 3 lies outside its ground set
+        p = bell3_polytope()
+        assert mask not in p.index
+        for a, b in ((p.vertices[0], mask), (mask, p.vertices[0])):
+            with pytest.raises(ValueError, match="two vertices"):
+                is_edge_E(p, a, b)
 
     @given(st.integers(0, 2**12))
     @settings(max_examples=40, deadline=None)
@@ -225,7 +236,8 @@ class TestEdgeE:
         i, j = rng.randrange(k), rng.randrange(k)
         if i == j:
             return
-        assert is_edge_E(p, i, j) == oracle_is_edge(p, i, j)
+        a, b = p.vertices[i], p.vertices[j]
+        assert is_edge_E(p, a, b) == oracle_is_edge(p, a, b)
 
 
 def flood_fill_skeleton(p):
@@ -417,7 +429,7 @@ class TestQuasimatroidExchange:
             new = (a ^ drop) | add
             assert new in p.index
             assert not (new >> i) & 1 or (b >> i) & 1
-            assert is_edge_E(p, p.index[a], p.index[new])
+            assert is_edge_E(p, a, new)
             hits += 1
 
     def test_rejects_unequal_cardinality(self):
@@ -451,7 +463,7 @@ class TestPaths:
             assert all(v in p.index for v in walk)
             for u, v in zip(walk, walk[1:]):
                 assert u != v
-                assert is_edge_E(p, p.index[u], p.index[v])
+                assert is_edge_E(p, u, v)
             done += 1
 
     def test_flip_path_worked_example(self):
@@ -464,7 +476,7 @@ class TestPaths:
         walk = flip_path(p, a, b)
         assert walk == [a, b]
         assert len(walk) - 1 <= p.rank
-        assert is_edge_E(p, p.index[a], p.index[b])
+        assert is_edge_E(p, a, b)
 
     def test_flip_path_needs_graph_kind(self):
         g = build_bell_graph(3)
