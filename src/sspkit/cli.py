@@ -76,7 +76,7 @@ def cmd_build(args: SimpleNamespace) -> int:
             check_edge_count(fam, args.n)
             g = FAMILY_BUILDERS[fam](args.n)
         p = birkhoff_restrict(g) if args.birkhoff else ZeroOnePolytope.from_graph(g)
-    _emit(serialize.dumps(serialize.polytope_to_json(p)), args.output)
+    _emit(serialize.polytope_json(p), args.output)
     return 0
 
 
@@ -93,11 +93,11 @@ def cmd_skeleton(args: SimpleNamespace) -> int:
         _emit(serialize.skeleton_to_dot(labels, s), args.output)
     elif args.format == "text":
         _emit_text({
-            "vertices": s.vertex_count, "edges": len(s.edges),
+            "vertices": s.vertex_count, "edges": s.edge_count,
             "provenance": s.provenance,
         }, args.output)
     else:
-        _emit(serialize.dumps(serialize.skeleton_to_json(p, s)), args.output)
+        _emit(serialize.skeleton_json(p, s), args.output)
     return 0
 
 
@@ -110,7 +110,7 @@ def cmd_diameter(args: SimpleNamespace) -> int:
         "rank": p.rank,
         "bound_holds": d is not None and d <= p.rank,
         "vertices": s.vertex_count,
-        "edges": len(s.edges),
+        "edges": s.edge_count,
     }
     if args.format == "text":
         _emit_text(
@@ -159,10 +159,7 @@ def cmd_path(args: SimpleNamespace) -> int:
     walk = flip_path(p, _endpoint(p, args.frm), _endpoint(p, args.to))
     valid = is_edge_walk(p, walk)
     report = {
-        "path": [
-            [serialize.encode_label(x) for x in p.ground.labels_of(v)]
-            for v in walk
-        ],
+        "path": [p.ground.labels_of(v) for v in walk],  # tuples go out as arrays
         "hops": len(walk) - 1,
         "rank": p.rank,
         "within_bound": len(walk) - 1 <= p.rank,

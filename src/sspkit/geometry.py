@@ -107,14 +107,10 @@ def oracle_is_edge(p: ZeroOnePolytope, a: int, b: int) -> bool:
 def build_skeleton_oracle(p: ZeroOnePolytope) -> Skeleton:
     """Skeleton under the LP adjacency oracle, all vertex pairs."""
     verts = p.vertices
-    nv = len(verts)
-    edges = [
-        (a, b)
-        for a in range(nv)
-        for b in range(a + 1, nv)
-        if oracle_is_edge(p, verts[a], verts[b])
-    ]
-    return Skeleton(nv, tuple(edges), "oracle")
+    return Skeleton(tuple(
+        tuple(b for b in range(a + 1, len(verts)) if oracle_is_edge(p, va, verts[b]))
+        for a, va in enumerate(verts)
+    ), "oracle")
 
 
 def is_facet(p: ZeroOnePolytope, q: Inequality) -> bool:

@@ -10,7 +10,7 @@ from __future__ import annotations
 import json
 from typing import TYPE_CHECKING, Any, Sequence
 
-from .graphs import MAX_INDEPENDENTS, GroundSet, Label, SimpleGraph
+from .graphs import MAX_INDEPENDENTS, GroundSet, Label, SimpleGraph, bits
 from .skeleton import Skeleton, ZeroOnePolytope
 
 if TYPE_CHECKING:  # the readers and writers below import these when run
@@ -19,59 +19,46 @@ if TYPE_CHECKING:  # the readers and writers below import these when run
     from .matroids import Matroid
 
 
-# One [int, int] pair as the indenting encoder writes it two levels deep.
-_PAIR = "    [\n      %d,\n      %d\n    ]"
-
-
 def dumps(obj: Any) -> str:
-    """json.dumps(obj, indent=2, sort_keys=True) plus a newline, byte for
-    byte, faster on the edge lists of skeleton files.
-
-    With indent, json.dumps runs its pure-Python encoder token by token.
-    A top-level value that is a list of [int, int] pairs is written
-    through one %d template instead; every other value goes through the
-    encoder one level down and is re-indented by one level.
-    """
-    if type(obj) is not dict or not obj or not all(type(k) is str for k in obj):
-        return json.dumps(obj, indent=2, sort_keys=True) + "\n"
-    items = []
-    for key in sorted(obj):
-        val = obj[key]
-        if _int_pairs(val):
-            text = "[\n" + ",\n".join([_PAIR] * len(val)) % tuple(
-                x for pair in val for x in pair
-            ) + "\n  ]"
-        else:
-            text = json.dumps(val, indent=2, sort_keys=True).replace("\n", "\n  ")
-        items.append(f"  {json.dumps(key)}: {text}")
-    return "{\n" + ",\n".join(items) + "\n}\n"
+    """json.dumps(obj, indent=2, sort_keys=True) plus a newline: the form of
+    every file and report. Polytope and skeleton files are written as text
+    by polytope_json and skeleton_json, byte for byte in this form."""
+    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
 
-def _int_pairs(val: Any) -> bool:
-    """A non-empty list of two-element lists of ints (not bools)."""
-    return (
-        type(val) is list
-        and bool(val)
-        and all(
-            type(pair) is list
-            and len(pair) == 2
-            and type(pair[0]) is int
-            and type(pair[1]) is int
-            for pair in val
-        )
-    )
+def _array(items: list[str], depth: int) -> str:
+    """A JSON array of written items, laid out as json.dumps(indent=2) lays
+    it out with the items `depth` spaces deep."""
+    if not items:
+        return "[]"
+    pad = "\n" + " " * depth
+    return "[" + pad + ("," + pad).join(items) + pad[:-2] + "]"
 
 
-def encode_label(lab: Label) -> Any:
-    if isinstance(lab, tuple):
-        return [encode_label(x) for x in lab]
-    return lab
+def _document(fields: dict[str, str]) -> str:
+    """A top-level JSON object of written values, keys sorted, as dumps."""
+    return "{\n" + ",\n".join(
+        f"  {json.dumps(key)}: {fields[key]}" for key in sorted(fields)
+    ) + "\n}\n"
+
+
+def _indented(texts: list[str], depth: int) -> list[str]:
+    """Written values moved `depth` spaces deep."""
+    pad = "\n" + " " * depth
+    return [t.replace("\n", pad) for t in texts]
+
+
+def _vertices(vertices: Sequence[int], texts: list[str]) -> str:
+    """The "vertices" value: each vertex as the array of its labels, given
+    each ground label once as texts (a tuple label travels as an array)."""
+    labels = _indented(texts, 6)
+    return _array([_array([labels[k] for k in bits(v)], 6) for v in vertices], 4)
 
 
 def decode_label(obj: Any) -> Label:
-    if isinstance(obj, list):
-        return tuple(decode_label(x) for x in obj)
-    if isinstance(obj, dict):
+    if type(obj) is list:
+        return tuple([decode_label(x) if type(x) in (list, dict) else x for x in obj])
+    if type(obj) is dict:
         raise ValueError("a label must be a number, a string or a list")
     return obj
 
@@ -117,22 +104,21 @@ def _pairs(obj: dict, key: str) -> list[tuple[Label, Label]]:
     return out
 
 
-def _vertex_labels(p: ZeroOnePolytope) -> list[list[Any]]:
-    """Each vertex as the list of its encoded labels, in ground order."""
-    return [[encode_label(x) for x in p.ground.labels_of(v)] for v in p.vertices]
-
-
-def polytope_to_json(p: ZeroOnePolytope) -> dict:
-    out: dict[str, Any] = {
-        "kind": p.kind,
-        "ground": [encode_label(x) for x in p.ground.labels],
-        "vertices": _vertex_labels(p),
-        "rank": p.rank,
+def polytope_json(p: ZeroOnePolytope) -> str:
+    """The polytope file: its kind, ground labels, vertices as label
+    arrays, rank and, for the graph kinds, the graph's edge list."""
+    texts = [json.dumps(x, indent=2) for x in p.ground.labels]
+    fields = {
+        "kind": json.dumps(p.kind),
+        "ground": _array(_indented(texts, 4), 4),
+        "vertices": _vertices(p.vertices, texts),
+        "rank": str(p.rank),
     }
     if p.graph is not None:
-        labels = [encode_label(x) for x in p.graph.ground.labels]
-        out["graph"] = {"edges": [[labels[i], labels[j]] for i, j in p.graph.edges()]}
-    return out
+        ends = _indented(texts, 8)
+        edges = [_array([ends[i], ends[j]], 8) for i, j in p.graph.edges()]
+        fields["graph"] = '{\n    "edges": ' + _array(edges, 6) + "\n  }"
+    return _document(fields)
 
 
 def polytope_from_json(obj: dict) -> ZeroOnePolytope:
@@ -154,14 +140,31 @@ def polytope_from_json(obj: dict) -> ZeroOnePolytope:
     return p
 
 
-def skeleton_to_json(p: ZeroOnePolytope, s: Skeleton) -> dict:
+def _edge_runs(s: Skeleton, head: str, tail: str, sep: str) -> list[str]:
+    """Per vertex a with a row, its edges (a, b) written as head % a, then
+    b, then tail, joined by sep: one string per row, none per edge."""
+    names = [str(b) for b in range(s.vertex_count)]
+    runs = []
+    for a, row in enumerate(s.rows):
+        if row:
+            start = head % a
+            ends = map(names.__getitem__, row)
+            runs.append(start + (tail + sep + start).join(ends) + tail)
+    return runs
+
+
+def skeleton_json(p: ZeroOnePolytope, s: Skeleton) -> str:
+    """The skeleton file: each edge as an [a, b] array of vertex indices,
+    written row by row from the skeleton's rows, then the vertices."""
     if s.vertex_count != len(p.vertices):
         raise ValueError("skeleton does not match the polytope")
-    return {
-        "vertices": _vertex_labels(p),
-        "edges": [[i, j] for i, j in s.edges],
-        "provenance": s.provenance,
-    }
+    edges = _edge_runs(s, "[\n      %d,\n      ", "\n    ]", ",\n    ")
+    texts = [json.dumps(x, indent=2) for x in p.ground.labels]
+    return _document({
+        "edges": _array(edges, 4),
+        "provenance": json.dumps(s.provenance),
+        "vertices": _vertices(p.vertices, texts),
+    })
 
 
 def skeleton_from_json(obj: dict) -> tuple[list[tuple[Label, ...]], Skeleton]:
@@ -225,11 +228,7 @@ def _dot_name(subset: Sequence[Label]) -> str:
 
 def skeleton_to_dot(vertices: Sequence[Sequence[Label]], s: Skeleton) -> str:
     """Undirected DOT graph; node names are the subset labels."""
-    lines = ["graph skeleton {"]
-    lines.append(f'  // provenance: {s.provenance}')
-    for i, subset in enumerate(vertices):
-        lines.append(f'  v{i} [label="{_dot_name(subset)}"];')
-    for i, j in s.edges:
-        lines.append(f"  v{i} -- v{j};")
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+    lines = ["graph skeleton {", f"  // provenance: {s.provenance}"]
+    lines += [f'  v{i} [label="{_dot_name(x)}"];' for i, x in enumerate(vertices)]
+    lines += _edge_runs(s, "  v%d -- v", ";", "\n")
+    return "\n".join(lines) + "\n}\n"

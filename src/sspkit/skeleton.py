@@ -12,8 +12,7 @@ on the graph (see build_skeleton_E).
 
 from __future__ import annotations
 
-from itertools import accumulate, count, repeat
-from operator import add
+from itertools import compress
 from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .graphs import (
@@ -163,26 +162,44 @@ def is_edge_E(p: ZeroOnePolytope, a: int, b: int) -> bool:
     return _other_split(p, a, b) is None
 
 
-def _check_pair(p: ZeroOnePolytope, a: int, b: int) -> None:
+def _check_vertices(p: ZeroOnePolytope, a: int, b: int) -> None:
+    """The membership rule of every point query: a and b are vertices of p."""
     if a not in p.index or b not in p.index:
-        raise ValueError("edge test needs two vertices of the polytope")
+        raise ValueError("endpoints must be vertices of the polytope")
+
+
+def _check_pair(p: ZeroOnePolytope, a: int, b: int) -> None:
+    _check_vertices(p, a, b)
     if a == b:
         raise ValueError("edge test needs two distinct vertices")
 
 
 class Skeleton(NamedTuple):
-    """Edge list of a polytope graph, with the method that produced it.
+    """A polytope graph as one neighbour row per vertex, with the method
+    that produced it. rows[a] lists the neighbours b > a, ascending, so
+    every edge is held once, by its lower end, and no edge is an object.
 
     A NamedTuple rather than a dataclass: no sspkit module imports dataclasses,
     whose import costs milliseconds of start-up; tests/test_imports.py keeps it so.
 
-    The builders emit each edge once, as (a, b) with a < b, in ascending
-    order, and construct it directly; `make` brings an edge list read from
-    outside into that form and validates it."""
+    The builders construct it directly; `make` brings an edge list read
+    from outside into rows and validates it."""
 
-    vertex_count: int
-    edges: tuple[tuple[int, int], ...]
+    rows: tuple[tuple[int, ...], ...]
     provenance: str
+
+    @property
+    def vertex_count(self) -> int:
+        return len(self.rows)
+
+    @property
+    def edge_count(self) -> int:
+        return sum(map(len, self.rows))
+
+    @property
+    def edges(self) -> tuple[tuple[int, int], ...]:
+        """Each edge as (a, b) with a < b, ascending."""
+        return tuple((a, b) for a, row in enumerate(self.rows) for b in row)
 
     @classmethod
     def make(
@@ -190,24 +207,23 @@ class Skeleton(NamedTuple):
     ) -> "Skeleton":
         if provenance not in ("condition-E", "oracle"):
             raise ValueError(f"unknown provenance {provenance!r}")
-        norm = sorted({(i, j) if i < j else (j, i) for i, j in edges})
-        for i, j in norm:
-            if i == j or not (0 <= i < vertex_count and 0 <= j < vertex_count):
+        ups: list[set[int]] = [set() for _ in range(vertex_count)]
+        for i, j in edges:
+            i, j = min(i, j), max(i, j)
+            if i == j or i < 0 or j >= vertex_count:
                 raise ValueError("bad edge")
-        return cls(vertex_count, tuple(norm), provenance)
+            ups[i].add(j)
+        return cls(tuple(tuple(sorted(up)) for up in ups), provenance)
 
 
 def unique_sum_skeleton(p: ZeroOnePolytope) -> Skeleton:
     """Skeleton under the unique-decomposition edge test, all vertex pairs."""
     verts = p.vertices
     nv = len(verts)
-    edges = []
-    for a in range(nv):
-        va = verts[a]
-        for b in range(a + 1, nv):
-            if _other_split(p, va, verts[b]) is None:
-                edges.append((a, b))
-    return Skeleton(nv, tuple(edges), "condition-E")
+    return Skeleton(tuple(
+        tuple(b for b in range(a + 1, nv) if _other_split(p, va, verts[b]) is None)
+        for a, va in enumerate(verts)
+    ), "condition-E")
 
 
 def build_skeleton_E(p: ZeroOnePolytope) -> Skeleton:
@@ -225,19 +241,22 @@ def build_skeleton_E(p: ZeroOnePolytope) -> Skeleton:
     """
     if p.kind not in ("stable-set", "birkhoff"):
         return unique_sum_skeleton(p)
-    edges = _connected_pairs(p.graph.adj, p.vertices)
-    return Skeleton(len(p.vertices), tuple(edges), "condition-E")
+    return Skeleton(_connected_rows(p.graph.adj, p.vertices), "condition-E")
 
 
-# Pair bits per ground element in one pass of _connected_pairs. Rows of
+# Pair bits per ground element in one pass of _connected_rows. Rows of
 # vertex pairs go in blocks of about this many bits, so memory stays a few
 # kilobytes per element even at the stable-set cap, where the full square
 # of pairs would take 2^30 bits per element.
 _BLOCK_BITS = 1 << 16
+_SELECTORS = bytes.maketrans(b"01", b"\0\1")
 
 
-def _connected_pairs(adj: Sequence[int], verts: Sequence[int]) -> list[tuple[int, int]]:
-    """Index pairs a < b, ascending, with G[verts[a] xor verts[b]] connected.
+def _connected_rows(
+    adj: Sequence[int], verts: Sequence[int]
+) -> tuple[tuple[int, ...], ...]:
+    """Per index a, the indices b > a, ascending, with G[verts[a] xor
+    verts[b]] connected.
 
     Bit-sliced: for a block of rows a and the columns b >= the block's
     first row, D[k] holds one bit per pair (a, b), set iff ground element
@@ -256,7 +275,8 @@ def _connected_pairs(adj: Sequence[int], verts: Sequence[int]) -> list[tuple[int
     for b, v in enumerate(verts):
         for k in bits(v):
             cols[k] |= 1 << b
-    edges: list[tuple[int, int]] = []
+    index = tuple(range(nv))
+    out: list[tuple[int, ...]] = []
     r0 = 0
     while r0 < nv:
         nbytes = (nv - r0 + 7) >> 3
@@ -291,18 +311,17 @@ def _connected_pairs(adj: Sequence[int], verts: Sequence[int]) -> list[tuple[int
         bad = 0
         for d, r in zip(diff, reached):
             bad |= d ^ r
-        # Bit j of the block at string index j: row i holds column b at
-        # i * width + b - r0, and the gaps between the "1"s of its slice
-        # past the diagonal give the columns b > a that are edges.
-        good = format(((1 << rows * width) - 1) ^ bad, "b")[::-1]
+        # Bit j of the block as byte j, 1 if connected: row i holds column
+        # b at i * width + b - r0, so its slice past the diagonal selects
+        # the columns b > a that are edges, as the shared ints of index.
+        good = format(((1 << rows * width) - 1) ^ bad, "b")[::-1].encode()
+        good = good.translate(_SELECTORS)
         for i in range(rows):
             a = r0 + i
-            gaps = good[i * width + i + 1 : i * width + nv - r0].split("1")
-            gaps.pop()
-            ends = map(add, accumulate(map(len, gaps)), count(a + 1))
-            edges.extend(zip(repeat(a), ends))
+            sel = good[i * width + i + 1 : i * width + nv - r0]
+            out.append(tuple(compress(index[a + 1 :], sel)))
         r0 += rows
-    return edges
+    return tuple(out)
 
 
 def diameter(s: Skeleton) -> Optional[int]:
@@ -312,15 +331,17 @@ def diameter(s: Skeleton) -> Optional[int]:
     hops of v, and one round sets it to reached[v] | OR(reached[u] for u
     adjacent to v) from the previous round's masks. The diameter is the
     round at which every mask is full; a round that changes nothing
-    before then means the graph is disconnected.
+    before then means the graph is disconnected. Each vertex's neighbour
+    list is its row with its lower neighbours appended.
     """
-    nv = s.vertex_count
+    rows = s.rows
+    nv = len(rows)
     if nv == 0:
         return None
-    nbrs: list[list[int]] = [[] for _ in range(nv)]
-    for i, j in s.edges:
-        nbrs[i].append(j)
-        nbrs[j].append(i)
+    nbrs = [list(row) for row in rows]
+    for a, row in enumerate(rows):
+        for b in row:
+            nbrs[b].append(a)
     full = (1 << nv) - 1
     reached = [1 << v for v in range(nv)]
     rounds = 0
@@ -353,10 +374,7 @@ def quasimatroid_exchange(
     """
     if p.kind not in ("birkhoff", "matroid-bases"):
         raise ValueError("family members must have equal cardinality")
-    if a not in p.index or b not in p.index:
-        raise ValueError("a and b must belong to the family")
-    if a == b:
-        raise ValueError("a and b must differ")
+    _check_pair(p, a, b)
     ibit = 1 << i
     if not (a & ~b) & ibit:
         raise ValueError("i must lie in a minus b")
@@ -390,8 +408,7 @@ def flip_path(p: ZeroOnePolytope, a: int, b: int) -> list[int]:
     """
     if p.kind not in ("stable-set", "birkhoff"):
         raise ValueError("path needs a stable-set or birkhoff polytope")
-    if a not in p.index or b not in p.index:
-        raise ValueError("endpoints must be vertices of the polytope")
+    _check_vertices(p, a, b)
     path = [a]
     for comp in connected_components(p.graph, a ^ b):
         path.append(path[-1] ^ comp)

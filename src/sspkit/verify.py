@@ -79,19 +79,19 @@ def suite_oracle_vs_e(seed: int, graphs: int, max_n: int) -> dict:
     checks = []
     for idx, g in enumerate(random_graph_corpus(seed, graphs, max_n)):
         ssp = ZeroOnePolytope.from_graph(g)
-        e_edges = build_skeleton_E(ssp).edges
-        o_edges = build_skeleton_oracle(ssp).edges
+        se = build_skeleton_E(ssp)
         bp = birkhoff_restrict(g)
-        be = build_skeleton_E(bp).edges
-        bo = build_skeleton_oracle(bp).edges
+        be = build_skeleton_E(bp)
         checks.append({
             "name": f"graph-{idx}",
-            "passed": unique_sum_skeleton(ssp).edges == e_edges == o_edges
-            and unique_sum_skeleton(bp).edges == be == bo,
+            "passed": unique_sum_skeleton(ssp).rows == se.rows
+            == build_skeleton_oracle(ssp).rows
+            and unique_sum_skeleton(bp).rows == be.rows
+            == build_skeleton_oracle(bp).rows,
             "details": {
                 "n": g.n, "m": g.edge_count(), "ssp_vertices": len(ssp.vertices),
-                "ssp_edges": len(e_edges), "bp_vertices": len(bp.vertices),
-                "bp_edges": len(be),
+                "ssp_edges": se.edge_count, "bp_vertices": len(bp.vertices),
+                "bp_edges": be.edge_count,
             },
         })
     params = {"graphs": graphs, "max_n": max_n}
@@ -201,9 +201,9 @@ def suite_matroid_e(seed: int, graphs: int, max_n: int) -> dict:
         pi = independence_polytope(m)
         pb = basis_polytope(m)
         se_i = build_skeleton_E(pi)
-        ok = se_i.edges == build_skeleton_oracle(pi).edges
+        ok = se_i.rows == build_skeleton_oracle(pi).rows
         se_b = build_skeleton_E(pb)
-        ok = ok and se_b.edges == build_skeleton_oracle(pb).edges
+        ok = ok and se_b.rows == build_skeleton_oracle(pb).rows
 
         bases = pb.vertices
         swap_edges = {
@@ -252,7 +252,7 @@ def suite_matroid_e(seed: int, graphs: int, max_n: int) -> dict:
         {"name": "uniform-1-3-is-triangle-ssp", "details": {},
          "passed": sorted(u13.vertices) == sorted(k3.vertices)},
         {"name": "uniform-2-4-octahedron", "details": {},
-         "passed": len(u24.vertices) == 6 and len(build_skeleton_E(u24).edges) == 12},
+         "passed": len(u24.vertices) == 6 and build_skeleton_E(u24).edge_count == 12},
     ]
     params = {"catalog": sorted(MATROID_CATALOG)}
     return {"suite": "matroid-E", "seed": seed, "params": params, "checks": checks}
@@ -296,7 +296,7 @@ def suite_remark43(seed: int, graphs: int, max_n: int) -> dict:
     cube = modified_cube()
     checks += [
         {"name": "modified-cube-agreement",
-         "passed": build_skeleton_E(cube).edges == build_skeleton_oracle(cube).edges,
+         "passed": build_skeleton_E(cube).rows == build_skeleton_oracle(cube).rows,
          "details": {"vertices": len(cube.vertices)}},
         {"name": "modified-cube-not-ssp", "details": {},
          "passed": not is_stable_set_family(cube.ground, cube.vertices)},

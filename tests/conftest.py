@@ -1,6 +1,16 @@
-"""Prints a one-line verdict per acceptance criterion at the end of a run."""
+"""Prints a one-line verdict per acceptance criterion at the end of a run.
 
+Also registers the Hypothesis profile "ci", which prints the reproduction
+blob of a failing example; HYPOTHESIS_PROFILE=ci selects it.
+"""
+
+import os
 import re
+
+from hypothesis import settings
+
+settings.register_profile("ci", print_blob=True)
+settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
 
 _PATTERN = re.compile(r"test_acceptance\.py::test_criterion_(\d+)")
 

@@ -386,6 +386,73 @@ class TestGoldenStdout:
         ),
     }
 
+    # FILES pins outputs from input files, recorded before the skeleton and
+    # vertex-list writers came to write text straight from neighbour rows:
+    # string labels JSON must escape (a quote, a backslash, a tab, non-ASCII),
+    # tuple labels written as nested arrays, the two matroid polytopes of
+    # U(4, 2), one vertex and no edge, and export-dot of a skeleton file.
+    RELATION = {"labels": ["a\"b", "c\\d", "e\tf", "été", 7],
+                "pairs": [["a\"b", "c\\d"], ["c\\d", "e\tf"],
+                          ["été", 7], ["a\"b", 7]]}
+    CHAIN = {"labels": [[1, 2], [1, 3], [2, 3], "x", [[0], "y"]],
+             "less_than": [[[1, 2], [1, 3]], [[1, 3], [2, 3]], ["x", [[0], "y"]]]}
+    FILES = {
+        "relation": {
+            "build": "0e6bc6bc7d4a1a9cede2d518c93ea40c25e9d940be55fdf989404c40cc80d4da",
+            "skeleton": "fa72f08038c285751953e97103d664bae133e05d74a7147ec6a18484ae66f643",
+            "dot": "d88517d95af60dbde8678e29f394eb39a224fba94fa27ab0c218485d59fda561",
+            "diameter": "546b4f2cf1905f697c5adfbe10f235d610793e706eae766d65505873787e722c",
+            "export-dot": "d88517d95af60dbde8678e29f394eb39a224fba94fa27ab0c218485d59fda561",
+        },
+        "chain": {
+            "build": "b57b3e64aac5beeb6e186386fd696948e139f1339c7543b40135f60382df4e78",
+            "skeleton": "655fa43d7e251a18e218faae02f4dbee9e952978eca64db528f3aecb009f5d68",
+            "dot": "4f6acc7005c3a52bb7a3b8c146dea019a278303205a26fd9e43c86906aae9370",
+            "diameter": "24192b216f6ec38d1eb73dcdd5304575b9ba23fdb25741ae60f224e63468da5b",
+        },
+        "independence": {
+            "skeleton": "bfe5b73d6707b71dd180dbb0277feb4244cb026081bee039f321206f11442362",
+        },
+        "bases": {
+            "skeleton": "187682eb10bb2d515b64415ec880c0543bd181965b51174e360dc605312265a8",
+        },
+        "one-vertex": {
+            "skeleton": "56f13771348cc2e48e17fbcbdf0b647c9146b4fd07470f25c5ff18292ba17a25",
+        },
+    }
+
+    @pytest.mark.parametrize("name", list(FILES))
+    def test_file_digests(self, tmp_path, capsys, name):
+        def out_of(*argv):
+            code, out, _ = run(capsys, *argv)
+            assert code == 0
+            return out
+
+        inp = tmp_path / "in.json"
+        if name in ("relation", "chain"):
+            inp.write_text(json.dumps(getattr(self, name.upper())), encoding="utf-8")
+            built = out_of("build", "--family", name, "--input", str(inp))
+        elif name == "one-vertex":
+            built = json.dumps({"kind": "raw", "ground": ["a"], "vertices": [["a"]]})
+        else:
+            inp.write_text(json.dumps({"uniform": [4, 2]}), encoding="utf-8")
+            built = out_of("build", "--family", "matroid", "--input", str(inp),
+                           *(["--birkhoff"] if name == "bases" else []))
+        path = tmp_path / "p.json"
+        path.write_text(built, encoding="utf-8")
+        skel = out_of("skeleton", "--input", str(path))
+        outs = {"build": built, "skeleton": skel}
+        if "dot" in self.FILES[name]:
+            outs["dot"] = out_of("skeleton", "--input", str(path), "--format", "dot")
+            outs["diameter"] = out_of("diameter", "--input", str(path))
+        if "export-dot" in self.FILES[name]:
+            skel_path = tmp_path / "s.json"
+            skel_path.write_text(skel, encoding="utf-8")
+            outs["export-dot"] = out_of("export-dot", "--input", str(skel_path))
+        digests = {key: hashlib.sha256(outs[key].encode("utf-8")).hexdigest()
+                   for key in self.FILES[name]}
+        assert digests == self.FILES[name]
+
     @pytest.mark.parametrize("suite", list(VERIFY))
     def test_verify_digests(self, capsys, suite):
         extra, digest = self.VERIFY[suite]
@@ -564,7 +631,7 @@ class TestPathCmd:
             "--from", "[[1, 2], [1, 3]]", "--to", "[]",
         )
         assert code == 2
-        assert "error" in err
+        assert err == "error: endpoints must be vertices of the polytope\n"
 
 
     def test_matroid_kind_is_error(self, tmp_path, capsys):

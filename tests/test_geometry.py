@@ -92,7 +92,7 @@ class TestOracle:
         _, p = path3_polytope()
         assert mask not in p.index
         for a, b in ((p.vertices[0], mask), (mask, p.vertices[0])):
-            with pytest.raises(ValueError, match="two vertices"):
+            with pytest.raises(ValueError, match="must be vertices"):
                 oracle_is_edge(p, a, b)
 
     @pytest.mark.parametrize(

@@ -14,13 +14,64 @@ from sspkit.families import (
     build_nonnesting_graph,
 )
 from sspkit.geometry import Inequality, enumerate_facets
-from sspkit.graphs import MAX_INDEPENDENTS
-from sspkit.matroids import build_graphic, build_partition, build_uniform
+from sspkit.graphs import MAX_INDEPENDENTS, GroundSet, SimpleGraph
+from sspkit.matroids import (
+    basis_polytope,
+    build_graphic,
+    build_partition,
+    build_uniform,
+    independence_polytope,
+)
 from sspkit.skeleton import (
     ZeroOnePolytope,
     birkhoff_restrict,
     build_skeleton_E,
 )
+
+
+def encode_label(lab):
+    """A label as JSON holds it, tuples as lists."""
+    return [encode_label(x) for x in lab] if isinstance(lab, tuple) else lab
+
+
+def vertex_labels(p):
+    return [[encode_label(x) for x in p.ground.labels_of(v)] for v in p.vertices]
+
+
+def polytope_to_json(p):
+    """Reference: the polytope file as the dict that json.dumps writes."""
+    out = {
+        "kind": p.kind,
+        "ground": [encode_label(x) for x in p.ground.labels],
+        "vertices": vertex_labels(p),
+        "rank": p.rank,
+    }
+    if p.graph is not None:
+        labels = [encode_label(x) for x in p.graph.ground.labels]
+        out["graph"] = {"edges": [[labels[i], labels[j]] for i, j in p.graph.edges()]}
+    return out
+
+
+def skeleton_to_json(p, s):
+    """Reference: the skeleton file as the dict that json.dumps writes."""
+    return {
+        "vertices": vertex_labels(p),
+        "edges": [[i, j] for i, j in s.edges],
+        "provenance": s.provenance,
+    }
+
+
+def skeleton_to_dot(vertices, s):
+    """Reference: the DOT graph, one line per edge pair."""
+    lines = ["graph skeleton {", f"  // provenance: {s.provenance}"]
+    for i, subset in enumerate(vertices):
+        lines.append(f'  v{i} [label="{serialize._dot_name(subset)}"];')
+    lines += [f"  v{i} -- v{j};" for i, j in s.edges]
+    return "\n".join(lines + ["}"]) + "\n"
+
+
+def reference_text(obj):
+    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
 
 _scalars = st.none() | st.booleans() | st.integers() | st.floats() | st.text()
@@ -36,8 +87,8 @@ _values = st.recursive(
 
 
 class TestDumps:
-    """dumps writes lists of int pairs by template; every byte must still
-    be the indenting encoder's."""
+    """dumps, the writer of reports and facet files, is the indenting
+    encoder with sorted keys and a final newline."""
 
     @given(st.dictionaries(st.text(), _values) | _values)
     @settings(max_examples=100, deadline=None)
@@ -58,18 +109,18 @@ class TestGraphJson:
 
     def test_round_trip(self):
         p = ZeroOnePolytope.from_graph(build_bell_graph(3))
-        blob = serialize.dumps(serialize.polytope_to_json(p))
+        blob = serialize.polytope_json(p)
         g2 = serialize.polytope_from_json(json.loads(blob)).graph
         assert g2.ground == p.graph.ground
         assert g2.adj == p.graph.adj
         edges = json.loads(blob)["graph"]["edges"]
-        labels = [serialize.encode_label(x) for x in g2.ground.labels]
+        labels = [encode_label(x) for x in g2.ground.labels]
         assert edges == [[labels[i], labels[j]] for i, j in g2.edges()]
 
     def test_labels_decode_to_tuples(self):
         p = ZeroOnePolytope.from_graph(build_bell_graph(3))
         p2 = serialize.polytope_from_json(json.loads(
-            serialize.dumps(serialize.polytope_to_json(p))
+            serialize.polytope_json(p)
         ))
         assert p2.graph.ground.labels[0] == (1, 2)
 
@@ -77,17 +128,17 @@ class TestGraphJson:
 class TestPolytopeJson:
     def test_stable_set_round_trip(self):
         p = ZeroOnePolytope.from_graph(build_nonnesting_graph(3))
-        blob = serialize.dumps(serialize.polytope_to_json(p))
+        blob = serialize.polytope_json(p)
         p2 = serialize.polytope_from_json(json.loads(blob))
         assert p2.kind == p.kind
         assert p2.vertices == p.vertices
         assert p2.rank == p.rank
-        assert serialize.dumps(serialize.polytope_to_json(p2)) == blob
+        assert serialize.polytope_json(p2) == blob
 
     def test_birkhoff_round_trip(self):
         p = birkhoff_restrict(build_bell_graph(3))
         p2 = serialize.polytope_from_json(json.loads(
-            serialize.dumps(serialize.polytope_to_json(p))
+            serialize.polytope_json(p)
         ))
         assert p2.kind == "birkhoff"
         assert p2.vertices == p.vertices
@@ -100,14 +151,14 @@ class TestPolytopeJson:
             basis_polytope(build_uniform(4, 2)),
         ):
             p2 = serialize.polytope_from_json(json.loads(
-                serialize.dumps(serialize.polytope_to_json(p))
+                serialize.polytope_json(p)
             ))
             assert p2.kind == p.kind
             assert p2.vertices == p.vertices
 
     @pytest.mark.parametrize("rank", [1, -3])
     def test_wrong_rank_is_error(self, rank):
-        obj = serialize.polytope_to_json(
+        obj = polytope_to_json(
             ZeroOnePolytope.from_graph(build_noncrossing_graph(5))
         )
         obj["rank"] = rank
@@ -116,7 +167,7 @@ class TestPolytopeJson:
 
     def test_rank_is_optional(self):
         p = ZeroOnePolytope.from_graph(build_noncrossing_graph(5))
-        obj = serialize.polytope_to_json(p)
+        obj = polytope_to_json(p)
         del obj["rank"]
         assert serialize.polytope_from_json(obj).rank == p.rank == 4
 
@@ -125,11 +176,68 @@ class TestSkeletonJson:
     def test_round_trip(self):
         p = ZeroOnePolytope.from_graph(build_bell_graph(3))
         s = build_skeleton_E(p)
-        blob = serialize.dumps(serialize.skeleton_to_json(p, s))
+        blob = serialize.skeleton_json(p, s)
         verts, s2 = serialize.skeleton_from_json(json.loads(blob))
         assert s2 == s
         assert len(verts) == s.vertex_count
         assert verts[0] == ()
+
+    def test_mismatched_polytope_is_error(self):
+        s = build_skeleton_E(ZeroOnePolytope.from_graph(build_bell_graph(3)))
+        with pytest.raises(ValueError, match="does not match"):
+            serialize.skeleton_json(ZeroOnePolytope.from_graph(build_bell_graph(2)), s)
+
+
+# Labels as they come out of files: ints, strings JSON must escape, and
+# tuples of those, nested.
+_label = st.recursive(
+    st.integers(-5, 10**20) | st.text("a\"\\\té中\U0001f600 1", max_size=3),
+    lambda kids: st.lists(kids, max_size=3).map(tuple),
+    max_leaves=4,
+)
+
+
+@st.composite
+def labelled_graphs(draw):
+    """A graph on up to six distinct labels: empty, edgeless, complete or
+    random."""
+    labels = draw(st.lists(_label, unique=True, max_size=6))
+    pairs = list(combinations(labels, 2))
+    shape = draw(st.sampled_from(["edgeless", "complete", "random"]))
+    if shape == "edgeless":
+        pairs = []
+    elif shape == "random":
+        pairs = [e for e in pairs if draw(st.booleans())]
+    return SimpleGraph.from_edges(labels, pairs)
+
+
+class TestWriters:
+    """polytope_json, skeleton_json and skeleton_to_dot write text straight
+    from masks and rows; every byte must be what json.dumps(indent=2,
+    sort_keys=True) makes of the reference dicts above, and the DOT lines
+    what one line per edge pair makes."""
+
+    def check(self, p):
+        s = build_skeleton_E(p)
+        assert serialize.polytope_json(p) == reference_text(polytope_to_json(p))
+        assert serialize.skeleton_json(p, s) == reference_text(skeleton_to_json(p, s))
+        vertices = [p.ground.labels_of(v) for v in p.vertices]
+        assert serialize.skeleton_to_dot(vertices, s) == skeleton_to_dot(vertices, s)
+
+    @given(labelled_graphs(), st.booleans())
+    @settings(max_examples=80, deadline=None)
+    def test_graph_kinds(self, g, birkhoff):
+        self.check(birkhoff_restrict(g) if birkhoff else ZeroOnePolytope.from_graph(g))
+
+    @given(st.lists(_label, unique=True, max_size=5), st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_raw_families(self, labels, data):
+        masks = data.draw(st.sets(st.integers(0, (1 << len(labels)) - 1), min_size=1))
+        self.check(ZeroOnePolytope.raw(GroundSet(labels), sorted(masks)))
+
+    @pytest.mark.parametrize("build", [independence_polytope, basis_polytope])
+    def test_matroid_kinds(self, build):
+        self.check(build(build_uniform(4, 2)))
 
 
 class TestFacetsJson:

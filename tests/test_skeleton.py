@@ -7,6 +7,8 @@ lists for the 3-pair clash graph were additionally worked out by hand.
 import random
 import time
 from collections import deque
+from itertools import accumulate, count, repeat
+from operator import add
 
 import pytest
 from hypothesis import given, settings
@@ -223,7 +225,7 @@ class TestEdgeE:
         p = bell3_polytope()
         assert mask not in p.index
         for a, b in ((p.vertices[0], mask), (mask, p.vertices[0])):
-            with pytest.raises(ValueError, match="two vertices"):
+            with pytest.raises(ValueError, match="must be vertices"):
                 is_edge_E(p, a, b)
 
     @given(st.integers(0, 2**12))
@@ -251,6 +253,63 @@ def flood_fill_skeleton(p):
             if reach(adj, diff & -diff, diff) == diff:
                 edges.append((a, b))
     return Skeleton.make(len(verts), edges, "condition-E")
+
+
+def reference_connected_pairs(adj, verts, block_bits=1 << 16):
+    """Reference: the bit-sliced kernel as it was when skeletons held edge
+    tuples, giving index pairs a < b, ascending, with G[verts[a] xor
+    verts[b]] connected."""
+    nv = len(verts)
+    n = len(adj)
+    nbrs = [list(graphs.bits(m)) for m in adj]
+    cols = [0] * n
+    for b, v in enumerate(verts):
+        for k in graphs.bits(v):
+            cols[k] |= 1 << b
+    edges = []
+    r0 = 0
+    while r0 < nv:
+        nbytes = (nv - r0 + 7) >> 3
+        width = nbytes << 3
+        rows = min(nv - r0, max(1, block_bits // width))
+        ones, zero = b"\xff" * nbytes, bytes(nbytes)
+        block = verts[r0 : r0 + rows]
+        diff = []
+        reached = []
+        seen = 0
+        for k in range(n):
+            row = b"".join([ones if v >> k & 1 else zero for v in block])
+            col = (cols[k] >> r0).to_bytes(nbytes, "little") * rows
+            d = int.from_bytes(row, "little") ^ int.from_bytes(col, "little")
+            diff.append(d)
+            reached.append(d & ~seen)
+            seen |= d
+        changed = True
+        while changed:
+            changed = False
+            for k in range(n):
+                d, r = diff[k], reached[k]
+                if r == d:
+                    continue
+                acc = 0
+                for j in nbrs[k]:
+                    acc |= reached[j]
+                new = r | (acc & d)
+                if new != r:
+                    reached[k] = new
+                    changed = True
+        bad = 0
+        for d, r in zip(diff, reached):
+            bad |= d ^ r
+        good = format(((1 << rows * width) - 1) ^ bad, "b")[::-1]
+        for i in range(rows):
+            a = r0 + i
+            gaps = good[i * width + i + 1 : i * width + nv - r0].split("1")
+            gaps.pop()
+            ends = map(add, accumulate(map(len, gaps)), count(a + 1))
+            edges.extend(zip(repeat(a), ends))
+        r0 += rows
+    return edges
 
 
 class TestConnectivityRoute:
@@ -286,7 +345,10 @@ class TestConnectivityRoute:
         monkeypatch.setattr(skeleton, "_BLOCK_BITS", block_bits)
         p = build()
         assert len(p.vertices) == nv
-        assert build_skeleton_E(p) == flood_fill_skeleton(p)
+        s = build_skeleton_E(p)
+        assert s == flood_fill_skeleton(p)
+        pairs = reference_connected_pairs(p.graph.adj, p.vertices, block_bits)
+        assert s.edges == tuple(pairs)
 
     def test_real_block_size_splits_nc7(self):
         # 429 vertices: rows of 432 bits, 151 rows to the first block
@@ -294,6 +356,83 @@ class TestConnectivityRoute:
         s = build_skeleton_E(p)
         assert len(s.edges) == 13366
         assert s == flood_fill_skeleton(p)
+
+
+def edge_list_diameter(nv, edges):
+    """Reference: the all-sources bitmask rounds as they were when
+    skeletons held edge tuples, neighbour lists rebuilt from the pairs."""
+    if nv == 0:
+        return None
+    nbrs = [[] for _ in range(nv)]
+    for i, j in edges:
+        nbrs[i].append(j)
+        nbrs[j].append(i)
+    full = (1 << nv) - 1
+    reached = [1 << v for v in range(nv)]
+    rounds = 0
+    while any(r != full for r in reached):
+        nxt = []
+        for r, nb in zip(reached, nbrs):
+            if r != full:
+                for u in nb:
+                    r |= reached[u]
+            nxt.append(r)
+        if nxt == reached:
+            return None
+        reached = nxt
+        rounds += 1
+    return rounds
+
+
+@st.composite
+def graph_polytopes(draw):
+    """A stable-set or birkhoff polytope of a graph on up to eight
+    elements: the empty ground set, edgeless, complete or random."""
+    n = draw(st.integers(0, 8))
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    shape = draw(st.sampled_from(["edgeless", "complete", "random"]))
+    if shape == "edgeless":
+        pairs = []
+    elif shape == "random":
+        pairs = [e for e in pairs if draw(st.booleans())]
+    g = graphs.SimpleGraph.from_edges(range(n), pairs)
+    return draw(st.sampled_from([ZeroOnePolytope.from_graph, birkhoff_restrict]))(g)
+
+
+class TestRows:
+    """A skeleton is one ascending row of higher neighbours per vertex.
+    Rows, the derived edge tuple and the diameter must match the edge-list
+    kernel and diameter they replaced."""
+
+    @given(graph_polytopes())
+    @settings(max_examples=150, deadline=None)
+    def test_rows_match_reference_pairs(self, p):
+        s = build_skeleton_E(p)
+        pairs = reference_connected_pairs(p.graph.adj, p.vertices)
+        nv = len(p.vertices)
+        assert s.vertex_count == nv
+        assert s.edges == tuple(pairs)
+        assert s.edge_count == len(pairs)
+        assert s.rows == tuple(
+            tuple(b for a, b in pairs if a == row) for row in range(nv)
+        )
+        flipped = [(b, a) for a, b in reversed(pairs)]
+        assert Skeleton.make(nv, flipped, "condition-E") == s
+        d = diameter(s)
+        assert d == edge_list_diameter(nv, pairs) == deque_diameter(s)
+        assert d is not None and d <= p.rank
+
+    def test_make_folds_pairs_into_rows(self):
+        s = Skeleton.make(4, [(2, 0), (0, 2), (3, 1), (0, 1)], "oracle")
+        assert s.rows == ((1, 2), (3,), (), ())
+        assert s.edges == ((0, 1), (0, 2), (1, 3))
+
+    @pytest.mark.parametrize(
+        "edge", [(1, 1), (0, 4), (-1, 2)], ids=["loop", "past-end", "negative"]
+    )
+    def test_make_refuses_bad_edges(self, edge):
+        with pytest.raises(ValueError, match="bad edge"):
+            Skeleton.make(4, [(0, 1), edge], "condition-E")
 
 
 def deque_diameter(s):
@@ -333,7 +472,7 @@ class TestDiameter:
             if rng.random() < density
         ]
         s = Skeleton.make(nv, edges, "condition-E")
-        assert diameter(s) == deque_diameter(s)
+        assert diameter(s) == deque_diameter(s) == edge_list_diameter(nv, edges)
 
     @pytest.mark.parametrize(
         "nv, edges, want",
@@ -352,7 +491,7 @@ class TestDiameter:
     )
     def test_small_cases(self, nv, edges, want):
         s = Skeleton.make(nv, edges, "condition-E")
-        assert diameter(s) == deque_diameter(s) == want
+        assert diameter(s) == deque_diameter(s) == edge_list_diameter(nv, edges) == want
 
     def test_cube3(self):
         p = ZeroOnePolytope.from_graph(build_empty_graph(3))
@@ -436,6 +575,15 @@ class TestQuasimatroidExchange:
         p = ZeroOnePolytope.raw(GroundSet([1, 2]), [0b11, 0b1])
         with pytest.raises(ValueError, match="equal cardinality"):
             quasimatroid_exchange(p, 0b11, 0b1, 1)
+
+    def test_endpoints_follow_the_point_query_rules(self):
+        # the membership and distinctness checks of is_edge_E and flip_path
+        p = basis_polytope(build_uniform(4, 2))
+        a = p.vertices[0]
+        with pytest.raises(ValueError, match="must be vertices"):
+            quasimatroid_exchange(p, a, 0b1111, a.bit_length() - 1)
+        with pytest.raises(ValueError, match="distinct"):
+            quasimatroid_exchange(p, a, a, a.bit_length() - 1)
 
 
 class TestPaths:
