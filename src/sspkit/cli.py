@@ -76,7 +76,7 @@ def cmd_build(args: SimpleNamespace) -> int:
             check_edge_count(fam, args.n)
             g = FAMILY_BUILDERS[fam](args.n)
         p = birkhoff_restrict(g) if args.birkhoff else ZeroOnePolytope.from_graph(g)
-    _emit(serialize.polytope_json(p), args.output)
+    _emit(serialize.dumps(serialize.polytope_to_json(p)), args.output)
     return 0
 
 
@@ -159,7 +159,10 @@ def cmd_path(args: SimpleNamespace) -> int:
     walk = flip_path(p, _endpoint(p, args.frm), _endpoint(p, args.to))
     valid = is_edge_walk(p, walk)
     report = {
-        "path": [p.ground.labels_of(v) for v in walk],  # tuples go out as arrays
+        "path": [
+            [serialize.encode_label(x) for x in p.ground.labels_of(v)]
+            for v in walk
+        ],
         "hops": len(walk) - 1,
         "rank": p.rank,
         "within_bound": len(walk) - 1 <= p.rank,

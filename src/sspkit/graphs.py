@@ -50,13 +50,9 @@ class GroundSet:
             raise ValueError(f"label {label!r} not in ground set") from None
 
     def mask_of(self, labels: Iterable[Label]) -> int:
-        index = self._index
         m = 0
         for lab in labels:
-            try:
-                bit = 1 << index[lab]
-            except KeyError:
-                raise ValueError(f"label {lab!r} not in ground set") from None
+            bit = 1 << self.index(lab)
             if m & bit:
                 raise ValueError(f"label {lab!r} listed twice in one subset")
             m |= bit

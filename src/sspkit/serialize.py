@@ -21,38 +21,14 @@ if TYPE_CHECKING:  # the readers and writers below import these when run
 
 def dumps(obj: Any) -> str:
     """json.dumps(obj, indent=2, sort_keys=True) plus a newline: the form of
-    every file and report. Polytope and skeleton files are written as text
-    by polytope_json and skeleton_json, byte for byte in this form."""
+    every file and report (skeleton_json writes its edge list itself)."""
     return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
 
-def _array(items: list[str], depth: int) -> str:
-    """A JSON array of written items, laid out as json.dumps(indent=2) lays
-    it out with the items `depth` spaces deep."""
-    if not items:
-        return "[]"
-    pad = "\n" + " " * depth
-    return "[" + pad + ("," + pad).join(items) + pad[:-2] + "]"
-
-
-def _document(fields: dict[str, str]) -> str:
-    """A top-level JSON object of written values, keys sorted, as dumps."""
-    return "{\n" + ",\n".join(
-        f"  {json.dumps(key)}: {fields[key]}" for key in sorted(fields)
-    ) + "\n}\n"
-
-
-def _indented(texts: list[str], depth: int) -> list[str]:
-    """Written values moved `depth` spaces deep."""
-    pad = "\n" + " " * depth
-    return [t.replace("\n", pad) for t in texts]
-
-
-def _vertices(vertices: Sequence[int], texts: list[str]) -> str:
-    """The "vertices" value: each vertex as the array of its labels, given
-    each ground label once as texts (a tuple label travels as an array)."""
-    labels = _indented(texts, 6)
-    return _array([_array([labels[k] for k in bits(v)], 6) for v in vertices], 4)
+def encode_label(lab: Label) -> Any:
+    if isinstance(lab, tuple):
+        return [encode_label(x) for x in lab]
+    return lab
 
 
 def decode_label(obj: Any) -> Label:
@@ -104,21 +80,23 @@ def _pairs(obj: dict, key: str) -> list[tuple[Label, Label]]:
     return out
 
 
-def polytope_json(p: ZeroOnePolytope) -> str:
-    """The polytope file: its kind, ground labels, vertices as label
-    arrays, rank and, for the graph kinds, the graph's edge list."""
-    texts = [json.dumps(x, indent=2) for x in p.ground.labels]
-    fields = {
-        "kind": json.dumps(p.kind),
-        "ground": _array(_indented(texts, 4), 4),
-        "vertices": _vertices(p.vertices, texts),
-        "rank": str(p.rank),
+def _vertex_labels(p: ZeroOnePolytope) -> list[list[Any]]:
+    """Each vertex as the list of its encoded labels, in ground order."""
+    labels = [encode_label(x) for x in p.ground.labels]
+    return [[labels[k] for k in bits(v)] for v in p.vertices]
+
+
+def polytope_to_json(p: ZeroOnePolytope) -> dict:
+    out: dict[str, Any] = {
+        "kind": p.kind,
+        "ground": [encode_label(x) for x in p.ground.labels],
+        "vertices": _vertex_labels(p),
+        "rank": p.rank,
     }
     if p.graph is not None:
-        ends = _indented(texts, 8)
-        edges = [_array([ends[i], ends[j]], 8) for i, j in p.graph.edges()]
-        fields["graph"] = '{\n    "edges": ' + _array(edges, 6) + "\n  }"
-    return _document(fields)
+        labels = [encode_label(x) for x in p.graph.ground.labels]
+        out["graph"] = {"edges": [[labels[i], labels[j]] for i, j in p.graph.edges()]}
+    return out
 
 
 def polytope_from_json(obj: dict) -> ZeroOnePolytope:
@@ -154,17 +132,15 @@ def _edge_runs(s: Skeleton, head: str, tail: str, sep: str) -> list[str]:
 
 
 def skeleton_json(p: ZeroOnePolytope, s: Skeleton) -> str:
-    """The skeleton file: each edge as an [a, b] array of vertex indices,
-    written row by row from the skeleton's rows, then the vertices."""
+    """The skeleton file as dumps writes {"edges": [[a, b], ...],
+    "provenance": ..., "vertices": ...}, with the edge list, the key that
+    sorts first, written straight from the rows."""
     if s.vertex_count != len(p.vertices):
         raise ValueError("skeleton does not match the polytope")
-    edges = _edge_runs(s, "[\n      %d,\n      ", "\n    ]", ",\n    ")
-    texts = [json.dumps(x, indent=2) for x in p.ground.labels]
-    return _document({
-        "edges": _array(edges, 4),
-        "provenance": json.dumps(s.provenance),
-        "vertices": _vertices(p.vertices, texts),
-    })
+    runs = _edge_runs(s, "[\n      %d,\n      ", "\n    ]", ",\n    ")
+    edges = "[\n    " + ",\n    ".join(runs) + "\n  ]" if runs else "[]"
+    rest = dumps({"provenance": s.provenance, "vertices": _vertex_labels(p)})
+    return '{\n  "edges": ' + edges + ",\n" + rest[2:]
 
 
 def skeleton_from_json(obj: dict) -> tuple[list[tuple[Label, ...]], Skeleton]:

@@ -1,16 +1,15 @@
 """Prints a one-line verdict per acceptance criterion at the end of a run.
 
-Also registers the Hypothesis profile "ci", which prints the reproduction
-blob of a failing example; HYPOTHESIS_PROFILE=ci selects it.
+Also makes Hypothesis print the reproduction blob of a failing example, so
+a failure seen on one machine can be replayed on another.
 """
 
-import os
 import re
 
 from hypothesis import settings
 
-settings.register_profile("ci", print_blob=True)
-settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
+settings.register_profile("sspkit", print_blob=True)
+settings.load_profile("sspkit")
 
 _PATTERN = re.compile(r"test_acceptance\.py::test_criterion_(\d+)")
 

@@ -386,8 +386,8 @@ class TestGoldenStdout:
         ),
     }
 
-    # FILES pins outputs from input files, recorded before the skeleton and
-    # vertex-list writers came to write text straight from neighbour rows:
+    # FILES pins outputs from input files, recorded before skeletons came to
+    # be held and written as neighbour rows:
     # string labels JSON must escape (a quote, a backslash, a tab, non-ASCII),
     # tuple labels written as nested arrays, the two matroid polytopes of
     # U(4, 2), one vertex and no edge, and export-dot of a skeleton file.

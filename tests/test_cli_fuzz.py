@@ -42,7 +42,7 @@ json_value = st.recursive(
 label_pairs = st.lists(st.lists(label, max_size=3), max_size=8)
 
 BELL3 = ZeroOnePolytope.from_graph(build_bell_graph(3))
-BELL3_JSON = json.loads(serialize.polytope_json(BELL3))
+BELL3_JSON = serialize.polytope_to_json(BELL3)
 SKELETON_JSON = json.loads(serialize.skeleton_json(BELL3, build_skeleton_E(BELL3)))
 
 

@@ -68,7 +68,7 @@ PARSERS = ["argparse", "gettext"]  # no call loads these
 def bell3(tmp_path_factory):
     path = tmp_path_factory.mktemp("imports") / "bell3.json"
     p = ZeroOnePolytope.from_graph(build_bell_graph(3))
-    path.write_text(serialize.polytope_json(p))
+    path.write_text(serialize.dumps(serialize.polytope_to_json(p)))
     return str(path)
 
 

@@ -29,27 +29,9 @@ from sspkit.skeleton import (
 )
 
 
-def encode_label(lab):
-    """A label as JSON holds it, tuples as lists."""
-    return [encode_label(x) for x in lab] if isinstance(lab, tuple) else lab
-
-
 def vertex_labels(p):
-    return [[encode_label(x) for x in p.ground.labels_of(v)] for v in p.vertices]
-
-
-def polytope_to_json(p):
-    """Reference: the polytope file as the dict that json.dumps writes."""
-    out = {
-        "kind": p.kind,
-        "ground": [encode_label(x) for x in p.ground.labels],
-        "vertices": vertex_labels(p),
-        "rank": p.rank,
-    }
-    if p.graph is not None:
-        labels = [encode_label(x) for x in p.graph.ground.labels]
-        out["graph"] = {"edges": [[labels[i], labels[j]] for i, j in p.graph.edges()]}
-    return out
+    encode = serialize.encode_label
+    return [[encode(x) for x in p.ground.labels_of(v)] for v in p.vertices]
 
 
 def skeleton_to_json(p, s):
@@ -87,8 +69,8 @@ _values = st.recursive(
 
 
 class TestDumps:
-    """dumps, the writer of reports and facet files, is the indenting
-    encoder with sorted keys and a final newline."""
+    """dumps is the indenting encoder with sorted keys and a final
+    newline."""
 
     @given(st.dictionaries(st.text(), _values) | _values)
     @settings(max_examples=100, deadline=None)
@@ -109,18 +91,18 @@ class TestGraphJson:
 
     def test_round_trip(self):
         p = ZeroOnePolytope.from_graph(build_bell_graph(3))
-        blob = serialize.polytope_json(p)
+        blob = serialize.dumps(serialize.polytope_to_json(p))
         g2 = serialize.polytope_from_json(json.loads(blob)).graph
         assert g2.ground == p.graph.ground
         assert g2.adj == p.graph.adj
         edges = json.loads(blob)["graph"]["edges"]
-        labels = [encode_label(x) for x in g2.ground.labels]
+        labels = [serialize.encode_label(x) for x in g2.ground.labels]
         assert edges == [[labels[i], labels[j]] for i, j in g2.edges()]
 
     def test_labels_decode_to_tuples(self):
         p = ZeroOnePolytope.from_graph(build_bell_graph(3))
         p2 = serialize.polytope_from_json(json.loads(
-            serialize.polytope_json(p)
+            serialize.dumps(serialize.polytope_to_json(p))
         ))
         assert p2.graph.ground.labels[0] == (1, 2)
 
@@ -128,17 +110,17 @@ class TestGraphJson:
 class TestPolytopeJson:
     def test_stable_set_round_trip(self):
         p = ZeroOnePolytope.from_graph(build_nonnesting_graph(3))
-        blob = serialize.polytope_json(p)
+        blob = serialize.dumps(serialize.polytope_to_json(p))
         p2 = serialize.polytope_from_json(json.loads(blob))
         assert p2.kind == p.kind
         assert p2.vertices == p.vertices
         assert p2.rank == p.rank
-        assert serialize.polytope_json(p2) == blob
+        assert serialize.dumps(serialize.polytope_to_json(p2)) == blob
 
     def test_birkhoff_round_trip(self):
         p = birkhoff_restrict(build_bell_graph(3))
         p2 = serialize.polytope_from_json(json.loads(
-            serialize.polytope_json(p)
+            serialize.dumps(serialize.polytope_to_json(p))
         ))
         assert p2.kind == "birkhoff"
         assert p2.vertices == p.vertices
@@ -151,14 +133,14 @@ class TestPolytopeJson:
             basis_polytope(build_uniform(4, 2)),
         ):
             p2 = serialize.polytope_from_json(json.loads(
-                serialize.polytope_json(p)
+                serialize.dumps(serialize.polytope_to_json(p))
             ))
             assert p2.kind == p.kind
             assert p2.vertices == p.vertices
 
     @pytest.mark.parametrize("rank", [1, -3])
     def test_wrong_rank_is_error(self, rank):
-        obj = polytope_to_json(
+        obj = serialize.polytope_to_json(
             ZeroOnePolytope.from_graph(build_noncrossing_graph(5))
         )
         obj["rank"] = rank
@@ -167,7 +149,7 @@ class TestPolytopeJson:
 
     def test_rank_is_optional(self):
         p = ZeroOnePolytope.from_graph(build_noncrossing_graph(5))
-        obj = polytope_to_json(p)
+        obj = serialize.polytope_to_json(p)
         del obj["rank"]
         assert serialize.polytope_from_json(obj).rank == p.rank == 4
 
@@ -212,14 +194,13 @@ def labelled_graphs(draw):
 
 
 class TestWriters:
-    """polytope_json, skeleton_json and skeleton_to_dot write text straight
-    from masks and rows; every byte must be what json.dumps(indent=2,
-    sort_keys=True) makes of the reference dicts above, and the DOT lines
+    """skeleton_json and skeleton_to_dot write their edge lists straight
+    from the rows; every byte must be what json.dumps(indent=2,
+    sort_keys=True) makes of the reference dict above, and the DOT lines
     what one line per edge pair makes."""
 
     def check(self, p):
         s = build_skeleton_E(p)
-        assert serialize.polytope_json(p) == reference_text(polytope_to_json(p))
         assert serialize.skeleton_json(p, s) == reference_text(skeleton_to_json(p, s))
         vertices = [p.ground.labels_of(v) for v in p.vertices]
         assert serialize.skeleton_to_dot(vertices, s) == skeleton_to_dot(vertices, s)
