@@ -17,10 +17,10 @@ __version__ = "0.1.0"
 # submodule -> the public names it defines
 _EXPORTS = {
     "families": (
-        "FAMILY_BUILDERS", "Poset", "SetPartition", "arcs_to_partition",
+        "FAMILY_BUILDERS", "SetPartition", "arcs_to_partition",
         "build_bell_graph", "build_comparability_graph",
         "build_noncrossing_graph", "build_nonnesting_graph",
-        "build_rook_graph", "containment_poset", "is_noncrossing",
+        "build_rook_graph", "containment_pairs", "is_noncrossing",
         "is_nonnesting", "pair_ground",
     ),
     "geometry": (
@@ -34,7 +34,7 @@ _EXPORTS = {
     ),
     "linalg": ("PivotLimitError", "lp_feasible"),
     "matroids": (
-        "AxiomViolation", "Matroid", "basis_exchange_adjacent",
+        "AxiomViolation", "basis_exchange_adjacent",
         "basis_polytope", "build_graphic", "build_partition", "build_uniform",
         "check_matroid_axioms", "independence_polytope", "strong_exchange",
     ),

@@ -5,8 +5,9 @@ Files are JSON (see serialize); skeletons can also leave as DOT. Exit code
 0 means every requested check passed; bad input exits 2 with a message.
 
 Start-up is most of a short call's wall time, so each cmd_* imports only the
-layers it runs: geometry for --oracle and facets, families for build (and
-matroids for --family matroid), and verify, whose suites import their own.
+layers it runs: geometry for --oracle and facets, families for build,
+matroids for --family matroid and matroid-independence files (read with an
+axiom check), and verify, whose suites import their own.
 For the same reason argv is read against one option table, COMMANDS, and
 not by argparse, whose import (with gettext) and parser set-up cost more
 than reading the handful of options a call has.
@@ -48,27 +49,22 @@ def _emit_text(fields: dict, output: Optional[str]) -> None:
 
 
 def cmd_build(args: SimpleNamespace) -> int:
-    from .families import (
-        FAMILY_BUILDERS,
-        build_comparability_graph,
-        check_edge_count,
-        check_stable_set_count,
-    )
+    from .families import FAMILY_BUILDERS, check_edge_count, check_stable_set_count
 
     fam = args.family
     if fam in ("relation", "chain", "matroid") and not args.input:
         raise ValueError(f"--family {fam} needs --input")
     if fam == "matroid":
-        from .matroids import basis_polytope, independence_polytope
+        p = serialize.matroid_from_json(_read_json(args.input))
+        if args.birkhoff:
+            from .matroids import basis_polytope
 
-        m = serialize.matroid_from_json(_read_json(args.input))
-        p = basis_polytope(m) if args.birkhoff else independence_polytope(m)
+            p = basis_polytope(p)
     else:
         if fam == "relation":
             g = serialize.relation_graph_from_json(_read_json(args.input))
         elif fam == "chain":
-            poset = serialize.poset_from_json(_read_json(args.input))
-            g = build_comparability_graph(poset)
+            g = serialize.poset_from_json(_read_json(args.input))
         else:  # the option table admits only FAMILY_BUILDERS' names here
             if args.n is None:
                 raise ValueError(f"--family {fam} needs --n")
@@ -197,7 +193,8 @@ def cmd_export_dot(args: SimpleNamespace) -> int:
 REQUIRED = ...  # the default of an option that must be given
 # command: (handler, help, {option: (default, kind)}); kind is bool (a flag),
 # int, str or a tuple of choices, spelled out so that parsing imports neither
-# families nor verify (tests pin them to FAMILY_BUILDERS and SUITES).
+# families, geometry nor verify (tests pin the choices to FAMILY_BUILDERS and
+# SUITES, and the facet caps to enumerate_facets' defaults).
 COMMANDS = {
     "build": (cmd_build, "write a polytope JSON file (--input for relation, chain "
               "and matroid; --birkhoff keeps the top cardinality)", {

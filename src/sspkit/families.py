@@ -1,4 +1,5 @@
-"""Graph builders for the family catalog, posets, and set-partition encodings.
+"""Graph builders for the family catalog, comparability graphs of partial
+orders, and set-partition encodings.
 
 Pair-labeled families (bell, nn, nc) share the ground set of pairs (i, j)
 with 1 <= i < j <= n in lexicographic order; the rook family uses all pairs
@@ -10,7 +11,7 @@ from __future__ import annotations
 from collections import namedtuple
 from itertools import combinations
 from math import comb, factorial
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from .graphs import MAX_STABLE_SETS, GroundSet, Label, SimpleGraph, bits
 
@@ -48,78 +49,39 @@ def build_relation_graph(
     )
 
 
-class Poset:
-    """Strict partial order on a ground set, kept as bitmasks:
-    below[j] is the set of elements strictly less than j. The order axioms
-    are checked with two mask operations per related pair."""
-
-    __slots__ = ("ground", "below")
-
-    def __init__(self, ground: GroundSet, below: Sequence[int]):
-        n = len(ground)
-        if len(below) != n:
-            raise ValueError("relation length does not match the ground set")
-        for j, down in enumerate(below):
-            ground.check_mask(down)
-            if (down >> j) & 1:
-                raise ValueError("strict order cannot be reflexive")
-        for j, down in enumerate(below):
-            for i in bits(down):
-                if (below[i] >> j) & 1:
-                    raise ValueError("strict order cannot be symmetric")
-                if below[i] & ~down:
-                    raise ValueError("relation is not transitive")
-        self.ground = ground
-        self.below = tuple(below)
-
-    @classmethod
-    def from_relation(
-        cls, labels: Iterable[Label], pairs: Iterable[tuple[Label, Label]]
-    ) -> "Poset":
-        """Build from any acyclic generating relation; closure is taken here."""
-        ground = GroundSet(labels)
-        n = len(ground)
-        below = [0] * n
-        for a, b in pairs:
-            below[ground.index(b)] |= 1 << ground.index(a)
-        for k in range(n):  # Warshall's transitive closure, then cycle check
-            for j in range(n):
-                if (below[j] >> k) & 1:
-                    below[j] |= below[k]
+def build_comparability_graph(
+    labels: Iterable[Label], less_than: Iterable[tuple[Label, Label]]
+) -> SimpleGraph:
+    """Comparability graph of the partial order that an acyclic relation
+    generates: the transitive closure is taken here (Warshall, on masks of
+    the elements below each) and a cycle is refused. Edges join comparable
+    elements, so stable sets are the antichains."""
+    ground = GroundSet(labels)
+    n = len(ground)
+    below = [0] * n
+    for a, b in less_than:
+        below[ground.index(b)] |= 1 << ground.index(a)
+    for k in range(n):
         for j in range(n):
-            if (below[j] >> j) & 1:
-                raise ValueError("relation contains a cycle")
-        return cls(ground, below)
-
-    def __repr__(self) -> str:
-        pairs = sum(down.bit_count() for down in self.below)
-        return f"Poset(n={len(self.ground)}, pairs={pairs})"
-
-
-def build_comparability_graph(p: Poset) -> SimpleGraph:
-    """Edges join comparable elements, so stable sets are the antichains."""
-    labels = p.ground.labels
-    return SimpleGraph.from_edges(
-        labels,
-        [(labels[i], lab) for lab, down in zip(labels, p.below)
-         for i in bits(down)],
-    )
+            if (below[j] >> k) & 1:
+                below[j] |= below[k]
+    adj = list(below)
+    for j, down in enumerate(below):
+        if (down >> j) & 1:
+            raise ValueError("relation contains a cycle")
+        for i in bits(down):
+            adj[i] |= 1 << j
+    return SimpleGraph(ground, adj)
 
 
-def containment_poset(n: int) -> Poset:
-    """Pairs (i, j) ordered by weak interval containment:
-    (i, j) < (k, l) iff k <= i, j <= l and the pairs differ."""
-    ground = pair_ground(n)
-    return Poset(
-        ground,
-        [
-            ground.mask_of(
-                (i, j) for i, j in ground.labels
-                if k <= i and j <= l and (i, j) != (k, l)
-            )
-            for k, l in ground.labels
-        ],
-    )
+def containment_pairs(n: int) -> list[tuple[tuple[int, int], tuple[int, int]]]:
+    """The order of pair_ground(n) by weak interval containment, as its
+    pairs x < y: (i, j) < (k, l) iff k <= i, j <= l and the pairs differ."""
+    labels = pair_ground(n).labels
+    return [
+        ((i, j), (k, l)) for k, l in labels for i, j in labels
+        if k <= i and j <= l and (i, j) != (k, l)
+    ]
 
 
 def _clash_graph(labels: Iterable[tuple[int, int]], clash) -> SimpleGraph:

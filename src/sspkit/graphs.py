@@ -129,8 +129,11 @@ class SimpleGraph:
 # Caps on a family's size; every consumer (the skeleton pair loop, facet
 # enumeration) is at least quadratic in it. 2^15 stable sets keep rook6
 # (13,327, the vertices of B6) and nc10 (16,796) buildable. Families not
-# read off a graph stop at 1024: the matroid exchange-axiom check takes
-# about 0.75 s on 1024 sets and 3 s on 2048 (CPython 3.11, 2-core x86-64).
+# read off a graph stop at 1024, a bound set by the per-pair E-test of the
+# raw and matroid kinds: `skeleton` takes 59.8 s on a 1024-vertex raw file
+# of random 30-element subsets of 1..60. The matroid axiom check is not the
+# bound: about 23 ms on U(11, 5)'s 1024 sets and 70 ms on the 2048 of the
+# free matroid on 11 elements (CPython 3.11, 2-core x86-64).
 MAX_STABLE_SETS = 1 << 15
 MAX_INDEPENDENTS = 1024
 

@@ -1,4 +1,5 @@
-"""Matroids stored extensionally, their polytopes, and exchange steps."""
+"""Matroids as their independence polytopes: the axiom check that the
+polytope constructor runs, the builders, bases and exchange steps."""
 
 from __future__ import annotations
 
@@ -7,7 +8,7 @@ from math import comb, prod
 from typing import NamedTuple, Optional, Sequence
 
 from .graphs import MAX_INDEPENDENTS, GroundSet, Label, _subset_sort_key, bits
-from .skeleton import ZeroOnePolytope
+from .skeleton import ZeroOnePolytope, _largest
 
 
 class AxiomViolation(NamedTuple):
@@ -24,12 +25,13 @@ def check_matroid_axioms(
     (I2) downward closure, (I3) exchange; else the first violation.
 
     Downward closure is checked by single-element deletions, which is
-    equivalent by induction. The exchange check then compares each member
-    A only with the members one element larger: were B, with
-    |B| >= |A| + 2, to have no y in B - A augmenting A, neither would any
-    (|A|+1)-subset of B, a member by (I2). Levels go in (cardinality,
-    mask) order, so the first violation is the one that a check of every
-    pair would find.
+    equivalent by induction. The same pass gives each member A the mask of
+    its augmenting elements, the y with A + y a member. The exchange check
+    then compares each A only with the members B one element larger, by one
+    AND of B with that mask: were B, with |B| >= |A| + 2, to have no y in
+    B - A augmenting A, neither would any (|A|+1)-subset of B, a member by
+    (I2). Levels go in (cardinality, mask) order, so the first violation is
+    the one that a check of every pair would find.
     """
     fam = sorted(set(family), key=lambda m: (m.bit_count(), m))
     for m in fam:
@@ -37,49 +39,34 @@ def check_matroid_axioms(
     famset = set(fam)
     if 0 not in famset:
         return AxiomViolation("I1", ())
+    augment = dict.fromkeys(fam, 0)
     for m in fam:
         for x in bits(m):
             if m ^ (1 << x) not in famset:
                 return AxiomViolation("I2", (m, m ^ (1 << x)))
+            augment[m ^ (1 << x)] |= 1 << x
     levels: list[list[int]] = [[] for _ in range(fam[-1].bit_count() + 1)]
     for m in fam:
         levels[m.bit_count()].append(m)
     for lower, upper in zip(levels, levels[1:]):
         for a in lower:
-            for b in upper:
-                if not any(a | (1 << y) in famset for y in bits(b & ~a)):
-                    return AxiomViolation("I3", (a, b))
+            grow = augment[a]
+            if not all(map(grow.__and__, upper)):
+                return AxiomViolation("I3", (a, next(b for b in upper if not b & grow)))
     return None
 
 
-class Matroid:
-    """Ground set plus the full list of independent sets."""
-
-    __slots__ = ("ground", "independents", "rank")
-
-    def __init__(self, ground: GroundSet, independents: Sequence[int]):
-        bad = check_matroid_axioms(ground, independents)
-        if bad is not None:
-            raise ValueError(
-                f"independence axioms fail: {bad.axiom} with witness "
-                f"{[ground.labels_of(w) for w in bad.witness]}"
-            )
-        fam = sorted(set(independents), key=_subset_sort_key)
-        self.ground = ground
-        self.independents = tuple(fam)
-        self.rank = max(m.bit_count() for m in fam)
-
-    def bases(self) -> list[int]:
-        return [m for m in self.independents if m.bit_count() == self.rank]
-
-    def __repr__(self) -> str:
-        return (
-            f"Matroid(n={len(self.ground)}, independents="
-            f"{len(self.independents)}, rank={self.rank})"
-        )
+def independence_polytope(
+    ground: GroundSet, independents: Sequence[int]
+) -> ZeroOnePolytope:
+    """The independence polytope of the matroid with these independent
+    sets, repeats dropped and sorted by cardinality, then positions. Its
+    constructor checks the axioms, so the polytope is the matroid."""
+    fam = sorted(set(independents), key=_subset_sort_key)
+    return ZeroOnePolytope(ground, fam, "matroid-independence")
 
 
-def build_uniform(n: int, k: int) -> Matroid:
+def build_uniform(n: int, k: int) -> ZeroOnePolytope:
     """Independent sets are all subsets of 1..n with at most k elements."""
     if not 0 <= k <= n:
         raise ValueError("need 0 <= k <= n")
@@ -91,10 +78,10 @@ def build_uniform(n: int, k: int) -> Matroid:
         for i in range(k + 1)
         for members in combinations(range(n), i)
     ]
-    return Matroid(ground, fam)
+    return independence_polytope(ground, fam)
 
 
-def build_partition(block_sizes: Sequence[int]) -> Matroid:
+def build_partition(block_sizes: Sequence[int]) -> ZeroOnePolytope:
     """Direct sum of rank-one uniforms: at most one element per block.
 
     Blocks are consecutive runs of 1..sum(sizes)."""
@@ -108,7 +95,7 @@ def build_partition(block_sizes: Sequence[int]) -> Matroid:
         choices.append([0, *(1 << (at + j) for j in range(s))])
         at += s
     fam = [sum(pick) for pick in product(*choices)]
-    return Matroid(ground, fam)
+    return independence_polytope(ground, fam)
 
 
 def _check_size(count: int) -> None:
@@ -119,7 +106,7 @@ def _check_size(count: int) -> None:
         )
 
 
-def build_graphic(edges: Sequence[tuple[Label, Label]]) -> Matroid:
+def build_graphic(edges: Sequence[tuple[Label, Label]]) -> ZeroOnePolytope:
     """Forests of a simple graph; the ground set is the given edge list."""
     for u, v in edges:
         if u == v:
@@ -127,7 +114,7 @@ def build_graphic(edges: Sequence[tuple[Label, Label]]) -> Matroid:
     if len({frozenset(e) for e in edges}) != len(edges):
         raise ValueError("graphic matroid input must have distinct edges")
     ground = GroundSet(tuple(e) for e in edges)
-    return Matroid(ground, _forests(ground.labels))
+    return independence_polytope(ground, _forests(ground.labels))
 
 
 def _forests(edge_labels: Sequence[tuple[Label, Label]]) -> list[int]:
@@ -155,24 +142,29 @@ def _forests(edge_labels: Sequence[tuple[Label, Label]]) -> list[int]:
     return fam
 
 
-def independence_polytope(m: Matroid) -> ZeroOnePolytope:
-    return ZeroOnePolytope(m.ground, m.independents, "matroid-independence")
+def _check_bases(p: ZeroOnePolytope, what: str, *bases: int) -> None:
+    """p is a matroid independence polytope, the bases its top-rank vertices."""
+    if p.kind != "matroid-independence":
+        raise ValueError(f"{what} needs a matroid independence polytope")
+    if any(v not in p.index or v.bit_count() != p.rank for v in bases):
+        raise ValueError(f"{what} needs two bases")
 
 
-def basis_polytope(m: Matroid) -> ZeroOnePolytope:
-    return ZeroOnePolytope(m.ground, m.bases(), "matroid-bases")
+def basis_polytope(p: ZeroOnePolytope) -> ZeroOnePolytope:
+    """The basis polytope of the matroid whose independence polytope is p."""
+    _check_bases(p, "basis_polytope")
+    return ZeroOnePolytope(p.ground, _largest(p.vertices), "matroid-bases")
 
 
-def strong_exchange(m: Matroid, a: int, b: int, x: int) -> int:
-    """For bases a, b and x in a - b: the first y in b - a (ground order)
-    with both a - x + y and b - y + x independent."""
-    basis_set = set(m.bases())
-    if a not in basis_set or b not in basis_set:
-        raise ValueError("strong_exchange needs two bases")
+def strong_exchange(p: ZeroOnePolytope, a: int, b: int, x: int) -> int:
+    """For bases a, b of the matroid whose independence polytope is p, and
+    x in a - b: the first y in b - a (ground order) with both a - x + y and
+    b - y + x independent."""
+    _check_bases(p, "strong_exchange", a, b)
     xb = 1 << x
     if not (a & ~b) & xb:
         raise ValueError("x must lie in a minus b")
-    fam = set(m.independents)
+    fam = p.index
     for y in bits(b & ~a):
         yb = 1 << y
         if (a ^ xb) | yb in fam and (b ^ yb) | xb in fam:
@@ -180,9 +172,8 @@ def strong_exchange(m: Matroid, a: int, b: int, x: int) -> int:
     raise AssertionError("symmetric exchange must have a witness in a matroid")
 
 
-def basis_exchange_adjacent(m: Matroid, a: int, b: int) -> bool:
-    """Bases are polytope-adjacent iff their symmetric difference is a swap."""
-    basis_set = set(m.bases())
-    if a not in basis_set or b not in basis_set:
-        raise ValueError("adjacency test needs two bases")
+def basis_exchange_adjacent(p: ZeroOnePolytope, a: int, b: int) -> bool:
+    """Bases are polytope-adjacent iff their symmetric difference is a swap;
+    p is the matroid's independence polytope."""
+    _check_bases(p, "adjacency test", a, b)
     return (a ^ b).bit_count() == 2

@@ -13,10 +13,8 @@ from typing import TYPE_CHECKING, Any, Sequence
 from .graphs import MAX_INDEPENDENTS, GroundSet, Label, SimpleGraph, bits
 from .skeleton import Skeleton, ZeroOnePolytope
 
-if TYPE_CHECKING:  # the readers and writers below import these when run
-    from .families import Poset
+if TYPE_CHECKING:  # facets_to_json imports it when run
     from .geometry import Inequality
-    from .matroids import Matroid
 
 
 def dumps(obj: Any) -> str:
@@ -163,8 +161,12 @@ def facets_to_json(facets: Sequence[Inequality]) -> dict:
     return {"facets": out}
 
 
-def matroid_from_json(obj: dict) -> Matroid:
-    from .matroids import Matroid, build_graphic, build_partition, build_uniform
+def matroid_from_json(obj: dict) -> ZeroOnePolytope:
+    """The independence polytope of a matroid spec: a shorthand, or an
+    explicit ground set and independent sets."""
+    from .matroids import (
+        build_graphic, build_partition, build_uniform, independence_polytope,
+    )
 
     obj = _object(obj)
     if "uniform" in obj:
@@ -179,7 +181,7 @@ def matroid_from_json(obj: dict) -> Matroid:
         return build_graphic(_pairs(obj, "graphic"))
     ground = GroundSet(_labels(obj, "ground"))
     fam = [ground.mask_of(s) for s in _label_lists(obj, "independents", capped=True)]
-    return Matroid(ground, fam)
+    return independence_polytope(ground, fam)
 
 
 def relation_graph_from_json(obj: dict) -> SimpleGraph:
@@ -189,11 +191,12 @@ def relation_graph_from_json(obj: dict) -> SimpleGraph:
     return build_relation_graph(_labels(obj, "labels"), _pairs(obj, "pairs"))
 
 
-def poset_from_json(obj: dict) -> Poset:
-    from .families import Poset
+def poset_from_json(obj: dict) -> SimpleGraph:
+    """The comparability graph of the order that "less_than" generates."""
+    from .families import build_comparability_graph
 
     obj = _object(obj)
-    return Poset.from_relation(_labels(obj, "labels"), _pairs(obj, "less_than"))
+    return build_comparability_graph(_labels(obj, "labels"), _pairs(obj, "less_than"))
 
 
 def _dot_name(subset: Sequence[Label]) -> str:

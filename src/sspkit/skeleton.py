@@ -32,8 +32,8 @@ class ZeroOnePolytope:
     kind tags what the family is and drives validation:
       stable-set           all stable sets of the attached graph
       birkhoff             the maximum-cardinality stable sets of the graph
-      matroid-independence downward-closed family (matroid checks live in
-                           the matroids module)
+      matroid-independence the independent sets of a matroid (the axioms
+                           are matroids.check_matroid_axioms)
       matroid-bases        equal-cardinality family
       raw                  any distinct subsets
 
@@ -74,10 +74,14 @@ class ZeroOnePolytope:
             if index.keys() != set(family):
                 raise ValueError(f"{kind} kind requires exactly {what}")
         elif kind == "matroid-independence":
-            for v in verts:
-                for b in bits(v):
-                    if v ^ (1 << b) not in index:
-                        raise ValueError("independence family must be downward closed")
+            from .matroids import check_matroid_axioms  # only matroid kinds load it
+
+            bad = check_matroid_axioms(ground, verts)
+            if bad is not None:
+                raise ValueError(
+                    f"independence axioms fail: {bad.axiom} with witness "
+                    f"{[ground.labels_of(w) for w in bad.witness]}"
+                )
         elif kind == "matroid-bases":
             cards = {v.bit_count() for v in verts}
             if len(cards) != 1:

@@ -10,7 +10,7 @@ least one check and every check passed."""
 from __future__ import annotations
 
 import random
-from typing import TYPE_CHECKING, Callable, Sequence
+from typing import Callable, Sequence
 
 from .graphs import (
     SimpleGraph, bits, connected_components, enumerate_max_cliques,
@@ -20,9 +20,6 @@ from .skeleton import (
     ZeroOnePolytope, birkhoff_restrict, build_skeleton_E, diameter, flip_path,
     is_edge_E, is_edge_walk, quasimatroid_exchange, unique_sum_skeleton,
 )
-
-if TYPE_CHECKING:  # each suite imports the layers it runs when it runs
-    from .families import Poset
 
 
 def _random_pairs(rng: random.Random, n: int) -> list[tuple[int, int]]:
@@ -46,13 +43,6 @@ def random_graph_corpus(
     rng = random.Random(seed)
     sizes = list(range(2, max_n + 1))
     return [random_graph(rng, sizes[k % len(sizes)]) for k in range(count)]
-
-
-def random_poset(rng: random.Random, n: int) -> Poset:
-    """Random strict order: i < j adopted with probability 1/2, then closed."""
-    from .families import Poset
-
-    return Poset.from_relation(range(1, n + 1), _random_pairs(rng, n))
 
 
 def _walks_ok(rng: random.Random, p: ZeroOnePolytope, k: int) -> bool:
@@ -154,9 +144,9 @@ def suite_facets_always(seed: int, graphs: int, max_n: int) -> dict:
 
     chains = [(f"chain-nn-{n}", build_nonnesting_graph(n), {}) for n in (2, 3, 4)]
     rng = random.Random(seed ^ 0xBED)
-    for k in range(10):
+    for k in range(10):  # random orders: each i < j with probability 1/2, closed
         n = 3 + (k % 4)
-        g = build_comparability_graph(random_poset(rng, n))
+        g = build_comparability_graph(range(1, n + 1), _random_pairs(rng, n))
         chains.append((f"chain-poset-{k}", g, {"n": n}))
     for name, g, details in chains:
         facets = len(enumerate_facets(ZeroOnePolytope.from_graph(g)))
@@ -190,16 +180,14 @@ def suite_matroid_e(seed: int, graphs: int, max_n: int) -> dict:
     from .families import build_complete_graph
     from .geometry import build_skeleton_oracle
     from .matroids import (
-        basis_exchange_adjacent, basis_polytope, build_uniform,
-        independence_polytope, strong_exchange,
+        basis_exchange_adjacent, basis_polytope, build_uniform, strong_exchange,
     )
     from .serialize import matroid_from_json
 
     checks = []
     for name, spec in MATROID_CATALOG.items():
-        m = matroid_from_json(spec)
-        pi = independence_polytope(m)
-        pb = basis_polytope(m)
+        pi = matroid_from_json(spec)
+        pb = basis_polytope(pi)
         se_i = build_skeleton_E(pi)
         ok = se_i.rows == build_skeleton_oracle(pi).rows
         se_b = build_skeleton_E(pb)
@@ -210,22 +198,22 @@ def suite_matroid_e(seed: int, graphs: int, max_n: int) -> dict:
             (i, j)
             for i in range(len(bases))
             for j in range(i + 1, len(bases))
-            if basis_exchange_adjacent(m, bases[i], bases[j])
+            if basis_exchange_adjacent(pi, bases[i], bases[j])
         }
         ok = ok and set(se_b.edges) == swap_edges
 
         d_i, d_b = diameter(se_i), diameter(se_b)
-        ok = ok and d_i is not None and d_i <= m.rank
-        ok = ok and d_b is not None and d_b <= m.rank
+        ok = ok and d_i is not None and d_i <= pi.rank
+        ok = ok and d_b is not None and d_b <= pi.rank
 
         exchange_ok = True
-        fam = set(m.independents)
+        fam = pi.index
         for a in bases:
             for b in bases:
                 if a == b:
                     continue
                 for x in bits(a & ~b):
-                    y = strong_exchange(m, a, b, x)
+                    y = strong_exchange(pi, a, b, x)
                     exchange_ok = exchange_ok and (
                         (a ^ (1 << x)) | (1 << y) in fam
                         and (b ^ (1 << y)) | (1 << x) in fam
@@ -241,11 +229,11 @@ def suite_matroid_e(seed: int, graphs: int, max_n: int) -> dict:
                         and is_edge_E(pb, a, new)
                     )
         checks.append({"name": name, "passed": ok and exchange_ok, "details": {
-            "independents": len(pi.vertices), "bases": len(bases), "rank": m.rank,
+            "independents": len(pi.vertices), "bases": len(bases), "rank": pi.rank,
             "diameter_bases": d_b,
         }})
 
-    u13 = independence_polytope(build_uniform(3, 1))
+    u13 = build_uniform(3, 1)
     k3 = ZeroOnePolytope.from_graph(build_complete_graph(3))
     u24 = basis_polytope(build_uniform(4, 2))
     checks += [
@@ -313,7 +301,7 @@ def suite_partitions(seed: int, graphs: int, max_n: int) -> dict:
     from .families import (
         arcs_to_partition, bell_number, build_bell_graph, build_comparability_graph,
         build_noncrossing_graph, build_nonnesting_graph, catalan_number,
-        containment_poset, is_noncrossing, is_nonnesting,
+        containment_pairs, is_noncrossing, is_nonnesting, pair_ground,
     )
 
     checks = []
@@ -335,7 +323,7 @@ def suite_partitions(seed: int, graphs: int, max_n: int) -> dict:
 
         same = nn_g.adj == nc_g.adj
         ok = ok and same == (n <= 3)
-        chain = build_comparability_graph(containment_poset(n))
+        chain = build_comparability_graph(pair_ground(n).labels, containment_pairs(n))
         ok = ok and nn_g.adj == chain.adj
         checks.append({"name": f"n-{n}", "passed": ok, "details": {
             "partitions": len(all_parts), "nonnesting": len(nn_img),

@@ -36,7 +36,7 @@ from sspkit.geometry import (
     oracle_is_edge,
 )
 from sspkit.linalg import independent_rows
-from sspkit.matroids import basis_exchange_adjacent, basis_polytope, independence_polytope
+from sspkit.matroids import basis_exchange_adjacent, basis_polytope
 from sspkit.skeleton import (
     ZeroOnePolytope,
     birkhoff_restrict,
@@ -142,7 +142,7 @@ def test_criterion_4_matroid_catalog():
     }
     for name, spec in MATROID_CATALOG.items():
         m = matroid_from_json(spec)
-        for p in (independence_polytope(m), basis_polytope(m)):
+        for p in (m, basis_polytope(m)):
             assert build_skeleton_E(p).edges == build_skeleton_oracle(p).edges, name
         bp = basis_polytope(m)
         s = build_skeleton_E(bp)

@@ -2,6 +2,7 @@
 contract (0 all-pass, 1 failed verification, 2 bad input)."""
 
 import hashlib
+import inspect
 import json
 import os
 import re
@@ -16,7 +17,8 @@ import pytest
 
 from sspkit.cli import COMMANDS, _parse, main
 from sspkit.families import FAMILY_BUILDERS
-from sspkit.verify import SUITES
+from sspkit.geometry import enumerate_facets
+from sspkit.verify import MATROID_CATALOG, SUITES
 
 
 def run(capsys, *argv):
@@ -421,6 +423,76 @@ class TestGoldenStdout:
         },
     }
 
+    # MATROIDS pins `build --family matroid` (independence polytope, then
+    # --birkhoff's bases) on each catalog spec, on U(10, 5), and on an
+    # explicit U(3, 2) that lists {1} twice and its sets out of order;
+    # CLOSED_CHAIN pins `build --family chain` on a relation whose closure
+    # adds 1 < 3. Recorded before the Matroid and Poset types gave way to
+    # the polytope and the comparability graph built from them.
+    MATROIDS = {
+        "uniform-1-3": (
+            "fba42326c1897864225f8eb905f7db9c9187b1a536ec8bf662d6000c772163eb",
+            "1b5a606bfca9c2677af19ef1ff716607173a677f55df39c40aaadabbf84f19dd",
+        ),
+        "uniform-2-4": (
+            "82cc24661ff54a71253e51af825d93142f316c738aea651d05768ef82db98747",
+            "cc073ddaedd66ff2a4abecf7f4b24700e7ac58363f192dc33846411577c982cb",
+        ),
+        "uniform-2-5": (
+            "0582e2be3f4503b6d1713d83dfa633bdbe6b087b38c2aa6cc187726b1fbcb00a",
+            "ebabebe9989c09ba7277da2b414aff58e142f6838701659626a516f15dc1ffc8",
+        ),
+        "partition-2-3": (
+            "29a8d9f32142f0851b25b1d84c76709822c9e29845b32dce19ce2afeae3de4bf",
+            "f80978be00be3364a5ec9fbf0c11064f0654963636453d889ac5af6ef8b15a0e",
+        ),
+        "graphic-k4": (
+            "73734fb868eb832db0472a80e72d5e450faafe8aa459f8d555e53cd7d9567d45",
+            "21a15f36453e677e992d84c99ba823d9f8908f92f0cc7762bafc6921c7562790",
+        ),
+        "uniform-5-10": (
+            "f80731beb82323aaf0859a0fcae94ecdc097674da55cbf7eba1ef9bb64f04d6a",
+            "4b4419735fcb64316427e28d2e99df6fc7d0ebada47cbc3682ac7f99e472f530",
+        ),
+        "explicit": (
+            "15c36762ef19e39e741f171fb99c0643b3877eb711e554a120834ae165a4016b",
+            "cc34fcc3a928cc740f8f1a36c0a9e08d64b73c88b808383b114bb884c4a546c8",
+        ),
+    }
+    MATROID_SPECS = {
+        **MATROID_CATALOG,
+        "uniform-5-10": {"uniform": [10, 5]},
+        "explicit": {"ground": [3, 1, 2], "independents": [
+            [1, 2], [], [3], [2, 3], [1], [3, 1], [2], [1]]},
+    }
+    CLOSED_CHAIN = (
+        {"labels": [1, 2, 3, 4], "less_than": [[1, 2], [2, 3], [1, 4]]},
+        "2da61dc31abfcd182845ef3eedc836c9e5c8fbbe1641dd215ec5f03dbb71646f",
+    )
+
+    def test_matroid_specs_cover_the_catalog(self):
+        assert list(self.MATROIDS) == list(self.MATROID_SPECS)
+
+    @pytest.mark.parametrize("name", list(MATROIDS))
+    def test_matroid_build_digests(self, tmp_path, capsys, name):
+        inp = tmp_path / "m.json"
+        inp.write_text(json.dumps(self.MATROID_SPECS[name]), encoding="utf-8")
+        digests = []
+        for extra in ([], ["--birkhoff"]):
+            code, out, _ = run(capsys, "build", "--family", "matroid",
+                               "--input", str(inp), *extra)
+            assert code == 0
+            digests.append(hashlib.sha256(out.encode("utf-8")).hexdigest())
+        assert tuple(digests) == self.MATROIDS[name]
+
+    def test_closed_chain_build_digest(self, tmp_path, capsys):
+        relation, digest = self.CLOSED_CHAIN
+        inp = tmp_path / "c.json"
+        inp.write_text(json.dumps(relation), encoding="utf-8")
+        code, out, _ = run(capsys, "build", "--family", "chain", "--input", str(inp))
+        assert code == 0
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
     @pytest.mark.parametrize("name", list(FILES))
     def test_file_digests(self, tmp_path, capsys, name):
         def out_of(*argv):
@@ -791,14 +863,42 @@ class TestSubsetInputs:
         assert err == "error: field 'independents' lists more than 1024 sets\n"
 
 
+class TestMatroidAxiomsOnRead:
+    """A matroid-independence file is held to the matroid axioms as it is
+    read, by the rule `build --family matroid` applies to a spec. The
+    stable sets of the path 1-2-3 are down-closed but fail (I3): {2}
+    cannot grow into {1, 3}."""
+
+    PATH_STABLE_SETS = [[], [1], [2], [3], [1, 3]]
+    MESSAGE = "error: independence axioms fail: I3 with witness [(2,), (1, 3)]\n"
+
+    @pytest.mark.parametrize(
+        "command", [["skeleton"], ["skeleton", "--oracle"], ["diameter"], ["facets"]],
+        ids=["skeleton", "oracle", "diameter", "facets"],
+    )
+    def test_down_closed_non_matroid_file(self, tmp_path, capsys, command):
+        p = tmp_path / "p.json"
+        p.write_text(json.dumps({"kind": "matroid-independence", "ground": [1, 2, 3],
+                                 "vertices": self.PATH_STABLE_SETS}))
+        code, out, err = run(capsys, *command, "--input", str(p))
+        assert (code, out, err) == (2, "", self.MESSAGE)
+
+    def test_same_message_as_the_builder(self, tmp_path, capsys):
+        mj = tmp_path / "m.json"
+        mj.write_text(json.dumps({"ground": [1, 2, 3],
+                                  "independents": self.PATH_STABLE_SETS}))
+        code, out, err = run(capsys, "build", "--family", "matroid", "--input", str(mj))
+        assert (code, out, err) == (2, "", self.MESSAGE)
+
+
 def _choices(command, option):
     return list(COMMANDS[command][2][option][1])
 
 
 class TestParser:
-    """The option table spells its choices out so that parsing imports
-    neither families nor verify; they must stay equal to the tables they
-    name."""
+    """The option table spells its choices and the facet caps out so that
+    parsing imports neither families, geometry nor verify; they must stay
+    equal to the tables and defaults they name."""
 
     def test_family_choices(self):
         assert _choices("build", "--family") == sorted(FAMILY_BUILDERS) + [
@@ -807,6 +907,12 @@ class TestParser:
 
     def test_suite_choices(self):
         assert _choices("verify", "--suite") == sorted(SUITES) + ["all"]
+
+    def test_facet_caps(self):
+        params = inspect.signature(enumerate_facets).parameters
+        options = COMMANDS["facets"][2]
+        assert options["--facet-vertex-cap"][0] == params["vertex_cap"].default
+        assert options["--facet-dim-cap"][0] == params["dim_cap"].default
 
     @pytest.mark.parametrize(
         "argv", [["build", "--family", "nope", "--n", "3"], ["verify", "--suite", "x"]]

@@ -1,4 +1,5 @@
-"""Graph families on the pair ground set, posets, and set partitions.
+"""Graph families on the pair ground set, comparability graphs of
+partial orders, and set partitions.
 
 Counts are frozen against the Bell and Catalan numbers computed from
 their recurrences in an independent helper, and the nonnesting graph is
@@ -16,7 +17,6 @@ from sspkit.families import (
     FAMILY_BUILDERS,
     MAX_EDGES,
     STABLE_SET_COUNTS,
-    Poset,
     SetPartition,
     arcs_to_partition,
     bell_number,
@@ -31,14 +31,13 @@ from sspkit.families import (
     catalan_number,
     check_edge_count,
     check_stable_set_count,
-    containment_poset,
+    containment_pairs,
     is_noncrossing,
     is_nonnesting,
     pair_ground,
 )
 from sspkit.graphs import (
     MAX_STABLE_SETS,
-    GroundSet,
     enumerate_max_cliques,
     enumerate_stable_sets,
 )
@@ -78,13 +77,6 @@ def pair_set_is_strict_order(n, rel):
     return all((i, l) in rel for i, j in rel for k, l in rel if j == k)
 
 
-def below_masks(n, rel):
-    below = [0] * n
-    for i, j in rel:
-        below[j] |= 1 << i
-    return below
-
-
 def transitive_closure(rel):
     rel = set(rel)
     while True:
@@ -107,14 +99,8 @@ relations = st.integers(0, 8).flatmap(
 
 class TestPoset:
     def test_cycle_rejected(self):
-        with pytest.raises(ValueError):
-            Poset.from_relation([1, 2, 3], [(1, 2), (2, 3), (3, 1)])
-
-    def test_intransitive_relation_rejected(self):
-        with pytest.raises(ValueError):
-            Poset(
-                build_empty_graph(3).ground, [0, 0b1, 0b10]
-            )  # 0 < 1 < 2 but not 0 < 2
+        with pytest.raises(ValueError, match="relation contains a cycle"):
+            build_comparability_graph([1, 2, 3], [(1, 2), (2, 3), (3, 1)])
 
     @settings(max_examples=300, deadline=None)
     @given(relations)
@@ -124,42 +110,34 @@ class TestPoset:
     @example((3, {(0, 1), (1, 2)}, False))  # intransitive
     @example((4, {(0, 1), (1, 2), (2, 3)}, True))  # a chain
     def test_accepts_exactly_as_the_pair_set_reference(self, case):
+        """A relation is refused exactly when its closure is no strict
+        order; otherwise the graph joins exactly the pairs it relates."""
         n, rel, close = case
         if close:
             rel = transitive_closure(rel)
-        ground = GroundSet(range(n))
+        closed = transitive_closure(rel)
         try:
-            p = Poset(ground, below_masks(n, rel))
+            g = build_comparability_graph(range(n), rel)
         except ValueError:
-            assert not pair_set_is_strict_order(n, rel)
+            assert not pair_set_is_strict_order(n, closed)
         else:
-            assert pair_set_is_strict_order(n, rel)
-            assert {
-                (i, j) for i in range(n) for j in range(n) if p.below[j] >> i & 1
-            } == rel
-
-    def test_mask_outside_the_ground_set_rejected(self):
-        with pytest.raises(ValueError):
-            Poset(build_empty_graph(2).ground, [0b100, 0])
+            assert pair_set_is_strict_order(n, closed)
+            assert set(g.edges()) == {(min(i, j), max(i, j)) for i, j in closed}
 
     def test_from_relation_closes(self):
-        p = Poset.from_relation([1, 2, 3], [(1, 2), (2, 3)])
-        assert p.below == (0, 0b001, 0b011)
+        g = build_comparability_graph([1, 2, 3], [(1, 2), (2, 3)])
+        assert g.adj == (0b110, 0b101, 0b011)
 
     def test_comparability_graph(self):
-        p = Poset.from_relation([1, 2, 3], [(1, 2), (2, 3)])
-        g = build_comparability_graph(p)
+        g = build_comparability_graph([1, 2, 3], [(1, 2), (2, 3)])
         assert g.edge_count() == 3
 
-    def test_containment_poset(self):
-        p = containment_poset(4)
-        gs = p.ground
+    def test_containment_pairs(self):
+        less = set(containment_pairs(4))
         # (2,3) nests weakly inside (1,4) and inside (2,4) and (1,3)
-        inner = 1 << gs.index((2, 3))
         for outer in ((1, 4), (2, 4), (1, 3)):
-            assert p.below[gs.index(outer)] & inner
-        a, b = gs.index((1, 2)), gs.index((3, 4))
-        assert not (p.below[a] >> b & 1 or p.below[b] >> a & 1)
+            assert ((2, 3), outer) in less
+        assert not {((1, 2), (3, 4)), ((3, 4), (1, 2))} & less
 
 
 class TestStableSetCounts:
@@ -240,7 +218,7 @@ class TestNonnestingGraph:
     def test_same_as_containment_comparability(self):
         for n in range(2, 6):
             g = build_nonnesting_graph(n)
-            h = build_comparability_graph(containment_poset(n))
+            h = build_comparability_graph(pair_ground(n).labels, containment_pairs(n))
             assert g.adj == h.adj
 
     def test_shared_endpoint_nests(self):
@@ -259,12 +237,12 @@ class TestNonnestingGraph:
     def test_max_cliques_are_maximal_chains(self):
         # cliques of a comparability graph = chains of the poset
         for n in range(2, 6):
-            p = containment_poset(n)
+            less = set(containment_pairs(n))
             g = build_nonnesting_graph(n)
             for c in enumerate_max_cliques(g):
-                members = [i for i in range(len(p.ground)) if c >> i & 1]
+                members = g.ground.labels_of(c)
                 assert all(
-                    p.below[u] >> v & 1 or p.below[v] >> u & 1
+                    (u, v) in less or (v, u) in less
                     for u in members
                     for v in members
                     if u != v

@@ -4,11 +4,12 @@ A fresh interpreter runs one subcommand through `cli.main` and reports the
 modules it loaded. `skeleton`, `diameter` and `path` must not load the LP,
 facet, matroid, family or verify layers; `skeleton --oracle` and `facets`
 may load geometry, but not the verify suites; `build` of a graph family
-does not load matroids. Each `verify` suite loads exactly the layers it
-runs, so `oracle-vs-E` loads neither families, matroids nor
-counterexample. No call loads `dataclasses` (which pulls in `inspect`),
-nor `argparse` or `gettext`: the CLI reads argv against its own option
-table.
+does not load matroids. Reading a matroid-independence file loads
+matroids too, whose axiom check the polytope constructor runs. Each
+`verify` suite loads exactly the layers it runs, so `oracle-vs-E` loads
+neither families, matroids nor counterexample. No call loads `dataclasses`
+(which pulls in `inspect`), nor `argparse` or `gettext`: the CLI reads
+argv against its own option table.
 Exact arithmetic is plain int throughout, so the LP and facet subcommands
 and `verify` load neither `fractions` nor `decimal`. Start-up is most of a
 short job's wall time, so a top-level import that creeps back shows in
@@ -30,6 +31,7 @@ import pytest
 import sspkit
 from sspkit import serialize
 from sspkit.families import build_bell_graph
+from sspkit.matroids import build_uniform
 from sspkit.skeleton import ZeroOnePolytope
 from sspkit.verify import SUITES
 
@@ -69,6 +71,13 @@ def bell3(tmp_path_factory):
     path = tmp_path_factory.mktemp("imports") / "bell3.json"
     p = ZeroOnePolytope.from_graph(build_bell_graph(3))
     path.write_text(serialize.dumps(serialize.polytope_to_json(p)))
+    return str(path)
+
+
+@pytest.fixture(scope="module")
+def u24(tmp_path_factory):
+    path = tmp_path_factory.mktemp("imports") / "u24.json"
+    path.write_text(serialize.dumps(serialize.polytope_to_json(build_uniform(4, 2))))
     return str(path)
 
 
@@ -132,6 +141,16 @@ def test_each_suite_loads_only_its_layers(suite):
     layers = {m.removeprefix("sspkit.") for m in mods if m.startswith("sspkit.")}
     assert layers == VERIFY_BASE | SUITE_LAYERS[suite]
     assert "dataclasses" not in mods
+
+
+@pytest.mark.parametrize(
+    "polytope, extra", [("bell3", set()), ("u24", {"matroids"})],
+    ids=["graph-kind", "matroid-independence"],
+)
+def test_skeleton_layers_by_kind(request, polytope, extra):
+    mods = loaded("skeleton", "--input", request.getfixturevalue(polytope))
+    layers = {m.removeprefix("sspkit.") for m in mods if m.startswith("sspkit.")}
+    assert layers == {"cli", "serialize", "skeleton", "graphs"} | extra
 
 
 def test_graph_family_build_skips_matroids():

@@ -1,4 +1,7 @@
-"""Matroid axioms, constructions, polytopes, exchange operations."""
+"""Matroid axioms, constructions, polytopes, exchange operations.
+
+A matroid is held as its independence polytope, whose constructor checks
+the axioms; its bases are the polytope's top-rank vertices."""
 
 import random
 from itertools import combinations
@@ -14,7 +17,6 @@ from sspkit.matroids import (
     MAX_INDEPENDENTS,
     AxiomViolation,
     _forests,
-    Matroid,
     basis_exchange_adjacent,
     basis_polytope,
     build_graphic,
@@ -85,19 +87,35 @@ def axioms_all_pairs(n, family):
     return None
 
 
-down_closed = st.integers(0, 6).flatmap(
-    lambda n: st.tuples(
-        st.just(n), st.lists(st.integers(0, (1 << n) - 1), max_size=6).map(down_closure)
+def families(n):
+    """Families on n elements: empty, any sets (mostly without the empty
+    set, so I1 fails), any sets with the empty set (mostly not down-closed,
+    so I2 fails), down-closures (matroids or not), and the uniform and
+    graphic matroids (the first n edges of a shuffled K4)."""
+    full = (1 << n) - 1
+    any_sets = st.lists(st.integers(0, full), max_size=12)
+    return st.one_of(
+        st.just([]),
+        any_sets,
+        any_sets.map(lambda fam: [0, *fam]),
+        st.lists(st.integers(0, full), max_size=6).map(down_closure),
+        st.integers(0, n).map(
+            lambda k: [m for m in range(full + 1) if m.bit_count() <= k]
+        ),
+        st.permutations(K4_EDGES).map(lambda edges: _forests(edges[:n])),
     )
-)
+
+
+sized_families = st.integers(0, 6).flatmap(lambda n: st.tuples(st.just(n), families(n)))
 
 
 class TestAxioms:
-    @given(down_closed)
-    @settings(max_examples=300, deadline=None)
+    @given(sized_families)
+    @settings(max_examples=1000, deadline=None)
     def test_matches_all_pairs_exchange(self, case):
-        # (I3) is checked only between consecutive levels; on down-closed
-        # families, matroids or not, verdict and witness are unchanged
+        # (I3) is checked only between consecutive levels, by one AND with
+        # each lower set's augmenting mask; verdict and witness are those
+        # of the all-pairs reference on every kind of family
         n, fam = case
         assert check_matroid_axioms(GroundSet(range(n)), fam) == axioms_all_pairs(n, fam)
 
@@ -129,25 +147,25 @@ class TestAxioms:
 class TestConstructions:
     def test_uniform_2_4(self):
         m = build_uniform(4, 2)
-        assert len(m.independents) == 11
+        assert len(m.vertices) == 11
         assert m.rank == 2
-        assert len(m.bases()) == 6
+        assert len(basis_polytope(m).vertices) == 6
 
     def test_uniform_2_5(self):
         m = build_uniform(5, 2)
-        assert len(m.independents) == 16  # 1 + 5 + 10
+        assert len(m.vertices) == 16  # 1 + 5 + 10
 
     def test_partition_2_3(self):
         m = build_partition((2, 3))
         # (1+2)(1+3) = 12 independent sets, rank 2
-        assert len(m.independents) == 12
+        assert len(m.vertices) == 12
         assert m.rank == 2
-        assert len(m.bases()) == 6
+        assert len(basis_polytope(m).vertices) == 6
 
     def test_graphic_k4(self):
         m = build_graphic(K4_EDGES)
         assert m.rank == 3
-        assert len(m.bases()) == 16  # Cayley: 4^2 spanning trees
+        assert len(basis_polytope(m).vertices) == 16  # Cayley: 4^2 spanning trees
 
     def test_graphic_rejects_loops(self):
         with pytest.raises(ValueError):
@@ -156,7 +174,13 @@ class TestConstructions:
     def test_matroid_constructor_validates(self):
         gs = GroundSet([1, 2, 3])
         with pytest.raises(ValueError):
-            Matroid(gs, [0b000, 0b011])  # not downward closed
+            independence_polytope(gs, [0b000, 0b011])  # not downward closed
+
+    def test_repeats_dropped_and_sets_sorted(self):
+        gs = GroundSet([1, 2, 3])
+        p = independence_polytope(gs, [0b011, 0b000, 0b010, 0b001, 0b001])
+        assert p.vertices == (0b000, 0b001, 0b010, 0b011)
+        assert p.kind == "matroid-independence"
 
 
 class TestBuilderSizes:
@@ -164,7 +188,7 @@ class TestBuilderSizes:
         for n in range(7):
             for k in range(n + 1):
                 want = [m for m in range(1 << n) if m.bit_count() <= k]
-                got = build_uniform(n, k).independents
+                got = build_uniform(n, k).vertices
                 assert sorted(got) == want, (n, k)
 
     def test_partition_matches_mask_filter(self):
@@ -177,11 +201,11 @@ class TestBuilderSizes:
                 m for m in range(1 << at)
                 if all((m & b).bit_count() <= 1 for b in blocks)
             ]
-            assert sorted(build_partition(sizes).independents) == want, sizes
+            assert sorted(build_partition(sizes).vertices) == want, sizes
 
     def test_graphic_matches_mask_filter(self):
         want = forests_by_mask_filter(K4_EDGES)
-        assert sorted(build_graphic(K4_EDGES).independents) == want
+        assert sorted(build_graphic(K4_EDGES).vertices) == want
         # every graph on five vertices with at most 8 edges, then random
         # graphs on up to nine vertices with edges in shuffled order
         k5 = list(combinations(range(1, 6), 2))
@@ -195,12 +219,12 @@ class TestBuilderSizes:
 
     def test_large_ground_set_small_family(self):
         m = build_uniform(30, 1)
-        assert len(m.independents) == 31 and m.rank == 1
+        assert len(m.vertices) == 31 and m.rank == 1
 
     def test_cap_is_inclusive(self):
         # the free matroid on 10 elements has exactly the cap's 1024 sets
         assert MAX_INDEPENDENTS == 1024
-        assert len(build_uniform(10, 10).independents) == MAX_INDEPENDENTS
+        assert len(build_uniform(10, 10).vertices) == MAX_INDEPENDENTS
 
     @pytest.mark.parametrize(
         "build",
@@ -230,12 +254,12 @@ class TestBuilderSizes:
 
 class TestPolytopes:
     def test_independence_polytope_kind(self):
-        p = independence_polytope(build_uniform(3, 1))
+        p = build_uniform(3, 1)
         assert p.kind == "matroid-independence"
         assert len(p.vertices) == 4
 
     def test_uniform_1_3_matches_triangle_stable_sets(self):
-        p = independence_polytope(build_uniform(3, 1))
+        p = build_uniform(3, 1)
         q = ZeroOnePolytope.from_graph(build_complete_graph(3))
         assert sorted(p.vertices) == sorted(q.vertices)
 
@@ -262,7 +286,7 @@ class TestExchange:
     def test_strong_exchange_contract(self):
         rng = random.Random(606)
         m = build_graphic(K4_EDGES)
-        bases = m.bases()
+        bases = list(basis_polytope(m).vertices)
         for _ in range(40):
             a, b = rng.sample(bases, 2)
             xs = [i for i in range(len(m.ground)) if (a >> i) & 1 and not (b >> i) & 1]
@@ -271,13 +295,23 @@ class TestExchange:
             x = rng.choice(xs)
             y = strong_exchange(m, a, b, x)
             assert (b >> y) & 1 and not (a >> y) & 1
-            assert (a ^ (1 << x)) | (1 << y) in m.independents
-            assert (b ^ (1 << y)) | (1 << x) in m.independents
+            assert (a ^ (1 << x)) | (1 << y) in m.vertices
+            assert (b ^ (1 << y)) | (1 << x) in m.vertices
 
     def test_strong_exchange_needs_bases(self):
         m = build_uniform(3, 1)
         with pytest.raises(ValueError):
             strong_exchange(m, 0b011, 0b001, 1)
+
+    def test_needs_an_independence_polytope(self):
+        pb = basis_polytope(build_uniform(4, 2))
+        for call in (
+            lambda: basis_polytope(pb),
+            lambda: strong_exchange(pb, 0b0011, 0b1100, 0),
+            lambda: basis_exchange_adjacent(pb, 0b0011, 0b1100),
+        ):
+            with pytest.raises(ValueError, match="matroid independence polytope"):
+                call()
 
     def test_basis_exchange_adjacent_validates(self):
         m = build_uniform(4, 2)

@@ -20,7 +20,6 @@ from sspkit.matroids import (
     build_graphic,
     build_partition,
     build_uniform,
-    independence_polytope,
 )
 from sspkit.skeleton import (
     ZeroOnePolytope,
@@ -126,12 +125,7 @@ class TestPolytopeJson:
         assert p2.vertices == p.vertices
 
     def test_matroid_polytopes_round_trip(self):
-        from sspkit.matroids import basis_polytope, independence_polytope
-
-        for p in (
-            independence_polytope(build_uniform(4, 2)),
-            basis_polytope(build_uniform(4, 2)),
-        ):
+        for p in (build_uniform(4, 2), basis_polytope(build_uniform(4, 2))):
             p2 = serialize.polytope_from_json(json.loads(
                 serialize.dumps(serialize.polytope_to_json(p))
             ))
@@ -216,9 +210,11 @@ class TestWriters:
         masks = data.draw(st.sets(st.integers(0, (1 << len(labels)) - 1), min_size=1))
         self.check(ZeroOnePolytope.raw(GroundSet(labels), sorted(masks)))
 
-    @pytest.mark.parametrize("build", [independence_polytope, basis_polytope])
-    def test_matroid_kinds(self, build):
-        self.check(build(build_uniform(4, 2)))
+    @pytest.mark.parametrize("birkhoff", [False, True],
+                             ids=["independence_polytope", "basis_polytope"])
+    def test_matroid_kinds(self, birkhoff):
+        p = build_uniform(4, 2)
+        self.check(basis_polytope(p) if birkhoff else p)
 
 
 class TestFacetsJson:
@@ -243,22 +239,22 @@ class TestMatroidJson:
         m = build_partition((2, 3))
         obj = {
             "ground": list(m.ground.labels),
-            "independents": [list(m.ground.labels_of(s)) for s in m.independents],
+            "independents": [list(m.ground.labels_of(s)) for s in m.vertices],
         }
         m2 = serialize.matroid_from_json(json.loads(json.dumps(obj)))
         assert m2.ground == m.ground
-        assert m2.independents == m.independents
+        assert m2.vertices == m.vertices
 
     def test_shorthands(self):
         m = serialize.matroid_from_json({"uniform": [4, 2]})
-        assert len(m.bases()) == 6
+        assert len(basis_polytope(m).vertices) == 6
         m = serialize.matroid_from_json({"partition": [2, 3]})
-        assert len(m.independents) == 12
+        assert len(m.vertices) == 12
         m = serialize.matroid_from_json(
             {"graphic": [[1, 2], [2, 3], [1, 3]]}
         )
         assert m.rank == 2
-        assert len(m.bases()) == 3
+        assert len(basis_polytope(m).vertices) == 3
 
     def test_graphic_shorthand_matches_builder(self):
         edges = [(1, 2), (2, 3), (1, 3), (3, 4)]
@@ -266,7 +262,7 @@ class TestMatroidJson:
             {"graphic": [list(e) for e in edges]}
         )
         direct = build_graphic(edges)
-        assert via_json.independents == direct.independents
+        assert via_json.vertices == direct.vertices
 
 
 # every subset of 1..11 with at most five elements: 1024 sets, U(11, 5)
@@ -282,7 +278,7 @@ class TestFamilyCap:
         m = serialize.matroid_from_json(
             {"ground": CAP_GROUND, "independents": CAP_FAMILY}
         )
-        assert len(m.independents) == MAX_INDEPENDENTS == 1024
+        assert len(m.vertices) == MAX_INDEPENDENTS == 1024
         for kind in ("raw", "matroid-independence"):
             p = serialize.polytope_from_json(
                 {"kind": kind, "ground": CAP_GROUND, "vertices": CAP_FAMILY}

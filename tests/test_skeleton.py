@@ -24,7 +24,7 @@ from sspkit.families import (
 )
 from sspkit.geometry import build_skeleton_oracle, oracle_is_edge
 from sspkit.graphs import GroundSet, connected_components, reach
-from sspkit.matroids import basis_polytope, build_uniform, independence_polytope
+from sspkit.matroids import basis_polytope, build_uniform
 from sspkit.skeleton import (
     Skeleton,
     ZeroOnePolytope,
@@ -631,7 +631,7 @@ class TestPaths:
         vertices = ZeroOnePolytope.from_graph(g).vertices
         u24 = build_uniform(4, 2)
         raw = ZeroOnePolytope.raw(g.ground, vertices)
-        for p in (raw, independence_polytope(u24), basis_polytope(u24)):
+        for p in (raw, u24, basis_polytope(u24)):
             with pytest.raises(ValueError, match="stable-set or birkhoff"):
                 flip_path(p, p.vertices[0], p.vertices[-1])
 

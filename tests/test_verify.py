@@ -3,12 +3,12 @@
 import random
 import tracemalloc
 
-from sspkit.families import Poset
+from sspkit.families import build_comparability_graph
 from sspkit.verify import (
     SUITES,
+    _random_pairs,
     random_graph,
     random_graph_corpus,
-    random_poset,
     run_suites,
 )
 
@@ -60,13 +60,15 @@ def test_all_suites_pass_on_small_corpus():
 
 
 def test_graph_and_poset_draw_the_same_pairs():
-    """From one generator state, random_poset closes exactly the pairs that
-    random_graph joins, and both leave the generator in the same state."""
+    """From one generator state, the random orders of facets-always close
+    exactly the pairs that random_graph joins, and both leave the generator
+    in the same state."""
     for n in range(2, 8):
         rg, rp = random.Random(n), random.Random(n)
         g = random_graph(rg, n)
-        want = Poset.from_relation(range(1, n + 1), [(i + 1, j + 1) for i, j in g.edges()])
-        assert random_poset(rp, n).below == want.below
+        labels = range(1, n + 1)
+        want = build_comparability_graph(labels, [(i + 1, j + 1) for i, j in g.edges()])
+        assert build_comparability_graph(labels, _random_pairs(rp, n)).adj == want.adj
         assert rg.random() == rp.random()
 
 
