@@ -129,11 +129,10 @@ class SimpleGraph:
 # Caps on a family's size; every consumer (the skeleton pair loop, facet
 # enumeration) is at least quadratic in it. 2^15 stable sets keep rook6
 # (13,327, the vertices of B6) and nc10 (16,796) buildable. Families not
-# read off a graph stop at 1024, a bound set by the per-pair E-test of the
-# raw and matroid kinds: `skeleton` takes 59.8 s on a 1024-vertex raw file
-# of random 30-element subsets of 1..60. The matroid axiom check is not the
-# bound: about 23 ms on U(11, 5)'s 1024 sets and 70 ms on the 2048 of the
-# free matroid on 11 elements (CPython 3.11, 2-core x86-64).
+# read off a graph stop at 1024, where `skeleton --oracle` takes 65 s on
+# random 30-element subsets of 1..60, and `diameter`, by the sum tally, 1.0 s
+# and 81 MB (a key per pair). The matroid axiom check takes about 23 ms on
+# U(11, 5)'s 1024 sets (CPython 3.11, 2-core x86-64).
 MAX_STABLE_SETS = 1 << 15
 MAX_INDEPENDENTS = 1024
 

@@ -12,7 +12,8 @@ on the graph (see build_skeleton_E).
 
 from __future__ import annotations
 
-from itertools import compress
+from collections import Counter
+from itertools import chain, compress
 from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .graphs import (
@@ -130,25 +131,11 @@ def _other_split(p: ZeroOnePolytope, va: int, vb: int) -> Optional[tuple[int, in
     """Masks (C, D) of two members with e_C + e_D = e_A + e_B other than
     {A, B}, or None when {A, B} is the only such split. Needs A != B.
 
-    Any such C has A & B sube C sube A | B and D = C xor (A xor B). The
-    search takes the cheaper of two sides it can count up front: the
-    2^(k-1) subsets of the k-element difference that hold its lowest
-    element (one per unordered pair), or the members themselves. So no
-    pair costs more than min(2^(k-1), |family|) probes.
+    Any such C has A & B sube C sube A | B and D = C xor (A xor B); one
+    scan of the members finds them in vertex order.
     """
     index = p.index
     inter, diff = va & vb, va ^ vb
-    if 1 << (diff.bit_count() - 1) <= len(index):
-        low = diff & -diff
-        rest = diff ^ low
-        s = rest
-        while True:
-            c = inter | low | s
-            if c != va and c != vb and c in index and c ^ diff in index:
-                return c, c ^ diff
-            if not s:
-                return None
-            s = (s - 1) & rest
     for c in p.vertices:
         if c & ~diff == inter and c != va and c != vb and c ^ diff in index:
             return c, c ^ diff
@@ -221,19 +208,25 @@ class Skeleton(NamedTuple):
 
 
 def unique_sum_skeleton(p: ZeroOnePolytope) -> Skeleton:
-    """Skeleton under the unique-decomposition edge test, all vertex pairs."""
-    verts = p.vertices
-    nv = len(verts)
+    """Skeleton under the unique-decomposition edge test, all vertex pairs.
+
+    e_A + e_B is 2 on A & B and 1 on the rest of A | B, so it fixes and is
+    fixed by the int key (A & B) << n | A | B; a pair is an edge iff its
+    key occurs once in one tally over all pairs."""
+    verts, n = p.vertices, p.n
+    keys = [[(va & vb) << n | va | vb for vb in verts[a + 1 :]]
+            for a, va in enumerate(verts)]
+    tally = Counter(chain.from_iterable(keys))
     return Skeleton(tuple(
-        tuple(b for b in range(a + 1, nv) if _other_split(p, va, verts[b]) is None)
-        for a, va in enumerate(verts)
+        tuple(b for b, key in enumerate(row, a + 1) if tally[key] == 1)
+        for a, row in enumerate(keys)
     ), "condition-E")
 
 
 def build_skeleton_E(p: ZeroOnePolytope) -> Skeleton:
     """Skeleton under condition E (the unique-sum edge test).
 
-    Matroid and raw kinds ask every pair for a second split
+    Matroid and raw kinds count the sums of all pairs
     (unique_sum_skeleton). For the stable-set and birkhoff kinds the test
     reduces to "G[A xor B] is connected" (Chvatal 1975): A - B and B - A
     are stable and A & B has no neighbour in A | B, so a split
@@ -421,8 +414,8 @@ def flip_path(p: ZeroOnePolytope, a: int, b: int) -> list[int]:
 
 def is_edge_walk(p: ZeroOnePolytope, walk: Sequence[int]) -> bool:
     """True iff every member of walk is a vertex of p and every hop joins
-    two distinct vertices that pass the unique-sum edge test. A hop over a
-    k-element difference costs at most min(2^(k-1), |family|) probes."""
+    two distinct vertices that pass the unique-sum edge test. Each hop is
+    one scan of the family, |family| probes."""
     return all(v in p.index for v in walk) and all(
         u != v and is_edge_E(p, u, v) for u, v in zip(walk, walk[1:])
     )

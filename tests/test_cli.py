@@ -5,6 +5,7 @@ import hashlib
 import inspect
 import json
 import os
+import random
 import re
 import subprocess
 import sys
@@ -16,8 +17,12 @@ from pathlib import Path
 import pytest
 
 from sspkit.cli import COMMANDS, _parse, main
+from sspkit.counterexample import maximal_family_polytope, modified_cube, remark_graph
 from sspkit.families import FAMILY_BUILDERS
 from sspkit.geometry import enumerate_facets
+from sspkit.graphs import GroundSet
+from sspkit.serialize import dumps, polytope_to_json
+from sspkit.skeleton import ZeroOnePolytope
 from sspkit.verify import MATROID_CATALOG, SUITES
 
 
@@ -267,7 +272,7 @@ class TestSkeletonCmd:
     )
     def test_two_vertices_over_40_elements(self, tmp_path, capsys, kind,
                                            vertices, command):
-        # The two vertices differ in all 40 elements: 2^39 subsets to walk
+        # The two vertices differ in all 40 elements: 2^39 candidate splits
         # for the one pair, against a family of two members.
         p = tmp_path / "p.json"
         p.write_text(json.dumps({
@@ -524,6 +529,69 @@ class TestGoldenStdout:
         digests = {key: hashlib.sha256(outs[key].encode("utf-8")).hexdigest()
                    for key in self.FILES[name]}
         assert digests == self.FILES[name]
+
+    # COUNTED pins skeleton and diameter on files that condition E decides
+    # by tallying sums over all pairs, with each file's edge count out of
+    # its vertex pairs: the maximal stable sets of the Remark 4.3 graph (all
+    # 66 pairs pass the test there) and the cut cube as raw files, U(6, 3)
+    # independence and bases, and 100 seeded subsets of a 7-element set.
+    # Recorded before the tally replaced the split search per pair.
+    COUNTED = {
+        "remark-maximal": (66, 66, (
+            "a8de89e46dda34c212bf294e142cd34c94633987dd5e743d03e674474f4e1b14",
+            "5854209248787edc89801ace9f57e89debd8ba163cb65d8141a2b412d162846e",
+        )),
+        "modified-cube": (12, 21, (
+            "cb5b71290d46c2cfdfeaeb6564ce4094a260873b0e2056b5d08a48af02b3bb67",
+            "333a5b7a45c725b7c1c0fbabbbe8dc3e6afee67549e218ab7cc26c04e68a8083",
+        )),
+        "u63-independence": (186, 861, (
+            "a70f31e12fa2115e8f61573be610771f44d89164193ea785b696e3f240d4faa5",
+            "908b8df4316794a472bdaf30a9cec4bbd7e4e729e95e2526aad1a502ec7019c2",
+        )),
+        "u63-bases": (90, 190, (
+            "c550db1bfb62c913c5d20ee6fb95e0e1f418d11bb6496a3ba66bd2a40c03e1fc",
+            "a1ad0d5880949c46b07ee50d29bab358a1b12d007d8f4b7c690139c6f8b3cea5",
+        )),
+        "raw-100-of-7": (662, 4950, (
+            "cb8c9c5fa318063e982aa175c5b39aa29c5c99830c62e4790edcb39eda1be1f8",
+            "a0820b8ca5a64af1c2fdf5268aceb9e47fc593e94704cd8ef7326b4a14cced6c",
+        )),
+    }
+
+    @staticmethod
+    def counted_file(tmp_path, capsys, name):
+        if name.startswith("u63"):
+            spec = tmp_path / "m.json"
+            spec.write_text(json.dumps({"uniform": [6, 3]}), encoding="utf-8")
+            birkhoff = ["--birkhoff"] if name == "u63-bases" else []
+            code, out, _ = run(capsys, "build", "--family", "matroid",
+                               "--input", str(spec), *birkhoff)
+            assert code == 0
+            return out
+        if name == "remark-maximal":
+            p = maximal_family_polytope(remark_graph())
+        elif name == "modified-cube":
+            p = modified_cube()
+        else:
+            masks = random.Random(7).sample(range(1 << 7), 100)
+            p = ZeroOnePolytope.raw(GroundSet(range(1, 8)), masks)
+        return dumps(polytope_to_json(p))
+
+    @pytest.mark.parametrize("name", list(COUNTED))
+    def test_counted_digests(self, tmp_path, capsys, name):
+        path = tmp_path / "p.json"
+        path.write_text(self.counted_file(tmp_path, capsys, name), encoding="utf-8")
+        outs = []
+        for command in ("skeleton", "diameter"):
+            code, out, _ = run(capsys, command, "--input", str(path))
+            assert code == 0
+            outs.append(out)
+        nv = len(json.loads(path.read_text(encoding="utf-8"))["vertices"])
+        edges, pairs, want = self.COUNTED[name]
+        assert (len(json.loads(outs[0])["edges"]), nv * (nv - 1) // 2) == (edges, pairs)
+        digests = tuple(hashlib.sha256(o.encode("utf-8")).hexdigest() for o in outs)
+        assert digests == want
 
     @pytest.mark.parametrize("suite", list(VERIFY))
     def test_verify_digests(self, capsys, suite):

@@ -24,7 +24,7 @@ from sspkit.families import (
 )
 from sspkit.geometry import build_skeleton_oracle, oracle_is_edge
 from sspkit.graphs import GroundSet, connected_components, reach
-from sspkit.matroids import basis_polytope, build_uniform
+from sspkit.matroids import basis_polytope, build_partition, build_uniform
 from sspkit.skeleton import (
     Skeleton,
     ZeroOnePolytope,
@@ -163,10 +163,10 @@ class TestDecompositions:
     @given(st.lists(st.integers(0, 63), max_size=28))
     @settings(max_examples=150, deadline=None)
     def test_matches_reference_on_random_raw_families(self, drawn):
-        # The empty set, {0} and the full 6-set are always members. With at
-        # most 31 members, the pair (empty, full) has 2^5 subsets to walk,
-        # more than the members, so it takes the member scan; the pair
-        # (empty, {0}) has one subset, so it takes the walk.
+        # The empty set, {0} and the full 6-set are always members, so the
+        # pairs include a one-element difference, (empty, {0}), and one of
+        # all six elements, (empty, full), whose 2^5 candidate splits
+        # outnumber the at most 31 members the split search scans.
         verts = list(dict.fromkeys([0, 1, 63, *drawn]))
         p = ZeroOnePolytope.raw(GroundSet(range(6)), verts)
         assert len(verts) < 32
@@ -385,10 +385,10 @@ def edge_list_diameter(nv, edges):
 
 
 @st.composite
-def graph_polytopes(draw):
-    """A stable-set or birkhoff polytope of a graph on up to eight
+def graph_polytopes(draw, max_n=8):
+    """A stable-set or birkhoff polytope of a graph on up to max_n
     elements: the empty ground set, edgeless, complete or random."""
-    n = draw(st.integers(0, 8))
+    n = draw(st.integers(0, max_n))
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
     shape = draw(st.sampled_from(["edgeless", "complete", "random"]))
     if shape == "edgeless":
@@ -397,6 +397,65 @@ def graph_polytopes(draw):
         pairs = [e for e in pairs if draw(st.booleans())]
     g = graphs.SimpleGraph.from_edges(range(n), pairs)
     return draw(st.sampled_from([ZeroOnePolytope.from_graph, birkhoff_restrict]))(g)
+
+
+def reference_unique_sum_skeleton(p):
+    """Reference: the rows of the pairs {A, B} that reference_splits finds
+    to be the only split of e_A + e_B, asked pair by pair."""
+    verts = p.vertices
+    return tuple(
+        tuple(
+            b for b in range(a + 1, len(verts))
+            if reference_splits(p, va, verts[b]) == {frozenset((va, verts[b]))}
+        )
+        for a, va in enumerate(verts)
+    )
+
+
+@st.composite
+def raw_polytopes(draw):
+    """A raw polytope of up to 16 subsets of a ground set of one to six
+    elements, with or without the empty set."""
+    n = draw(st.integers(1, 6))
+    masks = draw(st.lists(st.integers(1, (1 << n) - 1), unique=True, max_size=15))
+    if draw(st.booleans()) or not masks:
+        masks.insert(draw(st.integers(0, len(masks))), 0)
+    return ZeroOnePolytope.raw(GroundSet(range(n)), masks)
+
+
+@st.composite
+def matroid_polytopes(draw):
+    """The independence or basis polytope of a uniform matroid on up to
+    five elements or of a partition matroid of up to two blocks."""
+    if draw(st.booleans()):
+        n = draw(st.integers(1, 5))
+        p = build_uniform(n, draw(st.integers(0, n)))
+    else:
+        p = build_partition(draw(st.lists(st.integers(1, 3), min_size=1, max_size=2)))
+    return basis_polytope(p) if draw(st.booleans()) else p
+
+
+class TestUniqueSumCount:
+    """unique_sum_skeleton tallies one key per pair; the reference compares
+    indicator sums coordinate by coordinate for each pair, sharing no code
+    with the tally or with the split search."""
+
+    @given(raw_polytopes())
+    @settings(max_examples=100, deadline=None)
+    def test_raw_families(self, p):
+        assert unique_sum_skeleton(p).rows == reference_unique_sum_skeleton(p)
+
+    @given(matroid_polytopes())
+    @settings(max_examples=60, deadline=None)
+    def test_matroids(self, p):
+        assert unique_sum_skeleton(p).rows == reference_unique_sum_skeleton(p)
+
+    @given(graph_polytopes(max_n=4))
+    @settings(max_examples=60, deadline=None)
+    def test_graph_polytopes(self, p):
+        s = unique_sum_skeleton(p)
+        assert s.rows == reference_unique_sum_skeleton(p)
+        assert s == build_skeleton_E(p)
 
 
 class TestRows:
@@ -511,30 +570,45 @@ class TestDiameter:
         assert diameter(s) is None
 
 
+def raw_600():
+    """600 seeded 30-element subsets of 1..60. No two pairs of them share
+    a sum e_A + e_B, so the skeleton is complete."""
+    rng = random.Random(600)
+    masks = {}
+    while len(masks) < 600:
+        masks[sum(1 << k for k in rng.sample(range(60), 30))] = None
+    return ZeroOnePolytope.raw(GroundSet(range(1, 61)), list(masks))
+
+
 class TestPastTheLadder:
-    """Rows past the benchmark ladder. The nc8, bell7 and nn8 edge counts
-    were confirmed once with unique_sum_skeleton (5.9 s, 2.1 s, 5.8 s).
+    """Rows past the benchmark ladder. The nc8 and nn8 edge counts were
+    confirmed once with the split search per pair (5.9 s, 5.8 s) that
+    unique_sum_skeleton ran before it tallied sums, and once with the
+    tally (1.1 s, 0.9 s); the bell7 and B6 rows check their skeleton
+    against the tally on every run, outside the timed span (0.3 s each).
     B6 has 720 * 409 / 2 edges: two permutation matrices are adjacent iff
     they differ by one cycle, and 409 permutations of 6 are one cycle of
-    length at least 2. The budgets sit near five times the 2-core time of
-    building the polytope, build_skeleton_E and diameter (0.17, 0.04,
-    0.13 and 0.13 s)."""
+    length at least 2. The raw row goes through the tally; the split
+    search per pair took 11.7 s on it. The budgets sit near five times the
+    2-core time of building the polytope, build_skeleton_E and diameter
+    (0.17, 0.04, 0.13, 0.13 and 0.25 s)."""
 
     @pytest.mark.parametrize(
-        "build, vertices, edges, diam, rank, budget",
+        "build, vertices, edges, diam, rank, budget, recount",
         [
             (lambda: ZeroOnePolytope.from_graph(build_noncrossing_graph(8)),
-             1430, 97755, 4, 7, 1.0),
+             1430, 97755, 4, 7, 1.0, False),
             (lambda: ZeroOnePolytope.from_graph(build_bell_graph(7)),
-             877, 30882, 6, 6, 0.25),
+             877, 30882, 6, 6, 0.25, True),
             (lambda: ZeroOnePolytope.from_graph(build_nonnesting_graph(8)),
-             1430, 99439, 2, 7, 0.75),
+             1430, 99439, 2, 7, 0.75, False),
             (lambda: birkhoff_restrict(build_rook_graph(6)),
-             720, 147240, 2, 6, 0.75),
+             720, 147240, 2, 6, 0.75, True),
+            (raw_600, 600, 179700, 1, 30, 1.25, False),
         ],
-        ids=["nc8", "bell7", "nn8", "B6"],
+        ids=["nc8", "bell7", "nn8", "B6", "raw600"],
     )
-    def test_row(self, build, vertices, edges, diam, rank, budget):
+    def test_row(self, build, vertices, edges, diam, rank, budget, recount):
         start = time.monotonic()
         p = build()
         s = build_skeleton_E(p)
@@ -545,6 +619,8 @@ class TestPastTheLadder:
         )
         assert d <= p.rank
         assert elapsed < budget, f"budget exceeded: {elapsed:.2f}s"
+        if recount:
+            assert unique_sum_skeleton(p).rows == s.rows
 
 
 class TestQuasimatroidExchange:
