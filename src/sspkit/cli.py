@@ -21,6 +21,7 @@ from types import SimpleNamespace
 from typing import Callable, NoReturn, Optional, Sequence
 
 from . import serialize
+from .graphs import FACET_DIM_CAP, FACET_VERTEX_CAP
 from .skeleton import (
     ZeroOnePolytope,
     birkhoff_restrict,
@@ -121,14 +122,12 @@ def cmd_facets(args: SimpleNamespace) -> int:
     from .geometry import classify_inequality, enumerate_facets
 
     p = serialize.polytope_from_json(_read_json(args.input))
-    facets = enumerate_facets(
-        p, vertex_cap=args.facet_vertex_cap, dim_cap=args.facet_dim_cap
-    )
+    facets = enumerate_facets(p, args.facet_vertex_cap, args.facet_dim_cap)
     out = serialize.facets_to_json(facets)
     counts = {"nonnegativity": 0, "clique": 0, "other": 0}
     others = []
     for q, entry in zip(facets, out["facets"]):
-        kind = classify_inequality(q, p.graph)
+        kind = classify_inequality(q)
         counts[kind] += 1
         if kind == "other":
             others.append(entry)
@@ -194,7 +193,7 @@ REQUIRED = ...  # the default of an option that must be given
 # command: (handler, help, {option: (default, kind)}); kind is bool (a flag),
 # int, str or a tuple of choices, spelled out so that parsing imports neither
 # families, geometry nor verify (tests pin the choices to FAMILY_BUILDERS and
-# SUITES, and the facet caps to enumerate_facets' defaults).
+# SUITES; the facet caps are graphs' constants, which serialize loads anyway).
 COMMANDS = {
     "build": (cmd_build, "write a polytope JSON file (--input for relation, chain "
               "and matroid; --birkhoff keeps the top cardinality)", {
@@ -210,9 +209,9 @@ COMMANDS = {
         "--input": (REQUIRED, str), "--format": ("json", ("json", "text")),
         "--output": (None, str)}),
     "facets": (cmd_facets, "complete facet list (double description)", {
-        "--input": (REQUIRED, str), "--facet-vertex-cap": (1500, int),
-        "--facet-dim-cap": (28, int), "--format": ("json", ("json", "text")),
-        "--output": (None, str)}),
+        "--input": (REQUIRED, str), "--facet-vertex-cap": (FACET_VERTEX_CAP, int),
+        "--facet-dim-cap": (FACET_DIM_CAP, int),
+        "--format": ("json", ("json", "text")), "--output": (None, str)}),
     "path": (cmd_path, "edge walk between two vertices, each a JSON label list", {
         "--input": (REQUIRED, str), "--from": (REQUIRED, str), "--to": (REQUIRED, str),
         "--output": (None, str)}),

@@ -9,9 +9,11 @@ in integer arithmetic.
 
 from __future__ import annotations
 
-from typing import NamedTuple, Optional
+from typing import NamedTuple
 
-from .graphs import SimpleGraph, bits, enumerate_max_cliques
+from .graphs import (
+    FACET_DIM_CAP, FACET_VERTEX_CAP, SimpleGraph, bits, enumerate_max_cliques,
+)
 from .linalg import cone_rays, independent_rows, lp_feasible, primitive
 from .skeleton import Skeleton, ZeroOnePolytope, _check_pair
 
@@ -60,12 +62,6 @@ def always_facet_inequalities(g: SimpleGraph) -> list[Inequality]:
     out = [nonnegativity(n, v) for v in range(n)]
     out.extend(clique_inequality(n, c) for c in enumerate_max_cliques(g))
     return out
-
-
-def normalized_int_form(q: Inequality) -> tuple[tuple[int, ...], int]:
-    """Divide by the positive gcd to primitive integers (gcd 1)."""
-    *coeffs, rhs = primitive((*q.coeffs, q.rhs))
-    return tuple(coeffs), rhs
 
 
 def oracle_is_edge(p: ZeroOnePolytope, a: int, b: int) -> bool:
@@ -144,14 +140,14 @@ def _lifted(v: int, n: int) -> tuple[int, ...]:
 
 
 def enumerate_facets(
-    p: ZeroOnePolytope, vertex_cap: int = 1500, dim_cap: int = 28
+    p: ZeroOnePolytope, vertex_cap: int = FACET_VERTEX_CAP, dim_cap: int = FACET_DIM_CAP
 ) -> list[Inequality]:
     """The complete irredundant facet list of a full-dimensional polytope.
 
     Double description on the dual cone of the homogenization: rays of
     {y : y . (1, w) >= 0 for all vertices w} are exactly the facets. All
-    ray arithmetic stays in primitive integer vectors. Inputs beyond the
-    caps are refused rather than attempted.
+    ray arithmetic stays in primitive integer vectors, so facets come out
+    primitive. Inputs beyond the caps are refused rather than attempted.
 
     The lifted rows are sorted lexicographically ascending before the start
     basis is chosen, so the basis and every later insertion follow lexmin
@@ -222,27 +218,21 @@ def enumerate_facets(
         tight = [tight[k] | bit if vals[k] == 0 else tight[k] for k in keep]
         tight += new_tight
 
-    return sorted(
-        (Inequality(tuple(-c for c in ray[1:]), ray[0]) for ray in rays),
-        key=lambda q: (q.coeffs, q.rhs),
-    )
+    return sorted(Inequality(tuple(-c for c in ray[1:]), ray[0]) for ray in rays)
 
 
-def classify_inequality(
-    q: Inequality, graph: Optional[SimpleGraph] = None
-) -> str:
-    """One of "nonnegativity", "clique", "other" (normalized form decides)."""
-    coeffs, rhs = normalized_int_form(q)
+def classify_inequality(q: Inequality) -> str:
+    """One of "nonnegativity", "clique", "other", read off the primitive
+    row of q: -x_v <= 0, a 0/1 row with right-hand side 1, or neither.
+
+    No graph is needed: on a stable-set polytope, two non-adjacent members
+    of a valid 0/1 row's support would be a stable set at which it reads 2.
+    The rule is exact on every full-dimensional polytope enumerate_facets
+    accepts; birkhoff and matroid-bases polytopes are not full-dimensional.
+    """
+    *coeffs, rhs = primitive((*q.coeffs, q.rhs))
     if rhs == 0 and sum(c != 0 for c in coeffs) == 1 and min(coeffs) == -1:
         return "nonnegativity"
     if rhs == 1 and all(c in (0, 1) for c in coeffs) and any(coeffs):
-        support = [i for i, c in enumerate(coeffs) if c == 1]
-        if graph is None:
-            return "clique"
-        if all(
-            graph.has_edge(u, v)
-            for x, u in enumerate(support)
-            for v in support[x + 1 :]
-        ):
-            return "clique"
+        return "clique"
     return "other"

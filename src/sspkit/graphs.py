@@ -108,9 +108,6 @@ class SimpleGraph:
     def n(self) -> int:
         return len(self.ground)
 
-    def has_edge(self, u: int, v: int) -> bool:
-        return bool((self.adj[u] >> v) & 1)
-
     def edges(self) -> list[tuple[int, int]]:
         out = []
         for u in range(self.n):
@@ -132,9 +129,12 @@ class SimpleGraph:
 # read off a graph stop at 1024, where `skeleton --oracle` takes 65 s on
 # random 30-element subsets of 1..60, and `diameter`, by the sum tally, 1.0 s
 # and 81 MB (a key per pair). The matroid axiom check takes about 23 ms on
-# U(11, 5)'s 1024 sets (CPython 3.11, 2-core x86-64).
+# U(11, 5)'s 1024 sets (CPython 3.11, 2-core x86-64). Facet enumeration
+# has its own default caps, which `facets --facet-*-cap` moves.
 MAX_STABLE_SETS = 1 << 15
 MAX_INDEPENDENTS = 1024
+FACET_VERTEX_CAP = 1500
+FACET_DIM_CAP = 28
 
 
 def enumerate_stable_sets(g: SimpleGraph) -> list[int]:

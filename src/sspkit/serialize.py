@@ -13,7 +13,7 @@ from typing import TYPE_CHECKING, Any, Sequence
 from .graphs import MAX_INDEPENDENTS, GroundSet, Label, SimpleGraph, bits
 from .skeleton import Skeleton, ZeroOnePolytope
 
-if TYPE_CHECKING:  # facets_to_json imports it when run
+if TYPE_CHECKING:
     from .geometry import Inequality
 
 
@@ -152,13 +152,8 @@ def skeleton_from_json(obj: dict) -> tuple[list[tuple[Label, ...]], Skeleton]:
 
 
 def facets_to_json(facets: Sequence[Inequality]) -> dict:
-    from .geometry import normalized_int_form
-
-    out = []
-    for q in facets:
-        coeffs, rhs = normalized_int_form(q)
-        out.append({"coeffs": list(coeffs), "rhs": rhs})
-    return {"facets": out}
+    """Each row as given: enumerate_facets returns them primitive."""
+    return {"facets": [{"coeffs": list(q.coeffs), "rhs": q.rhs} for q in facets]}
 
 
 def matroid_from_json(obj: dict) -> ZeroOnePolytope:

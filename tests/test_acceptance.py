@@ -32,7 +32,6 @@ from sspkit.geometry import (
     classify_inequality,
     enumerate_facets,
     is_facet,
-    normalized_int_form,
     oracle_is_edge,
 )
 from sspkit.linalg import independent_rows
@@ -228,7 +227,7 @@ def test_criterion_7_noncrossing6_facets():
 
     by_kind = {"nonnegativity": [], "clique": [], "other": []}
     for q in facets:
-        by_kind[classify_inequality(q, g)].append(q)
+        by_kind[classify_inequality(q)].append(q)
     assert len(by_kind["nonnegativity"]) == 15
     assert len(by_kind["clique"]) == 16
     assert len(by_kind["other"]) == 1
@@ -246,7 +245,7 @@ def test_criterion_7_noncrossing6_facets():
     budget.check()
 
     extra = by_kind["other"][0]
-    coeffs, rhs = normalized_int_form(extra)
+    coeffs, rhs = extra.coeffs, extra.rhs
     assert rhs == 2
     assert sorted(set(coeffs)) == [0, 1] and sum(coeffs) == 10
 

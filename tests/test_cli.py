@@ -593,6 +593,72 @@ class TestGoldenStdout:
         digests = tuple(hashlib.sha256(o.encode("utf-8")).hexdigest() for o in outs)
         assert digests == want
 
+    # FACETS pins facets (JSON, then text) on files whose kind carries no
+    # graph: matroid independence polytopes built from a spec, the cut cube
+    # as a raw file, and nc6's file relabelled raw with its graph removed,
+    # which must read as the stable-set file does. Recorded before a
+    # facet's class came to be read off its row alone.
+    FACET_SPECS = {
+        "u42": {"uniform": [4, 2]},
+        "u63": {"uniform": [6, 3]},
+        "partition-2-3": MATROID_CATALOG["partition-2-3"],
+        "graphic-k4": MATROID_CATALOG["graphic-k4"],
+    }
+    FACETS = {
+        "u42": (
+            "bb4b2e3ab2a7e49413d8b41006bdfd7aecfd37ebf219b2f152887cfc023b311a",
+            "27b19b27ae453c0e8c08908f5854e53e122c4e01ad213b226f0507225aa91ef9",
+        ),
+        "u63": (
+            "e2c9e082268b0d0770750e682adc136bb9996464cac6279a075634b2cc167802",
+            "3ab4ddea8517a36aaa3378fb40b6bf716ea12ce1790412248edec2373ad7b1ea",
+        ),
+        "partition-2-3": (
+            "0b023b80e94902e46fd9c4c35d24761b26d5bb5a9f2328c30697aac5ff4e5453",
+            "7927bd7feefb8e22484ce996d892515c1a61f473f105cc85ae22e535382981f0",
+        ),
+        "graphic-k4": (
+            "f2e53e12cdfec58343f3322485eaaa37beb0bd248fe62194754599ba84f043ca",
+            "deba777af7f5326962094253388e035dd65107a30ea8563e73efba7ec42b5baf",
+        ),
+        "modified-cube": (
+            "78015efcfa03ff214571c09ec729887c2de6aa3945a1d45a70d833e35b9e6825",
+            "1a7ba07abfd29fe3b9030faa8c8dc370f11699813a63cc8f772a921761fcf440",
+        ),
+        "raw-nc6": (
+            FORMATS["nc", "6", False]["facets",],
+            FORMATS["nc", "6", False]["facets", "--format", "text"],
+        ),
+    }
+
+    @classmethod
+    def facets_file(cls, tmp_path, capsys, name):
+        if name == "modified-cube":
+            return dumps(polytope_to_json(modified_cube()))
+        if name == "raw-nc6":
+            code, out, _ = run(capsys, "build", "--family", "nc", "--n", "6")
+            assert code == 0
+            obj = json.loads(out)
+            del obj["graph"]
+            return dumps({**obj, "kind": "raw"})
+        spec = tmp_path / "m.json"
+        spec.write_text(json.dumps(cls.FACET_SPECS[name]), encoding="utf-8")
+        code, out, _ = run(capsys, "build", "--family", "matroid", "--input", str(spec))
+        assert code == 0
+        return out
+
+    @pytest.mark.parametrize("name", list(FACETS))
+    def test_facets_digests(self, tmp_path, capsys, name):
+        path = tmp_path / "p.json"
+        path.write_text(self.facets_file(tmp_path, capsys, name), encoding="utf-8")
+        outs = []
+        for extra in ([], ["--format", "text"]):
+            code, out, _ = run(capsys, "facets", "--input", str(path), *extra)
+            assert code == 0
+            outs.append(out)
+        digests = tuple(hashlib.sha256(o.encode("utf-8")).hexdigest() for o in outs)
+        assert digests == self.FACETS[name]
+
     @pytest.mark.parametrize("suite", list(VERIFY))
     def test_verify_digests(self, capsys, suite):
         extra, digest = self.VERIFY[suite]
@@ -705,6 +771,19 @@ class TestFacetsCmd:
                            "--format", "text")
         assert code == 0
         assert out == "facets 65 nonnegativity 21 clique 32 other 12\n"
+
+    def test_a_graph_the_kind_does_not_use_changes_nothing(self, tmp_path, capsys):
+        # a raw file's graph field is read but names no facet's class
+        bare = json.loads(TestGoldenStdout.facets_file(tmp_path, capsys, "raw-nc6"))
+        p = tmp_path / "p.json"
+        outs = []
+        for obj in ({**bare, "graph": {"edges": [[[1, 2], [3, 4]]]}}, bare):
+            p.write_text(dumps(obj), encoding="utf-8")
+            code, out, _ = run(capsys, "facets", "--input", str(p),
+                               "--format", "text")
+            assert code == 0
+            outs.append(out)
+        assert outs == ["facets 32 nonnegativity 15 clique 16 other 1\n"] * 2
 
     @pytest.mark.parametrize(
         "family, n, message",
@@ -964,9 +1043,9 @@ def _choices(command, option):
 
 
 class TestParser:
-    """The option table spells its choices and the facet caps out so that
-    parsing imports neither families, geometry nor verify; they must stay
-    equal to the tables and defaults they name."""
+    """The option table spells its choices out so that parsing imports
+    neither families, geometry nor verify; they must stay equal to the
+    tables they name, and its facet caps to enumerate_facets' defaults."""
 
     def test_family_choices(self):
         assert _choices("build", "--family") == sorted(FAMILY_BUILDERS) + [

@@ -6,6 +6,7 @@ the inequalities cut the 0/1 cube down to exactly the vertex set, and small
 cases match Qhull's floating hull.
 """
 
+import math
 import random
 import time
 from fractions import Fraction
@@ -38,7 +39,6 @@ from sspkit.geometry import (
     enumerate_facets,
     is_facet,
     nonnegativity,
-    normalized_int_form,
     oracle_is_edge,
 )
 from sspkit.graphs import SimpleGraph, enumerate_max_cliques
@@ -57,6 +57,7 @@ from sspkit.skeleton import (
     diameter,
 )
 from sspkit.verify import random_graph
+from strategies import graph_polytopes, raw_polytopes
 
 
 def random_n5_polytopes():
@@ -180,17 +181,13 @@ class TestInequality:
         assert q.coeffs == (1, 0, 1)
         assert q.rhs == 1
 
-    def test_normalized_int_form_clears_denominators(self):
-        # (1/2, 1/3) . x <= 5/6 times 12: the normal form divides out the
-        # gcd. A rational coefficient is refused, not cleared.
-        assert normalized_int_form(Inequality((6, 4), 10)) == ((3, 2), 5)
+    def test_classify_reads_the_primitive_row(self):
+        # 2x_1 + 2x_2 <= 2 is a clique row once the gcd is divided out. A
+        # rational coefficient is refused, not cleared.
+        assert classify_inequality(Inequality((2, 2, 0), 2)) == "clique"
         q = Inequality((Fraction(1, 2), Fraction(1, 3)), Fraction(5, 6))
         with pytest.raises(TypeError):
-            normalized_int_form(q)
-
-    def test_normalized_int_form_zero_row_total(self):
-        assert normalized_int_form(Inequality((0, 0), 1)) == ((0, 0), 1)
-        assert normalized_int_form(Inequality((0, 0), 0)) == ((0, 0), 0)
+            classify_inequality(q)
 
 
 class TestValidityAndFacets:
@@ -267,7 +264,7 @@ class TestEnumerateFacets:
         p = ZeroOnePolytope.from_graph(build_complete_graph(3))
         facets = enumerate_facets(p)
         assert len(facets) == 4
-        forms = {normalized_int_form(q) for q in facets}
+        forms = {(q.coeffs, q.rhs) for q in facets}
         assert ((1, 1, 1), 1) in forms
         assert ((0, -1, 0), 0) in forms
 
@@ -282,7 +279,7 @@ class TestEnumerateFacets:
         edges = build_skeleton_E(p).edges
         assert len(p.vertices) - len(edges) + len(facets) == 2
         assert len(facets) == 5
-        forms = {normalized_int_form(q) for q in facets}
+        forms = {(q.coeffs, q.rhs) for q in facets}
         assert ((1, 1, 0), 1) in forms  # shared-row pair
         assert ((0, 1, 1), 1) in forms  # shared-column pair
 
@@ -577,7 +574,7 @@ def test_nc7_facets_with_caps_lifted():
     facets = enumerate_facets(p, vertex_cap=len(p.vertices), dim_cap=p.n)
     counts = {"nonnegativity": 0, "clique": 0, "other": 0}
     for q in facets:
-        counts[classify_inequality(q, g)] += 1
+        counts[classify_inequality(q)] += 1
         assert is_facet(p, q)
     elapsed = time.monotonic() - start
     assert len(facets) == 65
@@ -601,7 +598,7 @@ def test_nc8_facet_list():
     elapsed = time.monotonic() - start
     by_kind = {"nonnegativity": [], "clique": [], "other": []}
     for q in facets:
-        by_kind[classify_inequality(q, g)].append(normalized_int_form(q))
+        by_kind[classify_inequality(q)].append((q.coeffs, q.rhs))
     assert (len(p.vertices), p.n, len(facets)) == (1430, 28, 221)
     assert {k: len(v) for k, v in by_kind.items()} == {
         "nonnegativity": 28, "clique": 64, "other": 129,
@@ -654,7 +651,7 @@ class TestFacetData:
         elapsed = time.monotonic() - start
         counts = {"nonnegativity": 0, "clique": 0, "other": 0}
         for q in got:
-            counts[classify_inequality(q, g)] += 1
+            counts[classify_inequality(q)] += 1
         assert (len(p.vertices), p.n, len(got)) == (vertices, n, facets)
         assert tuple(counts.values()) == classes
         assert (len(got) - p.n, d, p.rank) == (hirsch, diam, rank)
@@ -680,7 +677,7 @@ class TestNoncrossing6Facet:
         q = self.extra_inequality()
         assert holds_on(self.p, q)
         assert is_facet(self.p, q)
-        assert classify_inequality(q, self.g) == "other"
+        assert classify_inequality(q) == "other"
 
     def test_three_long_arcs_impossible(self):
         # the inequality says: no noncrossing partition of 6 carries three
@@ -706,16 +703,68 @@ class TestNoncrossing6Facet:
         assert not holds_on(self.p, q)
 
 
+def dd_facets(p):
+    """enumerate_facets(p), or no rows where p is not full-dimensional."""
+    try:
+        return enumerate_facets(p)
+    except ValueError as exc:
+        assert "full-dimensional" in str(exc)
+        return []
+
+
+def reference_class(q, adj):
+    """The rule with the graph: a 0/1 row with right-hand side 1 is a
+    clique row only if its support is pairwise adjacent in adj."""
+    g = math.gcd(*q.coeffs, q.rhs)
+    coeffs, rhs = [c // g for c in q.coeffs], q.rhs // g
+    support = [v for v, c in enumerate(coeffs) if c]
+    if rhs == 0 and [coeffs[v] for v in support] == [-1]:
+        return "nonnegativity"
+    if rhs == 1 and support and all(coeffs[v] == 1 for v in support) and all(
+        adj[u] >> v & 1 for u in support for v in support if u != v
+    ):
+        return "clique"
+    return "other"
+
+
 class TestClassify:
+    """A facet's class is read off its primitive row alone. DD returns
+    primitive rows, and on a stable-set polytope every valid 0/1 row with
+    right-hand side 1 has a clique of the graph as its support."""
+
     def test_nonnegativity(self):
-        g, p = path3_polytope()
-        assert classify_inequality(nonnegativity(3, 0), g) == "nonnegativity"
+        assert classify_inequality(nonnegativity(3, 0)) == "nonnegativity"
 
     def test_clique(self):
-        g, p = path3_polytope()
-        assert classify_inequality(clique_inequality(3, 0b011), g) == "clique"
+        assert classify_inequality(clique_inequality(3, 0b011)) == "clique"
 
     def test_other(self):
-        g, p = path3_polytope()
         q = Inequality((1, 1, 1), 2)
-        assert classify_inequality(q, g) == "other"
+        assert classify_inequality(q) == "other"
+
+    @given(st.one_of(graph_polytopes(), raw_polytopes()))
+    @settings(max_examples=150, deadline=None)
+    def test_dd_rows_are_primitive(self, p):
+        assert all(math.gcd(*q.coeffs, q.rhs) == 1 for q in dd_facets(p))
+
+    @given(graph_polytopes())
+    @settings(max_examples=150, deadline=None)
+    def test_no_graph_needed_on_random_graphs(self, p):
+        for q in dd_facets(p):
+            assert classify_inequality(q) == reference_class(q, p.graph.adj)
+
+    @pytest.mark.parametrize(
+        "build, n",
+        [
+            (build_noncrossing_graph, 5), (build_noncrossing_graph, 6),
+            (build_noncrossing_graph, 7), (build_nonnesting_graph, 6),
+            (build_nonnesting_graph, 7), (build_bell_graph, 5), (build_bell_graph, 6),
+            (build_rook_graph, 3), (build_empty_graph, 5), (build_complete_graph, 5),
+        ],
+        ids=["nc5", "nc6", "nc7", "nn6", "nn7", "bell5", "bell6", "rook3",
+             "empty5", "complete5"],
+    )
+    def test_no_graph_needed_on_the_families(self, build, n):
+        g = build(n)
+        for q in enumerate_facets(ZeroOnePolytope.from_graph(g)):
+            assert classify_inequality(q) == reference_class(q, g.adj)

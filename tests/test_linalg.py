@@ -70,6 +70,13 @@ def rational_matrices(draw, max_side=6):
     )
 
 
+class TestPrimitive:
+    def test_zero_row_total(self):
+        # only the last entry is nonzero, or none is: nothing to divide
+        assert primitive((0, 0, 1)) == (0, 0, 1)
+        assert primitive((0, 0, 0)) == (0, 0, 0)
+
+
 class TestRank:
     def test_identity(self):
         ident = [[1, 0, 0], [0, 1, 0], [0, 0, 1]]

@@ -39,6 +39,7 @@ from sspkit.skeleton import (
     unique_sum_skeleton,
 )
 from sspkit.verify import random_graph
+from strategies import graph_polytopes, raw_polytopes
 
 
 def bell3_polytope():
@@ -384,21 +385,6 @@ def edge_list_diameter(nv, edges):
     return rounds
 
 
-@st.composite
-def graph_polytopes(draw, max_n=8):
-    """A stable-set or birkhoff polytope of a graph on up to max_n
-    elements: the empty ground set, edgeless, complete or random."""
-    n = draw(st.integers(0, max_n))
-    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    shape = draw(st.sampled_from(["edgeless", "complete", "random"]))
-    if shape == "edgeless":
-        pairs = []
-    elif shape == "random":
-        pairs = [e for e in pairs if draw(st.booleans())]
-    g = graphs.SimpleGraph.from_edges(range(n), pairs)
-    return draw(st.sampled_from([ZeroOnePolytope.from_graph, birkhoff_restrict]))(g)
-
-
 def reference_unique_sum_skeleton(p):
     """Reference: the rows of the pairs {A, B} that reference_splits finds
     to be the only split of e_A + e_B, asked pair by pair."""
@@ -410,17 +396,6 @@ def reference_unique_sum_skeleton(p):
         )
         for a, va in enumerate(verts)
     )
-
-
-@st.composite
-def raw_polytopes(draw):
-    """A raw polytope of up to 16 subsets of a ground set of one to six
-    elements, with or without the empty set."""
-    n = draw(st.integers(1, 6))
-    masks = draw(st.lists(st.integers(1, (1 << n) - 1), unique=True, max_size=15))
-    if draw(st.booleans()) or not masks:
-        masks.insert(draw(st.integers(0, len(masks))), 0)
-    return ZeroOnePolytope.raw(GroundSet(range(n)), masks)
 
 
 @st.composite
@@ -456,6 +431,22 @@ class TestUniqueSumCount:
         s = unique_sum_skeleton(p)
         assert s.rows == reference_unique_sum_skeleton(p)
         assert s == build_skeleton_E(p)
+
+
+class TestConditionEKeepsEdges:
+    """Condition E never drops a polytope edge: a polytope edge AB has no
+    second split e_C + e_D = e_A + e_B, since the edge is a face holding
+    the common midpoint, so it would hold C and D too. The converse fails
+    on Remark 4.3's family. So every LP edge is an E edge, and `diameter`,
+    which reads the E skeleton, never finds a file's skeleton
+    disconnected."""
+
+    @given(raw_polytopes())
+    @settings(max_examples=100, deadline=None)
+    def test_raw_families(self, p):
+        oracle = build_skeleton_oracle(p).rows
+        for row, e_row in zip(oracle, unique_sum_skeleton(p).rows, strict=True):
+            assert set(row) <= set(e_row)
 
 
 class TestRows:
