@@ -48,7 +48,7 @@ def maximal_stable_sets(g: SimpleGraph) -> list[int]:
 
 
 def maximal_family_polytope(g: SimpleGraph) -> ZeroOnePolytope:
-    return ZeroOnePolytope.raw(g.ground, maximal_stable_sets(g))
+    return ZeroOnePolytope(g.ground, maximal_stable_sets(g), "raw")
 
 
 def modified_cube() -> ZeroOnePolytope:
@@ -56,7 +56,7 @@ def modified_cube() -> ZeroOnePolytope:
     except the full one. Satisfies unique-sum/oracle agreement without
     being the stable-set family of any graph."""
     ground = GroundSet((1, 2, 3))
-    return ZeroOnePolytope.raw(ground, [0, 1, 2, 4, 3, 6, 5])
+    return ZeroOnePolytope(ground, [0, 1, 2, 4, 3, 6, 5], "raw")
 
 
 def is_stable_set_family(ground: GroundSet, family) -> bool:
@@ -75,9 +75,9 @@ def is_stable_set_family(ground: GroundSet, family) -> bool:
     return fam == set(enumerate_stable_sets(forced))
 
 
-def verify_remark() -> list[tuple[str, bool, str]]:
+def verify_remark() -> list[tuple[str, bool, dict]]:
     """Check the three disagreement clauses on the pinned family, as
-    (name, passed, note) triples.
+    (name, passed, {"note": ...}) triples: the checks of verify's suites.
 
     (i) the LP oracle refuses the pair (A, B); (ii) e_A - e_B is the sum
     of the three witness directions; (iii) the unique-sum test still calls
@@ -92,7 +92,7 @@ def verify_remark() -> list[tuple[str, bool, str]]:
     clauses = [(
         "family-rederivation",
         match,
-        f"{len(derived)} derived maximal stable sets vs {len(fixture)} pinned",
+        {"note": f"{len(derived)} derived maximal stable sets vs {len(fixture)} pinned"},
     )]
     if not match:
         return clauses
@@ -101,7 +101,7 @@ def verify_remark() -> list[tuple[str, bool, str]]:
     clauses.append((
         "oracle-refuses-AB",
         oracle_is_edge(p, a, b) is False,
-        "LP found a nonnegative combination reaching e_A - e_B",
+        {"note": "LP found a nonnegative combination reaching e_A - e_B"},
     ))
 
     target = [((a >> k) & 1) - ((b >> k) & 1) for k in range(p.n)]
@@ -113,12 +113,12 @@ def verify_remark() -> list[tuple[str, bool, str]]:
     clauses.append((
         "three-member-identity",
         acc == target,
-        "e_A - e_B equals the sum of the three witness directions",
+        {"note": "e_A - e_B equals the sum of the three witness directions"},
     ))
 
     clauses.append((
         "unique-sum-still-claims-edge",
         is_edge_E(p, a, b),
-        "e_A + e_B has no second two-member split in the family",
+        {"note": "e_A + e_B has no second two-member split in the family"},
     ))
     return clauses

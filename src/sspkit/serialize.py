@@ -85,14 +85,14 @@ def _vertex_labels(p: ZeroOnePolytope) -> list[list[Any]]:
 
 
 def polytope_to_json(p: ZeroOnePolytope) -> dict:
+    labels = [encode_label(x) for x in p.ground.labels]
     out: dict[str, Any] = {
         "kind": p.kind,
-        "ground": [encode_label(x) for x in p.ground.labels],
+        "ground": labels,
         "vertices": _vertex_labels(p),
         "rank": p.rank,
     }
     if p.graph is not None:
-        labels = [encode_label(x) for x in p.graph.ground.labels]
         out["graph"] = {"edges": [[labels[i], labels[j]] for i, j in p.graph.edges()]}
     return out
 
@@ -100,11 +100,12 @@ def polytope_to_json(p: ZeroOnePolytope) -> dict:
 def polytope_from_json(obj: dict) -> ZeroOnePolytope:
     obj = _object(obj)
     ground = GroundSet(_labels(obj, "ground"))
-    # the graph kinds' families are capped by their graph's enumeration
-    capped = obj.get("kind") not in ("stable-set", "birkhoff")
-    vertices = [ground.mask_of(s) for s in _label_lists(obj, "vertices", capped)]
+    # the graph kinds' families are capped by their graph's enumeration;
+    # the other kinds ignore a graph, as they ignore any key they do not use
+    graph_kind = obj.get("kind") in ("stable-set", "birkhoff")
+    vertices = [ground.mask_of(s) for s in _label_lists(obj, "vertices", not graph_kind)]
     graph = None
-    if "graph" in obj:
+    if graph_kind and "graph" in obj:
         edges = _pairs(_object(obj["graph"]), "edges")
         graph = SimpleGraph.from_edges(ground.labels, edges)
     p = ZeroOnePolytope(ground, vertices, obj["kind"], graph=graph)

@@ -40,7 +40,8 @@ class ZeroOnePolytope:
 
     rank is the largest vertex cardinality, the paper's bound on the
     skeleton diameter. Every polytope is built through the checks here; a
-    graph kind compares with the stable sets its graph enumerates once.
+    graph kind compares with the stable sets its graph enumerates once, and
+    the other kinds take no graph.
     """
 
     __slots__ = ("ground", "vertices", "kind", "graph", "rank", "index")
@@ -74,6 +75,8 @@ class ZeroOnePolytope:
                 family, what = _largest(family), "the maximum stable sets"
             if index.keys() != set(family):
                 raise ValueError(f"{kind} kind requires exactly {what}")
+        elif graph is not None:
+            raise ValueError(f"kind {kind!r} takes no graph")
         elif kind == "matroid-independence":
             from .matroids import check_matroid_axioms  # only matroid kinds load it
 
@@ -98,10 +101,6 @@ class ZeroOnePolytope:
     def from_graph(cls, g: SimpleGraph) -> "ZeroOnePolytope":
         """Stable-set polytope of g, vertices in enumeration order."""
         return cls(g.ground, enumerate_stable_sets(g), "stable-set", g)
-
-    @classmethod
-    def raw(cls, ground: GroundSet, vertices: Sequence[int]) -> "ZeroOnePolytope":
-        return cls(ground, vertices, "raw")
 
     @property
     def n(self) -> int:

@@ -2,10 +2,12 @@
 against an independent route on seeded corpora. The CLI `verify` command
 is a thin wrapper around these.
 
-Each suite returns the report that `verify` prints: a dict with "suite",
-"seed", "params" and "checks", each check a {"name", "passed", "details"}
-dict in the order it ran. run_suites adds "passed": the suite ran at
-least one check and every check passed."""
+Each suite takes seed, graphs and max_n and returns (params, checks), its
+checks a list of (name, passed, details) triples in the order they ran; it
+does all its work in the call, so timing a SUITES entry times the suite.
+run_suites alone builds the report that `verify` prints: "suite", "seed",
+"params", "checks" (as {"name", "passed", "details"} dicts) and "passed":
+the suite ran at least one check and every check passed."""
 
 from __future__ import annotations
 
@@ -20,6 +22,9 @@ from .skeleton import (
     ZeroOnePolytope, birkhoff_restrict, build_skeleton_E, diameter, flip_path,
     is_edge_E, is_edge_walk, quasimatroid_exchange, unique_sum_skeleton,
 )
+
+# a suite's (params, checks), each check a (name, passed, details) triple
+Suite = tuple[dict, list[tuple[str, bool, dict]]]
 
 
 def _random_pairs(rng: random.Random, n: int) -> list[tuple[int, int]]:
@@ -60,7 +65,7 @@ def _walks_ok(rng: random.Random, p: ZeroOnePolytope, k: int) -> bool:
     return True
 
 
-def suite_oracle_vs_e(seed: int, graphs: int, max_n: int) -> dict:
+def suite_oracle_vs_e(seed: int, graphs: int, max_n: int) -> Suite:
     """Three routes give one skeleton on stable-set and top-cardinality
     polytopes of the random corpus: the unique-sum test, the connectivity
     test of build_skeleton_E and the LP oracle."""
@@ -72,23 +77,17 @@ def suite_oracle_vs_e(seed: int, graphs: int, max_n: int) -> dict:
         se = build_skeleton_E(ssp)
         bp = birkhoff_restrict(g)
         be = build_skeleton_E(bp)
-        checks.append({
-            "name": f"graph-{idx}",
-            "passed": unique_sum_skeleton(ssp).rows == se.rows
-            == build_skeleton_oracle(ssp).rows
-            and unique_sum_skeleton(bp).rows == be.rows
-            == build_skeleton_oracle(bp).rows,
-            "details": {
-                "n": g.n, "m": g.edge_count(), "ssp_vertices": len(ssp.vertices),
-                "ssp_edges": se.edge_count, "bp_vertices": len(bp.vertices),
-                "bp_edges": be.edge_count,
-            },
-        })
-    params = {"graphs": graphs, "max_n": max_n}
-    return {"suite": "oracle-vs-E", "seed": seed, "params": params, "checks": checks}
+        ok = all(unique_sum_skeleton(p).rows == s.rows == build_skeleton_oracle(p).rows
+                 for p, s in ((ssp, se), (bp, be)))
+        checks.append((f"graph-{idx}", ok, {
+            "n": g.n, "m": g.edge_count(), "ssp_vertices": len(ssp.vertices),
+            "ssp_edges": se.edge_count, "bp_vertices": len(bp.vertices),
+            "bp_edges": be.edge_count,
+        }))
+    return {"graphs": graphs, "max_n": max_n}, checks
 
 
-def suite_diameter_bounds(seed: int, graphs: int, max_n: int) -> dict:
+def suite_diameter_bounds(seed: int, graphs: int, max_n: int) -> Suite:
     """Skeleton diameters within the top cardinality r, and the
     constructive walks valid with at most r hops."""
     from .families import build_bell_graph, build_empty_graph
@@ -109,20 +108,17 @@ def suite_diameter_bounds(seed: int, graphs: int, max_n: int) -> dict:
             and _walks_ok(rng, ssp, 12)
             and _walks_ok(rng, bp, 8)
         )
-        checks.append({"name": f"graph-{idx}", "passed": ok,
-                       "details": {"n": g.n, "r": r, "ssp": d_ssp, "bp": d_bp}})
+        checks.append((f"graph-{idx}", ok, {"n": g.n, "r": r, "ssp": d_ssp, "bp": d_bp}))
 
     for name, g, d in (("cube-3", build_empty_graph(3), 3),
                        ("bell-3", build_bell_graph(3), 2)):
         p = ZeroOnePolytope.from_graph(g)
-        checks.append({"name": name,
-                       "passed": diameter(build_skeleton_E(p)) == d and p.rank == d,
-                       "details": {"expected": d}})
-    params = {"graphs": graphs, "max_n": max_n}
-    return {"suite": "diameter-bounds", "seed": seed, "params": params, "checks": checks}
+        ok = diameter(build_skeleton_E(p)) == d and p.rank == d
+        checks.append((name, ok, {"expected": d}))
+    return {"graphs": graphs, "max_n": max_n}, checks
 
 
-def suite_facets_always(seed: int, graphs: int, max_n: int) -> dict:
+def suite_facets_always(seed: int, graphs: int, max_n: int) -> Suite:
     """Nonnegativity and maximal-clique inequalities are facets on the whole
     corpus; chain-polytope facet counts match ground size plus maximal
     cliques; the 4th bell polytope's facet list is exactly the expected one."""
@@ -139,8 +135,7 @@ def suite_facets_always(seed: int, graphs: int, max_n: int) -> dict:
             ok = all(is_facet(ssp, q) for q in qs)
         except ValueError:  # is_facet refuses an invalid inequality
             ok = False
-        checks.append({"name": f"graph-{idx}", "passed": ok,
-                       "details": {"n": g.n, "inequalities": len(qs)}})
+        checks.append((f"graph-{idx}", ok, {"n": g.n, "inequalities": len(qs)}))
 
     chains = [(f"chain-nn-{n}", build_nonnesting_graph(n), {}) for n in (2, 3, 4)]
     rng = random.Random(seed ^ 0xBED)
@@ -151,16 +146,15 @@ def suite_facets_always(seed: int, graphs: int, max_n: int) -> dict:
     for name, g, details in chains:
         facets = len(enumerate_facets(ZeroOnePolytope.from_graph(g)))
         want = len(g.ground) + len(enumerate_max_cliques(g))
-        checks.append({"name": name, "passed": facets == want,
-                       "details": {**details, "facets": facets, "expected": want}})
+        checks.append((name, facets == want,
+                       {**details, "facets": facets, "expected": want}))
 
     g4 = build_bell_graph(4)
     got = set(enumerate_facets(ZeroOnePolytope.from_graph(g4)))
     expect = set(always_facet_inequalities(g4))
-    checks.append({"name": "bell-4-exact", "passed": got == expect,
-                   "details": {"facets": len(got), "expected": len(expect)}})
-    params = {"graphs": graphs, "max_n": max_n}
-    return {"suite": "facets-always", "seed": seed, "params": params, "checks": checks}
+    checks.append(("bell-4-exact", got == expect,
+                   {"facets": len(got), "expected": len(expect)}))
+    return {"graphs": graphs, "max_n": max_n}, checks
 
 
 # name -> the matroid spec that `build --family matroid` reads
@@ -173,7 +167,7 @@ MATROID_CATALOG: dict[str, dict] = {
 }
 
 
-def suite_matroid_e(seed: int, graphs: int, max_n: int) -> dict:
+def suite_matroid_e(seed: int, graphs: int, max_n: int) -> Suite:
     """On the matroid catalog: unique-sum skeleton equals the LP oracle for
     independence and basis polytopes, basis adjacency is the two-element
     swap, diameters respect the rank, and the exchange steps agree."""
@@ -228,25 +222,23 @@ def suite_matroid_e(seed: int, graphs: int, max_n: int) -> dict:
                         and new in fam
                         and is_edge_E(pb, a, new)
                     )
-        checks.append({"name": name, "passed": ok and exchange_ok, "details": {
+        checks.append((name, ok and exchange_ok, {
             "independents": len(pi.vertices), "bases": len(bases), "rank": pi.rank,
             "diameter_bases": d_b,
-        }})
+        }))
 
     u13 = build_uniform(3, 1)
     k3 = ZeroOnePolytope.from_graph(build_complete_graph(3))
     u24 = basis_polytope(build_uniform(4, 2))
     checks += [
-        {"name": "uniform-1-3-is-triangle-ssp", "details": {},
-         "passed": sorted(u13.vertices) == sorted(k3.vertices)},
-        {"name": "uniform-2-4-octahedron", "details": {},
-         "passed": len(u24.vertices) == 6 and build_skeleton_E(u24).edge_count == 12},
+        ("uniform-1-3-is-triangle-ssp", sorted(u13.vertices) == sorted(k3.vertices), {}),
+        ("uniform-2-4-octahedron",
+         len(u24.vertices) == 6 and build_skeleton_E(u24).edge_count == 12, {}),
     ]
-    params = {"catalog": sorted(MATROID_CATALOG)}
-    return {"suite": "matroid-E", "seed": seed, "params": params, "checks": checks}
+    return {"catalog": sorted(MATROID_CATALOG)}, checks
 
 
-def suite_prop62(seed: int, graphs: int, max_n: int) -> dict:
+def suite_prop62(seed: int, graphs: int, max_n: int) -> Suite:
     """Stable sets form a matroid exactly when every component is complete;
     in that case they agree with the obvious partition matroid."""
     from .matroids import check_matroid_axioms
@@ -265,34 +257,29 @@ def suite_prop62(seed: int, graphs: int, max_n: int) -> dict:
                 if all((m & c).bit_count() <= 1 for c in comps)
             }
             ok = part == set(stabs)
-        checks.append({"name": f"graph-{idx}", "passed": ok,
-                       "details": {"n": g.n, "matroid": ok_matroid}})
-    params = {"graphs": graphs, "max_n": max_n}
-    return {"suite": "prop62", "seed": seed, "params": params, "checks": checks}
+        checks.append((f"graph-{idx}", ok, {"n": g.n, "matroid": ok_matroid}))
+    return {"graphs": graphs, "max_n": max_n}, checks
 
 
-def suite_remark43(seed: int, graphs: int, max_n: int) -> dict:
+def suite_remark43(seed: int, graphs: int, max_n: int) -> Suite:
     """The pinned disagreement family, plus the modified cube that agrees
     with the oracle without being any graph's stable-set family."""
     from .counterexample import is_stable_set_family, modified_cube, verify_remark
     from .geometry import build_skeleton_oracle
 
-    checks = [
-        {"name": name, "passed": passed, "details": {"note": note}}
-        for name, passed, note in verify_remark()
-    ]
+    checks = verify_remark()
     cube = modified_cube()
     checks += [
-        {"name": "modified-cube-agreement",
-         "passed": build_skeleton_E(cube).rows == build_skeleton_oracle(cube).rows,
-         "details": {"vertices": len(cube.vertices)}},
-        {"name": "modified-cube-not-ssp", "details": {},
-         "passed": not is_stable_set_family(cube.ground, cube.vertices)},
+        ("modified-cube-agreement",
+         build_skeleton_E(cube).rows == build_skeleton_oracle(cube).rows,
+         {"vertices": len(cube.vertices)}),
+        ("modified-cube-not-ssp",
+         not is_stable_set_family(cube.ground, cube.vertices), {}),
     ]
-    return {"suite": "remark43", "seed": seed, "params": {}, "checks": checks}
+    return {}, checks
 
 
-def suite_partitions(seed: int, graphs: int, max_n: int) -> dict:
+def suite_partitions(seed: int, graphs: int, max_n: int) -> Suite:
     """Arc encodings biject stable sets with set partitions: all partitions
     for the bell graph, the nonnesting ones for nn, the noncrossing ones
     for nc; the nn and nc graphs coincide exactly up to n = 3, and nn is
@@ -325,15 +312,14 @@ def suite_partitions(seed: int, graphs: int, max_n: int) -> dict:
         ok = ok and same == (n <= 3)
         chain = build_comparability_graph(pair_ground(n).labels, containment_pairs(n))
         ok = ok and nn_g.adj == chain.adj
-        checks.append({"name": f"n-{n}", "passed": ok, "details": {
+        checks.append((f"n-{n}", ok, {
             "partitions": len(all_parts), "nonnesting": len(nn_img),
             "noncrossing": len(nc_img),
-        }})
-    params = {"max_n": max_n}
-    return {"suite": "partitions", "seed": seed, "params": params, "checks": checks}
+        }))
+    return {"max_n": max_n}, checks
 
 
-SUITES: dict[str, Callable[[int, int, int], dict]] = {
+SUITES: dict[str, Callable[[int, int, int], Suite]] = {
     "oracle-vs-E": suite_oracle_vs_e,
     "diameter-bounds": suite_diameter_bounds,
     "facets-always": suite_facets_always,
@@ -345,7 +331,7 @@ SUITES: dict[str, Callable[[int, int, int], dict]] = {
 
 
 def run_suites(names: Sequence[str], seed: int, graphs: int, max_n: int) -> list[dict]:
-    """The reports of the named suites, in order, each with its "passed"."""
+    """The reports of the named suites, in order (see the module docstring)."""
     if graphs < 0:
         raise ValueError(f"graphs must not be negative, got {graphs}")
     if max_n < 0:
@@ -354,7 +340,10 @@ def run_suites(names: Sequence[str], seed: int, graphs: int, max_n: int) -> list
     for name in names:
         if name not in SUITES:
             raise ValueError(f"unknown suite {name!r}")
-        rep = SUITES[name](seed=seed, graphs=graphs, max_n=max_n)
-        rep["passed"] = bool(rep["checks"]) and all(c["passed"] for c in rep["checks"])
-        out.append(rep)
+        params, checks = SUITES[name](seed=seed, graphs=graphs, max_n=max_n)
+        out.append({
+            "suite": name, "seed": seed, "params": params,
+            "checks": [{"name": c, "passed": ok, "details": d} for c, ok, d in checks],
+            "passed": bool(checks) and all(ok for _, ok, _ in checks),
+        })
     return out

@@ -30,4 +30,4 @@ def raw_polytopes(draw):
     masks = draw(st.lists(st.integers(1, (1 << n) - 1), unique=True, max_size=15))
     if draw(st.booleans()) or not masks:
         masks.insert(draw(st.integers(0, len(masks))), 0)
-    return ZeroOnePolytope.raw(GroundSet(range(n)), masks)
+    return ZeroOnePolytope(GroundSet(range(n)), masks, "raw")

@@ -295,7 +295,8 @@ class TestGoldenStdout:
     VERIFY pins the reports of all seven suites: the four the benchmark
     runs, recorded before each suite came to import its own layers, and
     diameter-bounds, prop62 and partitions, recorded before the suites came
-    to build their report dicts themselves.
+    to build their report dicts themselves. All seven held unchanged when
+    run_suites came to build every report from the suites' check triples.
 
     FORMATS pins skeleton --oracle, the text and DOT forms and facets (JSON
     and text; B4 is not full-dimensional, so facets refuses it), recorded
@@ -575,7 +576,7 @@ class TestGoldenStdout:
             p = modified_cube()
         else:
             masks = random.Random(7).sample(range(1 << 7), 100)
-            p = ZeroOnePolytope.raw(GroundSet(range(1, 8)), masks)
+            p = ZeroOnePolytope(GroundSet(range(1, 8)), masks, "raw")
         return dumps(polytope_to_json(p))
 
     @pytest.mark.parametrize("name", list(COUNTED))
@@ -773,7 +774,7 @@ class TestFacetsCmd:
         assert out == "facets 65 nonnegativity 21 clique 32 other 12\n"
 
     def test_a_graph_the_kind_does_not_use_changes_nothing(self, tmp_path, capsys):
-        # a raw file's graph field is read but names no facet's class
+        # a raw file's graph field is ignored, so it names no facet's class
         bare = json.loads(TestGoldenStdout.facets_file(tmp_path, capsys, "raw-nc6"))
         p = tmp_path / "p.json"
         outs = []
@@ -784,6 +785,18 @@ class TestFacetsCmd:
             assert code == 0
             outs.append(out)
         assert outs == ["facets 32 nonnegativity 15 clique 16 other 1\n"] * 2
+
+    def test_a_raw_file_ignores_a_graph_on_unknown_labels(self, tmp_path, capsys):
+        bare = json.loads(TestGoldenStdout.facets_file(tmp_path, capsys, "raw-nc6"))
+        p = tmp_path / "p.json"
+        outs = []
+        for obj in ({**bare, "graph": {"edges": [[[1, 2], "nowhere"]]}}, bare):
+            p.write_text(dumps(obj), encoding="utf-8")
+            for cmd in ("skeleton", "diameter", "facets"):
+                code, out, err = run(capsys, cmd, "--input", str(p))
+                assert code == 0, err
+                outs.append(out)
+        assert outs[:3] == outs[3:]
 
     @pytest.mark.parametrize(
         "family, n, message",
@@ -919,6 +932,15 @@ class TestVerifyCmd:
         assert code == 2 and out == ""
         assert err.startswith("error:") and "negative" in err
         assert len(err.strip().splitlines()) == 1
+
+    @pytest.mark.parametrize("suite", ["oracle-vs-E", "all"])
+    def test_corpus_needs_max_n_two(self, capsys, suite):
+        # even with no graphs to draw, a corpus suite refuses --max-n below 2
+        for graphs in ("0", "5"):
+            code, out, err = run(capsys, "verify", "--suite", suite,
+                                 "--graphs", graphs, "--max-n", "1")
+            assert code == 2 and out == ""
+            assert err == "error: corpus needs max_n >= 2\n"
 
     def test_unknown_suite_rejected(self, capsys):
         with pytest.raises(SystemExit):

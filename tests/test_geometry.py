@@ -315,7 +315,7 @@ class TestEnumerateFacets:
 
     def test_low_dimensional_input_refused(self):
         g = build_empty_graph(2)
-        p = ZeroOnePolytope.raw(g.ground, [0b00, 0b11])
+        p = ZeroOnePolytope(g.ground, [0b00, 0b11], "raw")
         with pytest.raises(ValueError):
             enumerate_facets(p)
 
@@ -444,7 +444,7 @@ def down_closed_families(draw):
                 break
             sub = (sub - 1) & top
     verts = draw(st.permutations(sorted(family)))
-    return ZeroOnePolytope.raw(GroundSet(range(n)), verts)
+    return ZeroOnePolytope(GroundSet(range(n)), verts, "raw")
 
 
 @st.composite
@@ -458,7 +458,7 @@ def full_dimensional_families(draw):
     )
     assume(len(independent_rows([_lifted(v, n) for v in family])) == n + 1)
     verts = draw(st.permutations(sorted(family)))
-    return ZeroOnePolytope.raw(GroundSet(range(n)), verts)
+    return ZeroOnePolytope(GroundSet(range(n)), verts, "raw")
 
 
 class TestAgainstReferenceDD:
@@ -515,7 +515,7 @@ def polytopes_with_inequalities(draw):
     if kind == "raw":
         n = draw(st.integers(1, 6))
         family = draw(st.sets(st.integers(0, (1 << n) - 1), min_size=1, max_size=20))
-        p = ZeroOnePolytope.raw(GroundSet(range(n)), draw(st.permutations(sorted(family))))
+        p = ZeroOnePolytope(GroundSet(range(n)), draw(st.permutations(sorted(family))), "raw")
     else:
         g = draw(small_graphs())
         p = ZeroOnePolytope.from_graph(g) if kind == "stable-set" else birkhoff_restrict(g)
@@ -553,8 +553,8 @@ class TestAgainstReferenceIsFacet:
     def test_one_vertex_and_zero_coefficients(self):
         """A one-vertex polytope's only face below it is the empty one, so
         0 <= 1 is a facet there and nowhere else; 0 <= 0 never is."""
-        one = ZeroOnePolytope.raw(GroundSet(range(3)), [0b101])
-        two = ZeroOnePolytope.raw(GroundSet(range(3)), [0b101, 0b001])
+        one = ZeroOnePolytope(GroundSet(range(3)), [0b101], "raw")
+        two = ZeroOnePolytope(GroundSet(range(3)), [0b101, 0b001], "raw")
         for p, want in [(one, True), (two, False)]:
             assert is_facet(p, Inequality((0, 0, 0), 1)) is want
             assert reference_is_facet(p, Inequality((0, 0, 0), 1)) is want

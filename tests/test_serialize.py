@@ -208,7 +208,7 @@ class TestWriters:
     @settings(max_examples=40, deadline=None)
     def test_raw_families(self, labels, data):
         masks = data.draw(st.sets(st.integers(0, (1 << len(labels)) - 1), min_size=1))
-        self.check(ZeroOnePolytope.raw(GroundSet(labels), sorted(masks)))
+        self.check(ZeroOnePolytope(GroundSet(labels), sorted(masks), "raw"))
 
     @pytest.mark.parametrize("birkhoff", [False, True],
                              ids=["independence_polytope", "basis_polytope"])

@@ -90,13 +90,18 @@ class TestPolytopeValidation:
 
     def test_raw_accepts_anything_distinct(self):
         g = build_empty_graph(2)
-        p = ZeroOnePolytope.raw(g.ground, [0b11, 0b01])
+        p = ZeroOnePolytope(g.ground, [0b11, 0b01], "raw")
         assert p.kind == "raw"
+
+    def test_raw_kind_refuses_a_graph(self):
+        g = build_empty_graph(2)
+        with pytest.raises(ValueError, match="kind 'raw' takes no graph"):
+            ZeroOnePolytope(g.ground, [0b11, 0b01], "raw", graph=g)
 
     def test_duplicate_vertices_rejected(self):
         g = build_empty_graph(2)
         with pytest.raises(ValueError):
-            ZeroOnePolytope.raw(g.ground, [1, 1])
+            ZeroOnePolytope(g.ground, [1, 1], "raw")
 
     def test_birkhoff_restrict(self):
         p = birkhoff_restrict(build_bell_graph(3))
@@ -169,7 +174,7 @@ class TestDecompositions:
         # all six elements, (empty, full), whose 2^5 candidate splits
         # outnumber the at most 31 members the split search scans.
         verts = list(dict.fromkeys([0, 1, 63, *drawn]))
-        p = ZeroOnePolytope.raw(GroundSet(range(6)), verts)
+        p = ZeroOnePolytope(GroundSet(range(6)), verts, "raw")
         assert len(verts) < 32
         for i, va in enumerate(verts):
             for vb in verts[i + 1 :]:
@@ -568,7 +573,7 @@ def raw_600():
     masks = {}
     while len(masks) < 600:
         masks[sum(1 << k for k in rng.sample(range(60), 30))] = None
-    return ZeroOnePolytope.raw(GroundSet(range(1, 61)), list(masks))
+    return ZeroOnePolytope(GroundSet(range(1, 61)), list(masks), "raw")
 
 
 class TestPastTheLadder:
@@ -639,7 +644,7 @@ class TestQuasimatroidExchange:
             hits += 1
 
     def test_rejects_unequal_cardinality(self):
-        p = ZeroOnePolytope.raw(GroundSet([1, 2]), [0b11, 0b1])
+        p = ZeroOnePolytope(GroundSet([1, 2]), [0b11, 0b1], "raw")
         with pytest.raises(ValueError, match="equal cardinality"):
             quasimatroid_exchange(p, 0b11, 0b1, 1)
 
@@ -697,7 +702,7 @@ class TestPaths:
         g = build_bell_graph(3)
         vertices = ZeroOnePolytope.from_graph(g).vertices
         u24 = build_uniform(4, 2)
-        raw = ZeroOnePolytope.raw(g.ground, vertices)
+        raw = ZeroOnePolytope(g.ground, vertices, "raw")
         for p in (raw, u24, basis_polytope(u24)):
             with pytest.raises(ValueError, match="stable-set or birkhoff"):
                 flip_path(p, p.vertices[0], p.vertices[-1])

@@ -40,14 +40,34 @@ def test_registry_names():
 
 
 def test_run_suites_report_shape():
-    reports = run_suites(["remark43", "prop62"], seed=3, graphs=6, max_n=4)
-    assert [r["suite"] for r in reports] == ["remark43", "prop62"]
+    reports = run_suites(list(SUITES), seed=3, graphs=6, max_n=4)
+    assert [r["suite"] for r in reports] == list(SUITES)
     for r in reports:
-        assert set(r) == {"suite", "seed", "params", "passed", "checks"}
-        assert r["seed"] == 3 and r["passed"] is True
+        params, checks = SUITES[r["suite"]](seed=3, graphs=6, max_n=4)
+        assert isinstance(params, dict) and isinstance(checks, list) and checks
+        assert r == {
+            "suite": r["suite"], "seed": 3, "params": params, "passed": True,
+            "checks": [{"name": c, "passed": ok, "details": d} for c, ok, d in checks],
+        }
         for c in r["checks"]:
-            assert set(c) == {"name", "passed", "details"}
+            assert isinstance(c["name"], str) and isinstance(c["details"], dict)
             assert c["passed"] is True
+
+
+def test_run_suites_calls_the_table_entry(monkeypatch):
+    """run_suites looks each suite up in SUITES when it runs, so a wrapper
+    put in the table (as a tracer does to time suites) sees every call."""
+    calls = []
+    inner = SUITES["remark43"]
+
+    def wrapper(**kwargs):
+        calls.append(kwargs)
+        return inner(**kwargs)
+
+    monkeypatch.setitem(SUITES, "remark43", wrapper)
+    [r] = run_suites(["remark43"], seed=5, graphs=2, max_n=3)
+    assert calls == [{"seed": 5, "graphs": 2, "max_n": 3}]
+    assert r["suite"] == "remark43" and r["passed"] is True
 
 
 def test_all_suites_pass_on_small_corpus():
