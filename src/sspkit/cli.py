@@ -1,8 +1,9 @@
 """Command-line interface.
 
-Subcommands: build, skeleton, diameter, facets, path, verify, export-dot.
+Subcommands: build, skeleton, diameter, facets, path, verify.
 Files are JSON (see serialize); skeletons can also leave as DOT. Exit code
-0 means every requested check passed; bad input exits 2 with a message.
+0 means every requested check passed; bad input, or a stdout whose reader
+is gone, exits 2 with a message.
 
 Start-up is most of a short call's wall time, so each cmd_* imports only the
 layers it runs: geometry for --oracle and facets, families for build,
@@ -16,6 +17,7 @@ than reading the handful of options a call has.
 from __future__ import annotations
 
 import json
+import os
 import sys
 from types import SimpleNamespace
 from typing import Callable, NoReturn, Optional, Sequence
@@ -86,8 +88,7 @@ def cmd_skeleton(args: SimpleNamespace) -> int:
     else:
         s = build_skeleton_E(p)
     if args.format == "dot":
-        labels = [p.ground.labels_of(v) for v in p.vertices]
-        _emit(serialize.skeleton_to_dot(labels, s), args.output)
+        _emit(serialize.skeleton_to_dot(p, s), args.output)
     elif args.format == "text":
         _emit_text({
             "vertices": s.vertex_count, "edges": s.edge_count,
@@ -183,12 +184,6 @@ def cmd_verify(args: SimpleNamespace) -> int:
     return 0 if payload["passed"] else 1
 
 
-def cmd_export_dot(args: SimpleNamespace) -> int:
-    verts, s = serialize.skeleton_from_json(_read_json(args.input))
-    _emit(serialize.skeleton_to_dot(verts, s), args.output)
-    return 0
-
-
 REQUIRED = ...  # the default of an option that must be given
 # command: (handler, help, {option: (default, kind)}); kind is bool (a flag),
 # int, str or a tuple of choices, spelled out so that parsing imports neither
@@ -221,8 +216,6 @@ COMMANDS = {
                                "all")),
         "--seed": (7, int), "--graphs": (200, int), "--max-n": (6, int),
         "--output": (None, str)}),
-    "export-dot": (cmd_export_dot, "skeleton JSON to DOT", {
-        "--input": (REQUIRED, str), "--output": (None, str)}),
 }
 
 
@@ -294,7 +287,15 @@ def _parse(argv: Sequence[str]) -> tuple[Callable[..., int], SimpleNamespace]:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     fn, args = _parse(sys.argv[1:] if argv is None else argv)
     try:
-        return fn(args)
+        code = fn(args)
+        sys.stdout.flush()  # here, so that a closed pipe is caught below
+        return code
+    except BrokenPipeError as exc:
+        # stdout's reader is gone: point fd 1 at devnull, so the
+        # interpreter's last flush of what is left is silent
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     except KeyError as exc:
         print(f"error: input is missing required key {exc}", file=sys.stderr)
         return 2

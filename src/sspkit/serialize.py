@@ -142,16 +142,6 @@ def skeleton_json(p: ZeroOnePolytope, s: Skeleton) -> str:
     return '{\n  "edges": ' + edges + ",\n" + rest[2:]
 
 
-def skeleton_from_json(obj: dict) -> tuple[list[tuple[Label, ...]], Skeleton]:
-    obj = _object(obj)
-    verts = [tuple(subset) for subset in _label_lists(obj, "vertices")]
-    edges = [
-        (_int(i, "an edge end"), _int(j, "an edge end"))
-        for i, j in _pairs(obj, "edges")
-    ]
-    return verts, Skeleton.make(len(verts), edges, obj["provenance"])
-
-
 def facets_to_json(facets: Sequence[Inequality]) -> dict:
     """Each row as given: enumerate_facets returns them primitive."""
     return {"facets": [{"coeffs": list(q.coeffs), "rhs": q.rhs} for q in facets]}
@@ -201,9 +191,10 @@ def _dot_name(subset: Sequence[Label]) -> str:
     return "{" + inner.replace("\\", "\\\\").replace('"', '\\"') + "}"
 
 
-def skeleton_to_dot(vertices: Sequence[Sequence[Label]], s: Skeleton) -> str:
-    """Undirected DOT graph; node names are the subset labels."""
+def skeleton_to_dot(p: ZeroOnePolytope, s: Skeleton) -> str:
+    """Undirected DOT graph; node names are the vertices' subset labels."""
     lines = ["graph skeleton {", f"  // provenance: {s.provenance}"]
-    lines += [f'  v{i} [label="{_dot_name(x)}"];' for i, x in enumerate(vertices)]
+    lines += [f'  v{i} [label="{_dot_name(p.ground.labels_of(v))}"];'
+              for i, v in enumerate(p.vertices)]
     lines += _edge_runs(s, "  v%d -- v", ";", "\n")
     return "\n".join(lines) + "\n}\n"

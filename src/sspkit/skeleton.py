@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from collections import Counter
 from itertools import chain, compress
-from typing import Iterable, NamedTuple, Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .graphs import (
     GroundSet,
@@ -172,8 +172,8 @@ class Skeleton(NamedTuple):
     A NamedTuple rather than a dataclass: no sspkit module imports dataclasses,
     whose import costs milliseconds of start-up; tests/test_imports.py keeps it so.
 
-    The builders construct it directly; `make` brings an edge list read
-    from outside into rows and validates it."""
+    Only the kernels make one: unique_sum_skeleton, build_skeleton_E and
+    geometry.build_skeleton_oracle. Skeleton JSON is an output only."""
 
     rows: tuple[tuple[int, ...], ...]
     provenance: str
@@ -190,20 +190,6 @@ class Skeleton(NamedTuple):
     def edges(self) -> tuple[tuple[int, int], ...]:
         """Each edge as (a, b) with a < b, ascending."""
         return tuple((a, b) for a, row in enumerate(self.rows) for b in row)
-
-    @classmethod
-    def make(
-        cls, vertex_count: int, edges: Iterable[tuple[int, int]], provenance: str
-    ) -> "Skeleton":
-        if provenance not in ("condition-E", "oracle"):
-            raise ValueError(f"unknown provenance {provenance!r}")
-        ups: list[set[int]] = [set() for _ in range(vertex_count)]
-        for i, j in edges:
-            i, j = min(i, j), max(i, j)
-            if i == j or i < 0 or j >= vertex_count:
-                raise ValueError("bad edge")
-            ups[i].add(j)
-        return cls(tuple(tuple(sorted(up)) for up in ups), provenance)
 
 
 def unique_sum_skeleton(p: ZeroOnePolytope) -> Skeleton:

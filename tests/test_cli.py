@@ -1,6 +1,7 @@
 """End-to-end CLI runs against temp files; exit codes are part of the
 contract (0 all-pass, 1 failed verification, 2 bad input)."""
 
+import errno
 import hashlib
 import inspect
 import json
@@ -236,28 +237,29 @@ class TestSkeletonCmd:
                            "--format", "dot")
         assert code == 0
         assert out.startswith("graph skeleton {")
-
-    def test_export_dot_round_trip(self, bell3, tmp_path, capsys):
-        sk = tmp_path / "sk.json"
-        run(capsys, "skeleton", "--input", str(bell3), "--output", str(sk))
-        code, out, _ = run(capsys, "export-dot", "--input", str(sk))
-        assert code == 0
         assert out.count(" -- ") == 8
 
+    def test_oracle_dot_format(self, bell3, capsys):
+        """On a stable-set file the LP route writes the same DOT graph as
+        condition E, under its own provenance line."""
+        (code_e, dot_e, _), (code_o, dot_o, _) = (
+            run(capsys, "skeleton", "--input", str(bell3), *extra, "--format", "dot")
+            for extra in ([], ["--oracle"])
+        )
+        assert code_e == code_o == 0
+        assert dot_o == dot_e.replace("provenance: condition-E", "provenance: oracle")
+
     def test_dot_escapes_quotes_and_backslashes(self, tmp_path, capsys):
-        rel, poly, sk = (tmp_path / f for f in ("rel.json", "p.json", "sk.json"))
+        rel, poly = tmp_path / "rel.json", tmp_path / "p.json"
         rel.write_text(json.dumps({"labels": ['a"b', "c\\d"], "pairs": []}))
         run(capsys, "build", "--family", "relation", "--input", str(rel),
             "--output", str(poly))
-        run(capsys, "skeleton", "--input", str(poly), "--output", str(sk))
-        for argv in (["skeleton", "--input", str(poly), "--format", "dot"],
-                     ["export-dot", "--input", str(sk)]):
-            code, out, _ = run(capsys, *argv)
-            assert code == 0
-            labels = re.findall(r'\[label=(.*)\];', out)
-            assert labels == ['"{}"', r'"{a\"b}"', r'"{c\\d}"', r'"{a\"b,c\\d}"']
-            # each label is one DOT quoted string: only \" and \\ escapes
-            assert all(re.fullmatch(r'"(?:[^"\\]|\\["\\])*"', x) for x in labels)
+        code, out, _ = run(capsys, "skeleton", "--input", str(poly), "--format", "dot")
+        assert code == 0
+        labels = re.findall(r'\[label=(.*)\];', out)
+        assert labels == ['"{}"', r'"{a\"b}"', r'"{c\\d}"', r'"{a\"b,c\\d}"']
+        # each label is one DOT quoted string: only \" and \\ escapes
+        assert all(re.fullmatch(r'"(?:[^"\\]|\\["\\])*"', x) for x in labels)
 
     @pytest.mark.parametrize(
         "kind, vertices",
@@ -398,7 +400,7 @@ class TestGoldenStdout:
     # be held and written as neighbour rows:
     # string labels JSON must escape (a quote, a backslash, a tab, non-ASCII),
     # tuple labels written as nested arrays, the two matroid polytopes of
-    # U(4, 2), one vertex and no edge, and export-dot of a skeleton file.
+    # U(4, 2), and one vertex and no edge.
     RELATION = {"labels": ["a\"b", "c\\d", "e\tf", "été", 7],
                 "pairs": [["a\"b", "c\\d"], ["c\\d", "e\tf"],
                           ["été", 7], ["a\"b", 7]]}
@@ -410,7 +412,6 @@ class TestGoldenStdout:
             "skeleton": "fa72f08038c285751953e97103d664bae133e05d74a7147ec6a18484ae66f643",
             "dot": "d88517d95af60dbde8678e29f394eb39a224fba94fa27ab0c218485d59fda561",
             "diameter": "546b4f2cf1905f697c5adfbe10f235d610793e706eae766d65505873787e722c",
-            "export-dot": "d88517d95af60dbde8678e29f394eb39a224fba94fa27ab0c218485d59fda561",
         },
         "chain": {
             "build": "b57b3e64aac5beeb6e186386fd696948e139f1339c7543b40135f60382df4e78",
@@ -523,10 +524,6 @@ class TestGoldenStdout:
         if "dot" in self.FILES[name]:
             outs["dot"] = out_of("skeleton", "--input", str(path), "--format", "dot")
             outs["diameter"] = out_of("diameter", "--input", str(path))
-        if "export-dot" in self.FILES[name]:
-            skel_path = tmp_path / "s.json"
-            skel_path.write_text(skel, encoding="utf-8")
-            outs["export-dot"] = out_of("export-dot", "--input", str(skel_path))
         digests = {key: hashlib.sha256(outs[key].encode("utf-8")).hexdigest()
                    for key in self.FILES[name]}
         assert digests == self.FILES[name]
@@ -1114,9 +1111,12 @@ class TestParser:
              "sspkit path: error: the following arguments are required: --from, --to"),
             (["diameter", "--input", "p.json", "stray"],
              "sspkit diameter: error: unrecognized arguments: stray"),
+            (["export-dot", "--input", "x.json"],
+             "sspkit: error: argument command: invalid choice: 'export-dot'"),
         ],
         ids=["empty", "command", "option-first", "option", "prefix", "missing-value",
-             "int", "empty-int", "choice", "flag-value", "required", "stray"],
+             "int", "empty-int", "choice", "flag-value", "required", "stray",
+             "export-dot"],
     )
     def test_usage_error_exits_2(self, capsys, argv, message):
         """Each usage error exits 2 before any file is read: usage on
@@ -1130,7 +1130,9 @@ class TestParser:
         assert usage.startswith("usage: sspkit") and "error:" not in usage
         assert error.startswith(message)
 
-    @pytest.mark.parametrize("argv", [["-h"], ["--help"]] + [[c, "-h"] for c in COMMANDS])
+    @pytest.mark.parametrize(
+        "argv", [["-h"], ["--help"]] + [[c, "-h"] for c in COMMANDS] + [["path", "--help"]]
+    )
     def test_help_exits_0(self, capsys, argv):
         with pytest.raises(SystemExit) as exc:
             main(argv + ["--bogus"])  # help comes first, as the option is read
@@ -1181,3 +1183,49 @@ class TestConsoleScript:
                               capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.startswith("usage: sspkit ")
+
+
+class TestClosedStdout:
+    """A stdout whose reader is gone keeps the exit contract: exit 2 and
+    one error line, for output short enough to sit in the buffer until
+    the end (diameter, bell3, the verify report) and for output long
+    enough to be written at once (nc6's polytope and skeleton). The child
+    runs with stdout buffered, as a shell runs it (PYTHONUNBUFFERED unset),
+    and writes into a pipe whose read end is already closed."""
+
+    PIPE_ERROR = f"error: [Errno {errno.EPIPE}] Broken pipe"
+
+    @pytest.fixture(scope="class")
+    def nc6(self, tmp_path_factory):
+        path = tmp_path_factory.mktemp("closed") / "nc6.json"
+        assert main(["build", "--family", "nc", "--n", "6", "--output", str(path)]) == 0
+        return str(path)
+
+    def run_closed(self, *argv):
+        root = Path(__file__).resolve().parents[1]
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        env["PYTHONPATH"] = str(root / "src")
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = subprocess.run([sys.executable, "-m", "sspkit.cli", *argv],
+                                  stdout=write_end, stderr=subprocess.PIPE,
+                                  env=env, text=True)
+        finally:
+            os.close(write_end)
+        return proc.returncode, proc.stderr
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["diameter", "--input", "{nc6}"], ["build", "--family", "bell", "--n", "3"],
+         ["build", "--family", "nc", "--n", "6"], ["skeleton", "--input", "{nc6}"]],
+        ids=["diameter", "build-bell3", "build-nc6", "skeleton"],
+    )
+    def test_one_error_line(self, nc6, argv):
+        code, err = self.run_closed(*(a.format(nc6=nc6) for a in argv))
+        assert (code, err) == (2, self.PIPE_ERROR + "\n")
+
+    def test_verify_reports_before_the_error(self):
+        code, err = self.run_closed("verify", "--suite", "remark43")
+        assert code == 2
+        assert err.splitlines() == ["suite remark43: pass", self.PIPE_ERROR]

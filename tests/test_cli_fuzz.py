@@ -109,7 +109,7 @@ builds = st.tuples(
     + (["--birkhoff"] if t[3] else [])
 ))
 on_files = st.tuples(
-    st.sampled_from(["skeleton", "diameter", "facets", "export-dot"]),
+    st.sampled_from(["skeleton", "diameter", "facets"]),
     st.lists(
         st.sampled_from(["--oracle", "--format", "json", "text", "dot"]),
         max_size=2,
@@ -196,14 +196,12 @@ DEEP_LABEL = "[" * 900 + "]" * 900  # a label the codec decodes recursively
         (["skeleton", "--input", "{input}"], DEEP_ARRAY),
         (["diameter", "--input", "{input}"],
          '{"kind": "raw", "ground": [%s], "vertices": [[]]}' % DEEP_LABEL),
-        (["export-dot", "--input", "{input}"],
-         '{"vertices": [[%s]], "edges": [], "provenance": "oracle"}' % DEEP_LABEL),
         (["build", "--family", "relation", "--input", "{input}"],
          '{"labels": [%s], "pairs": []}' % DEEP_LABEL),
         (["path", "--input", "{input}", "--from", "[" * 5000 + "]" * 5000,
           "--to", "[]"], json.dumps(BELL3_JSON)),
     ],
-    ids=["skeleton", "diameter", "export-dot", "build-relation", "path-from"],
+    ids=["skeleton", "diameter", "build-relation", "path-from"],
 )
 def test_deep_nesting_is_bad_input(argv, text):
     """JSON nested past the recursion limit exits 2 with one error line."""
