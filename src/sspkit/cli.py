@@ -11,11 +11,15 @@ matroids for --family matroid and matroid-independence files (read with an
 axiom check), and verify, whose suites import their own.
 For the same reason argv is read against one option table, COMMANDS, and
 not by argparse, whose import (with gettext) and parser set-up cost more
-than reading the handful of options a call has.
+than reading the handful of options a call has. Run as the program (argv
+None), main freezes the collector once stdout is flushed, so that the
+collections CPython runs at exit skip what start-up made; main(argv), as
+called in process, leaves the collector alone.
 """
 
 from __future__ import annotations
 
+import gc
 import json
 import os
 import sys
@@ -251,7 +255,7 @@ def _parse(argv: Sequence[str]) -> tuple[Callable[..., int], SimpleNamespace]:
     prefix is accepted. -h prints help and exits 0; usage errors exit 2."""
     cmd, *rest = argv or [""]
     if cmd in ("-h", "--help"):
-        sys.stdout.write(_usage(None, full=True))
+        print(_usage(None, full=True), end="", flush=True)
         raise SystemExit(0)
     if cmd not in COMMANDS:
         _fail(None, f"argument command: invalid choice: {cmd!r}" if argv else
@@ -261,7 +265,7 @@ def _parse(argv: Sequence[str]) -> tuple[Callable[..., int], SimpleNamespace]:
     tokens = iter(rest)
     for token in tokens:
         if token in ("-h", "--help"):
-            sys.stdout.write(_usage(cmd, full=True))
+            print(_usage(cmd, full=True), end="", flush=True)
             raise SystemExit(0)
         option, eq, value = token.partition("=")
         kind = table.get(option, (None, None))[1]
@@ -285,10 +289,12 @@ def _parse(argv: Sequence[str]) -> tuple[Callable[..., int], SimpleNamespace]:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    fn, args = _parse(sys.argv[1:] if argv is None else argv)
-    try:
+    try:  # _parse flushes help, so a closed pipe is caught below there too
+        fn, args = _parse(sys.argv[1:] if argv is None else argv)
         code = fn(args)
         sys.stdout.flush()  # here, so that a closed pipe is caught below
+        if argv is None:  # run as the program: the collections CPython runs
+            gc.freeze()  # at exit then skip every object alive now
         return code
     except BrokenPipeError as exc:
         # stdout's reader is gone: point fd 1 at devnull, so the

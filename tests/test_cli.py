@@ -2,6 +2,7 @@
 contract (0 all-pass, 1 failed verification, 2 bad input)."""
 
 import errno
+import gc
 import hashlib
 import inspect
 import json
@@ -1057,6 +1058,22 @@ class TestMatroidAxiomsOnRead:
         assert (code, out, err) == (2, "", self.MESSAGE)
 
 
+@pytest.fixture(scope="module")
+def nc6(tmp_path_factory):
+    path = tmp_path_factory.mktemp("nc6") / "nc6.json"
+    assert main(["build", "--family", "nc", "--n", "6", "--output", str(path)]) == 0
+    return str(path)
+
+
+def python(*args, **kwargs):
+    """A child interpreter on this checkout's sources, with stdout buffered
+    as a shell runs it (PYTHONUNBUFFERED unset)."""
+    root = Path(__file__).resolve().parents[1]
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = str(root / "src")
+    return subprocess.run([sys.executable, *args], env=env, **kwargs)
+
+
 def _choices(command, option):
     return list(COMMANDS[command][2][option][1])
 
@@ -1188,29 +1205,18 @@ class TestConsoleScript:
 class TestClosedStdout:
     """A stdout whose reader is gone keeps the exit contract: exit 2 and
     one error line, for output short enough to sit in the buffer until
-    the end (diameter, bell3, the verify report) and for output long
+    the end (diameter, bell3, the verify report, help) and for output long
     enough to be written at once (nc6's polytope and skeleton). The child
-    runs with stdout buffered, as a shell runs it (PYTHONUNBUFFERED unset),
-    and writes into a pipe whose read end is already closed."""
+    writes into a pipe whose read end is already closed."""
 
     PIPE_ERROR = f"error: [Errno {errno.EPIPE}] Broken pipe"
 
-    @pytest.fixture(scope="class")
-    def nc6(self, tmp_path_factory):
-        path = tmp_path_factory.mktemp("closed") / "nc6.json"
-        assert main(["build", "--family", "nc", "--n", "6", "--output", str(path)]) == 0
-        return str(path)
-
     def run_closed(self, *argv):
-        root = Path(__file__).resolve().parents[1]
-        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
-        env["PYTHONPATH"] = str(root / "src")
         read_end, write_end = os.pipe()
         os.close(read_end)
         try:
-            proc = subprocess.run([sys.executable, "-m", "sspkit.cli", *argv],
-                                  stdout=write_end, stderr=subprocess.PIPE,
-                                  env=env, text=True)
+            proc = python("-m", "sspkit.cli", *argv, stdout=write_end,
+                          stderr=subprocess.PIPE, text=True)
         finally:
             os.close(write_end)
         return proc.returncode, proc.stderr
@@ -1218,8 +1224,9 @@ class TestClosedStdout:
     @pytest.mark.parametrize(
         "argv",
         [["diameter", "--input", "{nc6}"], ["build", "--family", "bell", "--n", "3"],
-         ["build", "--family", "nc", "--n", "6"], ["skeleton", "--input", "{nc6}"]],
-        ids=["diameter", "build-bell3", "build-nc6", "skeleton"],
+         ["build", "--family", "nc", "--n", "6"], ["skeleton", "--input", "{nc6}"],
+         ["--help"], ["skeleton", "-h"]],
+        ids=["diameter", "build-bell3", "build-nc6", "skeleton", "help", "skeleton-help"],
     )
     def test_one_error_line(self, nc6, argv):
         code, err = self.run_closed(*(a.format(nc6=nc6) for a in argv))
@@ -1229,3 +1236,55 @@ class TestClosedStdout:
         code, err = self.run_closed("verify", "--suite", "remark43")
         assert code == 2
         assert err.splitlines() == ["suite remark43: pass", self.PIPE_ERROR]
+
+
+class TestProgramRun:
+    """main() run as the program freezes the collector once its output is
+    flushed, so the collections CPython runs at exit skip every object
+    alive then; main(argv), as the tests and perfbench's traced mode call
+    it, leaves the collector alone. In-process tests never reach
+    interpreter shutdown, so the program path also runs in dev mode, with
+    unclosed files an error: its stderr and bytes must be what they are."""
+
+    @pytest.mark.parametrize(
+        "argv, code",
+        [(["skeleton", "--input", "{nc6}"], 0), (["verify", "--suite", "remark43"], 0),
+         (["diameter", "--input", "{nc6}.missing"], 2)],
+        ids=["skeleton", "verify", "exit-2"],
+    )
+    def test_in_process_call_leaves_the_collector(self, capsys, nc6, argv, code):
+        frozen = gc.get_freeze_count()
+        assert main([a.format(nc6=nc6) for a in argv]) == code
+        assert gc.get_freeze_count() == frozen
+
+    def test_program_freezes_the_collector(self):
+        script = (
+            "import gc, sys; from sspkit.cli import main; "
+            "sys.argv = ['sspkit', 'build', '--family', 'bell', '--n', '3']; "
+            "before = gc.get_freeze_count(); code = main(); "
+            "print(before, gc.get_freeze_count(), file=sys.stderr); sys.exit(code)"
+        )
+        proc = python("-c", script, capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        before, after = map(int, proc.stderr.split())
+        assert after > before  # 3.12 starts with some objects frozen
+
+    @pytest.mark.parametrize(
+        "argv, err",
+        [(["skeleton", "--input", "{nc6}"], ""),
+         (["build", "--family", "nc", "--n", "6", "--output", "{out}"], ""),
+         (["verify", "--suite", "remark43"], "suite remark43: pass\n")],
+        ids=["skeleton", "build-output", "verify"],
+    )
+    def test_dev_mode(self, tmp_path, capsys, nc6, argv, err):
+        out = tmp_path / "out.json"
+        argv = [a.format(nc6=nc6, out=out) for a in argv]
+        proc = python("-X", "dev", "-W", "error::ResourceWarning", "-m", "sspkit.cli",
+                      *argv, capture_output=True)
+        assert (proc.returncode, proc.stderr.decode()) == (0, err)
+        stdout = proc.stdout
+        if "--output" in argv:  # the file holds the stdout route's bytes
+            assert stdout == b""
+            stdout, argv = out.read_bytes(), argv[:-2]
+        assert main(argv) == 0
+        assert stdout == capsys.readouterr().out.encode()
