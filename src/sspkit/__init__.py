@@ -2,7 +2,7 @@
 
 Stable-set, cardinality-restricted, and matroid polytopes; edge tests by
 unique vertex-sum decomposition cross-checked against an exact adjacency
-oracle (a checked two-member witness, else LP);
+oracle (a checked two-member witness or separating functional, else LP);
 exact facet enumeration; constructive short paths.
 
 The namespace is lazy (PEP 562): `import sspkit` loads no submodule, and

@@ -2,7 +2,9 @@
 
 Vertices u, v of a polytope P fail to be adjacent exactly when u - v is a
 nonnegative combination of the directions (w - v) over the other vertices
-w, so adjacency reduces to exact LP infeasibility. Facets come from the
+w, so adjacency reduces to exact LP infeasibility. Most pairs never reach
+the LP: a non-edge shows a second split of u + v, and an edge a linear
+functional maximised over P exactly at u and v. Facets come from the
 double description method run on the homogenization's dual cone, entirely
 in integer arithmetic.
 """
@@ -12,14 +14,15 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .graphs import (
-    FACET_DIM_CAP, FACET_VERTEX_CAP, SimpleGraph, bits, enumerate_max_cliques,
+    FACET_DIM_CAP, FACET_VERTEX_CAP, ORACLE_VERTEX_CAP, SimpleGraph, bits,
+    enumerate_max_cliques,
 )
 from .linalg import cone_rays, independent_rows, lp_feasible, primitive
 from .skeleton import Skeleton, ZeroOnePolytope, _check_pair
 
 
 class SizeLimitError(ValueError):
-    """Facet enumeration refused: input exceeds the configured caps."""
+    """Facet enumeration or the LP oracle refused: input exceeds a cap."""
 
 
 class Inequality(NamedTuple):
@@ -65,32 +68,88 @@ def always_facet_inequalities(g: SimpleGraph) -> list[Inequality]:
 
 
 def oracle_is_edge(p: ZeroOnePolytope, a: int, b: int) -> bool:
-    """Geometric adjacency of vertex masks a and b: a witness found here,
-    else LP.
+    """Geometric adjacency of vertex masks a and b.
 
-    Non-adjacency is witnessed by a nonnegative solution of
-    sum_k g_k (w_k - v_b) = v_a - v_b over the other vertices w_k; any
-    such solution is automatically nonzero because v_a != v_b.
+    They are no edge exactly when e_a - e_b is a nonnegative combination
+    of the directions e_w - e_b over the other vertices w. Any support of
+    such a combination lies in the sandwich: the vertices w other than a
+    and b with a & b sube w sube a | b.
 
-    The LP's columns are cut to the vertices sandwiched between the
-    intersection and the union of a and b, which any support of a witness
-    must respect, and its rows to the coordinates where a and b differ;
-    the other rows read 0 = 0 on those columns.
-
-    A column w whose complement w xor a xor b in that sandwich is
-    also a vertex gives a second split e_w + e_w' = e_A + e_B, which is
-    such a solution (g_w = g_w' = 1), so the pair is settled without an
-    LP. Every other pair, every edge included, goes to the LP.
+    - An empty sandwich is an edge.
+    - A member w whose complement w xor a xor b is also a vertex gives a
+      second split e_w + e_w' = e_a + e_b, so the pair is no edge.
+    - Weigh each element of P = a - b by |Q| and each of Q = b - a by |P|,
+      so that a and b both score |P||Q|. If every member scores below
+      that, the pair is an edge. Add M = |P||Q| + 1 on a & b and -M
+      outside a | b: a and b then score |P||Q| + M|a & b|, a member its
+      score plus M|a & b|, and any other vertex, which misses a & b or
+      leaves a | b, at most 2|P||Q| + M(|a & b| - 1), one below a's. So
+      this functional is maximised over p exactly at a and b.
+    - Every other pair goes to the LP over the members, in vertex order,
+      and the coordinates of a xor b; the other rows read 0 = 0 there.
     """
     _check_pair(p, a, b)
-    inter, union, diff = a & b, a | b, a ^ b
-    cols = [
-        w
-        for w in p.vertices
-        if w != a and w != b and w & inter == inter and not (w & ~union)
-    ]
-    if any(w ^ diff in p.index for w in cols):
-        return False
+    return _pair_is_edge(p, _holders(p), p.index[a], p.index[b])
+
+
+def build_skeleton_oracle(p: ZeroOnePolytope) -> Skeleton:
+    """Skeleton under the LP adjacency oracle, all vertex pairs. Refused
+    before the first pair past ORACLE_VERTEX_CAP vertices."""
+    nv = len(p.vertices)
+    if nv > ORACLE_VERTEX_CAP:
+        raise SizeLimitError(
+            f"{nv} vertices exceeds the LP oracle cap of {ORACLE_VERTEX_CAP}"
+        )
+    holders = _holders(p)
+    return Skeleton(tuple(
+        tuple(j for j in range(i + 1, nv) if _pair_is_edge(p, holders, i, j))
+        for i in range(nv)
+    ), "oracle")
+
+
+def _holders(p: ZeroOnePolytope) -> list[int]:
+    """holders[k]: the bitmask of the indices of the vertices holding k."""
+    holders = [0] * p.n
+    for i, v in enumerate(p.vertices):
+        while v:
+            low = v & -v
+            holders[low.bit_length() - 1] |= 1 << i
+            v ^= low
+    return holders
+
+
+def _pair_is_edge(p: ZeroOnePolytope, holders: list[int], i: int, j: int) -> bool:
+    """oracle_is_edge for the vertices with indices i and j. The sandwich
+    is the AND of holders over a & b and of their complements outside
+    a | b, stopped at 0."""
+    verts = p.vertices
+    a, b = verts[i], verts[j]
+    sand = ((1 << len(verts)) - 1) ^ (1 << i) ^ (1 << j)
+    inside, outside = a & b, ((1 << len(holders)) - 1) & ~(a | b)
+    while inside and sand:
+        low = inside & -inside
+        sand &= holders[low.bit_length() - 1]
+        inside ^= low
+    while outside and sand:
+        low = outside & -outside
+        sand &= ~holders[low.bit_length() - 1]
+        outside ^= low
+    index, diff, cols = p.index, a ^ b, []
+    while sand:
+        low = sand & -sand
+        w = verts[low.bit_length() - 1]
+        if w ^ diff in index:
+            return False
+        cols.append(w)
+        sand ^= low
+    only_a, only_b = a & ~b, b & ~a
+    size_p, size_q = only_a.bit_count(), only_b.bit_count()
+    for w in cols:
+        score = size_q * (w & only_a).bit_count() + size_p * (w & only_b).bit_count()
+        if score >= size_p * size_q:
+            break
+    else:
+        return True
     coords = list(bits(diff))
     lhs = [
         [((w >> c) & 1) - ((b >> c) & 1) for w in cols]
@@ -98,15 +157,6 @@ def oracle_is_edge(p: ZeroOnePolytope, a: int, b: int) -> bool:
     ]
     rhs = [((a >> c) & 1) - ((b >> c) & 1) for c in coords]
     return not lp_feasible(lhs, rhs)
-
-
-def build_skeleton_oracle(p: ZeroOnePolytope) -> Skeleton:
-    """Skeleton under the LP adjacency oracle, all vertex pairs."""
-    verts = p.vertices
-    return Skeleton(tuple(
-        tuple(b for b in range(a + 1, len(verts)) if oracle_is_edge(p, va, verts[b]))
-        for a, va in enumerate(verts)
-    ), "oracle")
 
 
 def is_facet(p: ZeroOnePolytope, q: Inequality) -> bool:

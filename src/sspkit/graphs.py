@@ -126,15 +126,20 @@ class SimpleGraph:
 # Caps on a family's size; every consumer (the skeleton pair loop, facet
 # enumeration) is at least quadratic in it. 2^15 stable sets keep rook6
 # (13,327, the vertices of B6) and nc10 (16,796) buildable. Families not
-# read off a graph stop at 1024, where `skeleton --oracle` takes 65 s on
+# read off a graph stop at 1024, where `skeleton --oracle` takes 1.5 s on
 # random 30-element subsets of 1..60, and `diameter`, by the sum tally, 1.0 s
 # and 81 MB (a key per pair). The matroid axiom check takes about 23 ms on
 # U(11, 5)'s 1024 sets (CPython 3.11, 2-core x86-64). Facet enumeration
 # has its own default caps, which `facets --facet-*-cap` moves.
+# `skeleton --oracle` stops at 2048 vertices: it takes 18.3 s on nc8 (1430)
+# and 23.9 s on the 5x5 rook graph's 1546 stable sets, and its time grows
+# as about the 2.4th power of the vertex count (nc7 to nc8), so about 45 s
+# at the cap for either kind and some 6 minutes for nc9 (4862).
 MAX_STABLE_SETS = 1 << 15
 MAX_INDEPENDENTS = 1024
 FACET_VERTEX_CAP = 1500
 FACET_DIM_CAP = 28
+ORACLE_VERTEX_CAP = 2048
 
 
 def enumerate_stable_sets(g: SimpleGraph) -> list[int]:

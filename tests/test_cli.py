@@ -288,6 +288,23 @@ class TestSkeletonCmd:
         # diameter reports the edge count, skeleton the edge list
         assert json.loads(out)["edges"] in (1, [[0, 1]])
 
+    @pytest.mark.parametrize("family, n, count", [("empty", "12", 4096), ("nc", "9", 4862)])
+    def test_oracle_cap_refuses_before_the_first_pair(self, tmp_path, capsys,
+                                                      monkeypatch, family, n, count):
+        from sspkit import geometry
+
+        def broken(*args):
+            raise AssertionError("a pair was tested past the oracle cap")
+
+        monkeypatch.setattr(geometry, "_pair_is_edge", broken)
+        p = tmp_path / "p.json"
+        run(capsys, "build", "--family", family, "--n", n, "--output", str(p))
+        start = time.perf_counter()
+        code, out, err = run(capsys, "skeleton", "--input", str(p), "--oracle")
+        assert time.perf_counter() - start < 5
+        assert (code, out) == (2, "")
+        assert err == f"error: {count} vertices exceeds the LP oracle cap of 2048\n"
+
 
 class TestGoldenStdout:
     """sha256 of stdout for build, skeleton (JSON) and diameter, recorded

@@ -65,6 +65,39 @@ def random_n5_polytopes():
     return [ZeroOnePolytope.from_graph(random_graph(rng, 5)) for _ in range(12)]
 
 
+def random_raw_polytopes():
+    # Raw families, where the oracle is the only adjacency answer.
+    rng = random.Random(13)
+    ground = GroundSet(range(6))
+    return [
+        ZeroOnePolytope(ground, rng.sample(range(1 << 6), rng.randrange(2, 25)), "raw")
+        for _ in range(12)
+    ]
+
+
+POLYTOPE_SETS = pytest.mark.parametrize(
+    "make",
+    [
+        lambda: [ZeroOnePolytope.from_graph(build_bell_graph(4))],
+        lambda: [birkhoff_restrict(build_rook_graph(4))],
+        lambda: [basis_polytope(build_uniform(4, 2))],
+        lambda: [modified_cube()],
+        lambda: [maximal_family_polytope(remark_graph())],
+        random_n5_polytopes,
+        random_raw_polytopes,
+    ],
+    ids=[
+        "bell4",
+        "B4",
+        "uniform-2-4-bases",
+        "modified-cube",
+        "remark-4.3",
+        "random-n5-seed11",
+        "random-raw-seed13",
+    ],
+)
+
+
 def path3_polytope():
     g = SimpleGraph.from_edges([1, 2, 3], [(1, 2), (2, 3)])
     return g, ZeroOnePolytope.from_graph(g)
@@ -96,30 +129,14 @@ class TestOracle:
             with pytest.raises(ValueError, match="must be vertices"):
                 oracle_is_edge(p, a, b)
 
-    @pytest.mark.parametrize(
-        "make",
-        [
-            lambda: [ZeroOnePolytope.from_graph(build_bell_graph(4))],
-            lambda: [birkhoff_restrict(build_rook_graph(4))],
-            lambda: [basis_polytope(build_uniform(4, 2))],
-            lambda: [modified_cube()],
-            lambda: [maximal_family_polytope(remark_graph())],
-            random_n5_polytopes,
-        ],
-        ids=[
-            "bell4",
-            "B4",
-            "uniform-2-4-bases",
-            "modified-cube",
-            "remark-4.3",
-            "random-n5-seed11",
-        ],
-    )
+    @POLYTOPE_SETS
     def test_matches_unfiltered_lp(self, make):
         # The reference route: the LP over every other vertex and every
-        # coordinate, with no witness and no column or row cut.
+        # coordinate, with no witness, no functional and no column or row cut.
         for p in make():
+            want = []
             for a, va in enumerate(p.vertices):
+                row = []
                 for b, vb in enumerate(p.vertices[a + 1 :], a + 1):
                     cols = [w for k, w in enumerate(p.vertices) if k not in (a, b)]
                     lhs = [
@@ -127,7 +144,39 @@ class TestOracle:
                         for c in range(p.n)
                     ]
                     rhs = [((va >> c) & 1) - ((vb >> c) & 1) for c in range(p.n)]
-                    assert oracle_is_edge(p, va, vb) == (not lp_feasible(lhs, rhs))
+                    edge = not lp_feasible(lhs, rhs)
+                    assert oracle_is_edge(p, va, vb) == edge
+                    if edge:
+                        row.append(b)
+                want.append(tuple(row))
+            assert build_skeleton_oracle(p).rows == tuple(want)
+
+    @POLYTOPE_SETS
+    def test_edges_without_lp_carry_a_functional(self, monkeypatch, make):
+        # An edge settled with no LP must be the unique maximum face of the
+        # lifted balanced functional: |Q| on A - B, |P| on B - A, M on A & B
+        # and -M outside A | B, with M = |P||Q| + 1. Checked over every
+        # vertex in integers, by code of this test's own.
+        lps = []
+        monkeypatch.setattr(geometry, "lp_feasible", lambda *args: lps.append(1))
+        for p in make():
+            for a, va in enumerate(p.vertices):
+                for vb in p.vertices[a + 1 :]:
+                    before = len(lps)
+                    if not oracle_is_edge(p, va, vb) or len(lps) > before:
+                        continue
+                    size_p = len([k for k in range(p.n) if va >> k & 1 and not vb >> k & 1])
+                    size_q = len([k for k in range(p.n) if vb >> k & 1 and not va >> k & 1])
+                    m = size_p * size_q + 1
+                    c = []
+                    for k in range(p.n):
+                        x, y = va >> k & 1, vb >> k & 1
+                        c.append(m if x and y else -m if not (x or y) else size_q if x else size_p)
+                    value = [sum(c[k] for k in range(p.n) if w >> k & 1) for w in p.vertices]
+                    top = value[p.index[va]]
+                    assert value[p.index[vb]] == top
+                    assert sum(v == top for v in value) == 2
+                    assert max(value) == top
 
     def test_independent_of_the_split_search(self, monkeypatch):
         # The oracle finds its witnesses itself: with the E-test's split
@@ -151,7 +200,7 @@ class TestOracle:
         monkeypatch.setattr(geometry, "lp_feasible", counted)
         p = ZeroOnePolytope.from_graph(build_noncrossing_graph(5))
         s = build_skeleton_oracle(p)
-        assert len(results) == len(s.edges)
+        assert len(results) == 49
         assert not any(results)
 
 
