@@ -11,13 +11,16 @@ in integer arithmetic.
 
 from __future__ import annotations
 
+from operator import itemgetter
 from typing import NamedTuple
 
 from .graphs import (
     FACET_DIM_CAP, FACET_VERTEX_CAP, ORACLE_VERTEX_CAP, SimpleGraph, bits,
     enumerate_max_cliques,
 )
-from .linalg import cone_rays, independent_rows, lp_feasible, primitive
+from .linalg import (
+    cone_rays, independent_mod2, independent_rows, lp_feasible, primitive,
+)
 from .skeleton import Skeleton, ZeroOnePolytope, _check_pair
 
 
@@ -163,10 +166,13 @@ def is_facet(p: ZeroOnePolytope, q: Inequality) -> bool:
     """True iff the face q cuts out has dimension dim(p) - 1.
 
     One evaluation per vertex sorts the lifted rows (1, v) into tight ones
-    and the rest. Tight rows are orthogonal to (-rhs, c), so with it in
-    front their scan stops at rank n, and then any other row completes the
-    rank. Else the face is a facet iff one row of the rest is chosen after
-    a basis of the tight rows. An invalid q raises ValueError.
+    and the rest. Tight rows are orthogonal to (-rhs, c), which is not 0
+    once some row is not tight, so their rank is then at most n. If n
+    tight rows are independent mod 2, hence over Q, the face is therefore
+    a facet iff the rest is not empty. Else an exact scan with (-rhs, c)
+    in front stops at rank n too, and the face is a facet iff one row of
+    the rest is chosen after a basis of the tight rows. An invalid q
+    raises ValueError.
     """
     if len(q.coeffs) != p.n:
         raise ValueError("inequality dimension does not match the polytope")
@@ -176,6 +182,8 @@ def is_facet(p: ZeroOnePolytope, q: Inequality) -> bool:
         if value > q.rhs:
             raise ValueError("is_facet requires a valid inequality")
         (tight if value == q.rhs else rest).append(v)
+    if len(independent_mod2((v << 1 | 1 for v in tight), p.n)) == p.n:
+        return bool(rest)
     rows = [_lifted(v, p.n) for v in tight]
     face = [rows[i - 1] for i in independent_rows([(-q.rhs, *q.coeffs), *rows]) if i]
     if len(face) == p.n:
@@ -203,6 +211,8 @@ def enumerate_facets(
     basis is chosen, so the basis and every later insertion follow lexmin
     order, cdd's default; insertion order can change the cost of double
     description by orders of magnitude (Avis, Bremner and Seidel, 1997).
+    The start basis is the first d rows independent mod 2, found exactly
+    only when there are fewer; the facets do not depend on it.
 
     A positive and a negative ray combine iff no third ray's zero set (the
     rows it is tight on) contains their common zero set z. Adjacent rays
@@ -221,24 +231,28 @@ def enumerate_facets(
         raise SizeLimitError(
             f"ambient dimension {n} exceeds the facet enumeration cap of {dim_cap}"
         )
-    rows = sorted(_lifted(v, n) for v in p.vertices)
+    # ascending rows (1, e_v): v's bit string read from bit 0 up
+    verts = sorted(p.vertices, key=lambda v: format(v, f"0{n}b")[::-1])
     d = n + 1
-    chosen = independent_rows(rows)
-    if len(chosen) != d:
-        raise ValueError(
-            "facet enumeration requires a full-dimensional polytope"
-        )
+    chosen = independent_mod2((v << 1 | 1 for v in verts), d)
+    if len(chosen) < d:
+        chosen = independent_rows([_lifted(v, n) for v in verts])
+        if len(chosen) != d:
+            raise ValueError(
+                "facet enumeration requires a full-dimensional polytope"
+            )
     if n == 0:
         return []
 
     picked = set(chosen)
     order = chosen + [i for i in range(nv) if i not in picked]
-    rays = cone_rays([rows[i] for i in chosen])
+    rays = cone_rays([_lifted(verts[i], n) for i in chosen])
     tight = [((1 << d) - 1) ^ (1 << j) for j in range(d)]  # zero sets
 
     for t in range(d, nv):
-        ones = [k for k, x in enumerate(rows[order[t]]) if x]  # 0 and e_v
-        vals = [sum([r[k] for k in ones]) for r in rays]  # r . (1, e_v)
+        # r . (1, e_v); v is not empty, as the first row starts the basis
+        get = itemgetter(0, *(k + 1 for k in bits(verts[order[t]])))
+        vals = [sum(get(r)) for r in rays]
         bit = 1 << t
         plus = [k for k, v in enumerate(vals) if v > 0]
         minus = [k for k, v in enumerate(vals) if v < 0]

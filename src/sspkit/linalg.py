@@ -4,8 +4,9 @@ Every geometric decision downstream (adjacency oracle, facet tests) is a
 yes/no question, so this module works in exact arithmetic and never
 touches floating point. Matrices hold plain ints only: a ragged matrix
 raises ValueError and any other entry type raises TypeError. One
-fraction-free elimination (Edmonds 1967), `independent_rows`, decides
-every rank question; one fraction-free pivot (Bareiss 1968) serves the
+fraction-free elimination (Edmonds 1967), `independent_rows`, settles
+every rank question that `independent_mod2`, a GF(2) elimination on bit
+rows, leaves open; one fraction-free pivot (Bareiss 1968) serves the
 simplex and the cone inversion. The simplex returns its certificate in
 ints too, as numerators over one positive common denominator:
 (numerators, det).
@@ -14,7 +15,7 @@ ints too, as numerators over one positive common denominator:
 from __future__ import annotations
 
 from math import gcd
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 Matrix = Sequence[Sequence[int]]
 
@@ -77,6 +78,28 @@ def independent_rows(matrix: Matrix) -> list[int]:
     return chosen
 
 
+def independent_mod2(rows: Iterable[int], rank: int) -> list[int]:
+    """Indices of the first rows, in order, independent mod 2, stopping
+    once rank are chosen. Each row is an int read as a bit row.
+
+    Rows independent mod 2 are independent over Q: some square minor of
+    theirs is odd, so not 0.
+    """
+    basis: dict[int, int] = {}  # leading bit -> basis row
+    chosen: list[int] = []
+    for i, v in enumerate(rows):
+        while v:
+            top = v.bit_length()
+            if top not in basis:
+                basis[top] = v
+                chosen.append(i)
+                if len(chosen) == rank:
+                    return chosen
+                break
+            v ^= basis[top]
+    return chosen
+
+
 def pivot(tab: list[list[int]], r: int, col: int, det: int) -> int:
     """One fraction-free pivot on tab[r][col]; returns the new common
     denominator.
@@ -88,8 +111,9 @@ def pivot(tab: list[list[int]], r: int, col: int, det: int) -> int:
     prow = tab[r]
     p = prow[col]
     for i, row in enumerate(tab):
-        if i != r:
-            f = row[col]
+        f = row[col]
+        # with f == 0 and p == det the update is (x * p) // det == x
+        if i != r and (f or p != det):
             tab[i] = [(x * p - f * y) // det for x, y in zip(row, prow)]
     return p
 

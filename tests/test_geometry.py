@@ -44,6 +44,7 @@ from sspkit.geometry import (
 from sspkit.graphs import SimpleGraph, enumerate_max_cliques
 from sspkit.linalg import (
     cone_rays,
+    independent_mod2,
     independent_rows,
     lp_feasible,
     primitive,
@@ -56,7 +57,7 @@ from sspkit.skeleton import (
     build_skeleton_E,
     diameter,
 )
-from sspkit.verify import random_graph
+from sspkit.verify import random_graph, random_graph_corpus
 from strategies import graph_polytopes, raw_polytopes
 
 
@@ -611,6 +612,78 @@ class TestAgainstReferenceIsFacet:
         assert is_facet(two, Inequality((0, 0, -1), 0))  # an end of a segment
 
 
+def fallback_polytope():
+    """The n = 4 raw polytope whose facet x4 <= 1 has tight vertices {1,4},
+    {2,4}, {3,4} and {1,2,3,4}: their lifted rows sum to 0 mod 2 but are
+    independent over Q, so is_facet must settle it by exact elimination."""
+    ground = GroundSet([1, 2, 3, 4])
+    sets = [[], [2], [3], [1, 3], [2, 3], [1, 4], [2, 4], [3, 4], [1, 2, 3, 4]]
+    return ZeroOnePolytope(ground, [ground.mask_of(s) for s in sets], "raw")
+
+
+class TestMod2Route:
+    """is_facet and the double description start basis settle rank mod 2
+    first: rows independent mod 2 are independent over Q. Exact
+    elimination remains the fallback."""
+
+    def test_tight_rows_dependent_mod_2_take_the_exact_scan(self, monkeypatch):
+        p = fallback_polytope()
+        q = Inequality((0, 0, 0, 1), 1)
+        tight = [v for v in p.vertices if q.evaluate(v) == q.rhs]
+        assert len(tight) == 4
+        assert len(independent_mod2([v << 1 | 1 for v in tight], 4)) == 3
+        assert len(independent_rows([_lifted(v, 4) for v in tight])) == 4
+        calls = []
+
+        def counted(matrix):
+            calls.append(1)
+            return independent_rows(matrix)
+
+        monkeypatch.setattr(geometry, "independent_rows", counted)
+        assert is_facet(p, q) is True
+        assert calls
+        assert reference_is_facet(p, q) is True
+        off = Inequality((0, 0, 0, 1), 2)
+        assert holds_on(p, off)
+        assert not is_facet(p, off) and not reference_is_facet(p, off)
+
+    def test_start_basis_dependent_mod_2_takes_the_exact_scan(self, monkeypatch):
+        # the tetrahedron on {}, {1,2}, {1,3}, {2,3}: its last three lifted
+        # rows sum to the first mod 2
+        ground = GroundSet([1, 2, 3])
+        p = ZeroOnePolytope(
+            ground, [ground.mask_of(s) for s in [[], [1, 2], [1, 3], [2, 3]]], "raw"
+        )
+        calls = []
+
+        def counted(matrix):
+            calls.append(1)
+            return independent_rows(matrix)
+
+        monkeypatch.setattr(geometry, "independent_rows", counted)
+        facets = enumerate_facets(p)
+        assert calls
+        assert len(facets) == 4 and facets == reference_facets(p)
+        assert all(is_facet(p, q) for q in facets)
+
+    def test_nc7_and_the_facets_always_corpus_need_no_exact_scan(self, monkeypatch):
+        def broken(matrix):
+            raise AssertionError("exact elimination was called")
+
+        monkeypatch.setattr(geometry, "independent_rows", broken)
+        p = ZeroOnePolytope.from_graph(build_noncrossing_graph(7))
+        facets = enumerate_facets(p, vertex_cap=len(p.vertices), dim_cap=p.n)
+        assert len(facets) == 65
+        assert all(is_facet(p, q) for q in facets)
+        calls = 0
+        for g in random_graph_corpus(7, 100, 6):
+            ssp = ZeroOnePolytope.from_graph(g)
+            for q in always_facet_inequalities(g):
+                assert is_facet(ssp, q), (g, q)
+                calls += 1
+        assert calls > 600
+
+
 def test_nc7_facets_with_caps_lifted():
     """All 65 facets of the 429-vertex noncrossing polytope of 7 points:
     21 nonnegativity, 32 clique and 12 others, each certified valid and a
@@ -631,14 +704,14 @@ def test_nc7_facets_with_caps_lifted():
     assert elapsed < 2.5, f"budget exceeded: {elapsed:.1f}s"
 
 
-def test_nc8_facet_list():
+def test_nc8_facet_list(monkeypatch):
     """The 221 facets of the 1430-vertex noncrossing polytope of 8 points,
     at the default caps: 28 nonnegativity, 64 clique and 129 others, each
     valid on every vertex and certified a facet. The others have coefficients in {0, 1, 2} and
-    right-hand sides 2 to 4. Enumeration took 2.2-3.0 s and the validity
-    check 0.13-0.3 s on a 2-core box (CPython 3.11); the budget sits near
-    five times the whole. That no facet is missing rests on the
-    enumeration alone."""
+    right-hand sides 2 to 4. Building and enumeration took 1.5-1.6 s and
+    the validity check 0.14-0.17 s on a 2-core box (CPython 3.11); the
+    budget sits near ten times the whole. That no facet is missing rests
+    on the enumeration alone."""
     start = time.monotonic()
     g = build_noncrossing_graph(8)
     p = ZeroOnePolytope.from_graph(g)
@@ -655,10 +728,14 @@ def test_nc8_facet_list():
     assert {c for coeffs, _ in by_kind["other"] for c in coeffs} == {0, 1, 2}
     assert {rhs for _, rhs in by_kind["other"]} == {2, 3, 4}
     assert elapsed < 16.0, f"budget exceeded: {elapsed:.1f}s"
-    # Each is a facet. The reference scan took 3.1-3.7 s for all 221, the
-    # one-pass is_facet 0.7-0.9 s; the reference checks the first five,
-    # and each shifted off every vertex, which is valid and no facet.
-    assert all(is_facet(p, q) for q in facets)
+    # Each is a facet, certified by 28 tight rows independent mod 2 with no
+    # exact scan. The reference scan took 3.0-3.7 s for all 221, the exact
+    # one-pass is_facet 0.6-0.9 s and the mod-2 route 0.12-0.16 s; the
+    # reference checks the first five, and each shifted off every vertex,
+    # which is valid and no facet.
+    with monkeypatch.context() as m:
+        m.setattr(geometry, "independent_rows", None)
+        assert all(is_facet(p, q) for q in facets)
     for q in facets[:5]:
         off = Inequality(q.coeffs, q.rhs + 1)
         assert reference_is_facet(p, q) and not reference_is_facet(p, off)

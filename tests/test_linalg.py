@@ -14,12 +14,16 @@ from math import lcm
 from pathlib import Path
 import random
 
+from unittest import mock
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sspkit import linalg
 from sspkit.linalg import (
     cone_rays,
+    independent_mod2,
     independent_rows,
     lp_feasible,
     nonnegative_certificate,
@@ -143,6 +147,35 @@ class TestIndependentRows:
             independent_rows([(1, 0), (1,)])
 
 
+class TestIndependentMod2:
+    @given(st.integers(1, 7).flatmap(lambda w: st.tuples(
+        st.just(w), st.lists(st.integers(0, (1 << w) - 1), max_size=10))))
+    @settings(max_examples=150, deadline=None)
+    def test_picks_are_independent_over_q(self, drawn):
+        width, rows = drawn
+        chosen = independent_mod2(rows, width)
+        picked = [[r >> k & 1 for k in range(width)] for r in (rows[i] for i in chosen)]
+        assert independent_rows(picked) == list(range(len(chosen)))
+        # each row left out is a sum mod 2 of the rows picked before it
+        span = {0}
+        for i, r in enumerate(rows):
+            if len(span) == 1 << width:
+                break
+            assert (i in chosen) == (r not in span), i
+            if i in chosen:
+                span |= {x ^ r for x in span}
+
+    def test_stops_at_rank(self):
+        assert independent_mod2([0b11, 0b01, 0b10, 0b100, 0b1000], 3) == [0, 1, 3]
+
+    def test_dependent_mod_2_only(self):
+        # (1,1,0) + (1,0,1) + (0,1,1) is 0 mod 2 and not over Q
+        rows = [(1, 1, 0), (1, 0, 1), (0, 1, 1)]
+        bitrows = [sum(x << k for k, x in enumerate(r)) for r in rows]
+        assert independent_mod2(bitrows, 3) == [0, 1]
+        assert independent_rows(rows) == [0, 1, 2]
+
+
 @st.composite
 def nonsingular_int_matrices(draw):
     d = draw(st.integers(1, 6))
@@ -156,6 +189,31 @@ def nonsingular_int_matrices(draw):
     # a permutation of rows flips the determinant's sign and can put a zero
     # on the diagonal, which forces a row swap
     return draw(st.permutations(rows))
+
+
+@st.composite
+def nonsingular_01_matrices(draw):
+    """0/1 bases, like the lifted vertex rows double description inverts:
+    pivots equal to the running denominator are common."""
+    d = draw(st.integers(1, 6))
+    return draw(
+        st.lists(
+            st.lists(st.integers(0, 1), min_size=d, max_size=d),
+            min_size=d,
+            max_size=d,
+        ).filter(lambda m: fraction_rank(m) == len(m))
+    )
+
+
+def unskipped_pivot(tab, r, col, det):
+    """linalg.pivot updating every row but r, as before it skipped rows."""
+    prow = tab[r]
+    p = prow[col]
+    for i, row in enumerate(tab):
+        if i != r:
+            f = row[col]
+            tab[i] = [(x * p - f * y) // det for x, y in zip(row, prow)]
+    return p
 
 
 class TestConeRays:
@@ -174,6 +232,13 @@ class TestConeRays:
     @settings(max_examples=150, deadline=None)
     def test_random_nonsingular(self, basis):
         self.check(basis)
+
+    @given(st.one_of(nonsingular_int_matrices(), nonsingular_01_matrices()))
+    @settings(max_examples=150, deadline=None)
+    def test_matches_an_unskipped_pivot(self, basis):
+        with mock.patch.object(linalg, "pivot", unskipped_pivot):
+            want = cone_rays(basis)
+        assert cone_rays(basis) == want
 
     @pytest.mark.parametrize(
         "basis",
@@ -288,6 +353,16 @@ class TestLpFeasible:
         assert det > 0 and all(c >= 0 for c in num)
         for row, want in zip(lhs, rhs):
             assert sum(c * x for c, x in zip(row, num)) == det * want
+
+    @given(st.integers(1, 4).flatmap(lambda m: st.integers(1, 5).flatmap(lambda n: st.tuples(
+        st.lists(st.lists(st.integers(-2, 2), min_size=n, max_size=n), min_size=m, max_size=m),
+        st.lists(st.integers(-2, 2), min_size=m, max_size=m)))))
+    @settings(max_examples=150, deadline=None)
+    def test_certificate_matches_an_unskipped_pivot(self, system):
+        lhs, rhs = system
+        with mock.patch.object(linalg, "pivot", unskipped_pivot):
+            want = nonnegative_certificate(lhs, rhs)
+        assert nonnegative_certificate(lhs, rhs) == want
 
     def test_certificate_none_when_infeasible(self):
         assert nonnegative_certificate([[1]], [-1]) is None
