@@ -626,13 +626,10 @@ class TestMod2Route:
     first: rows independent mod 2 are independent over Q. Exact
     elimination remains the fallback."""
 
-    def test_tight_rows_dependent_mod_2_take_the_exact_scan(self, monkeypatch):
-        p = fallback_polytope()
-        q = Inequality((0, 0, 0, 1), 1)
-        tight = [v for v in p.vertices if q.evaluate(v) == q.rhs]
-        assert len(tight) == 4
-        assert len(independent_mod2([v << 1 | 1 for v in tight], 4)) == 3
-        assert len(independent_rows([_lifted(v, 4) for v in tight])) == 4
+    @staticmethod
+    def count_exact_scans(monkeypatch):
+        """Patch geometry.independent_rows to log each call in the list
+        returned."""
         calls = []
 
         def counted(matrix):
@@ -640,6 +637,16 @@ class TestMod2Route:
             return independent_rows(matrix)
 
         monkeypatch.setattr(geometry, "independent_rows", counted)
+        return calls
+
+    def test_tight_rows_dependent_mod_2_take_the_exact_scan(self, monkeypatch):
+        p = fallback_polytope()
+        q = Inequality((0, 0, 0, 1), 1)
+        tight = [v for v in p.vertices if q.evaluate(v) == q.rhs]
+        assert len(tight) == 4
+        assert len(independent_mod2([v << 1 | 1 for v in tight], 4)) == 3
+        assert len(independent_rows([_lifted(v, 4) for v in tight])) == 4
+        calls = self.count_exact_scans(monkeypatch)
         assert is_facet(p, q) is True
         assert calls
         assert reference_is_facet(p, q) is True
@@ -654,13 +661,7 @@ class TestMod2Route:
         p = ZeroOnePolytope(
             ground, [ground.mask_of(s) for s in [[], [1, 2], [1, 3], [2, 3]]], "raw"
         )
-        calls = []
-
-        def counted(matrix):
-            calls.append(1)
-            return independent_rows(matrix)
-
-        monkeypatch.setattr(geometry, "independent_rows", counted)
+        calls = self.count_exact_scans(monkeypatch)
         facets = enumerate_facets(p)
         assert calls
         assert len(facets) == 4 and facets == reference_facets(p)
