@@ -6,13 +6,13 @@ w, so adjacency reduces to exact LP infeasibility. Most pairs never reach
 the LP: a non-edge shows a second split of u + v, and an edge a linear
 functional maximised over P exactly at u and v. Facets come from the
 double description method run on the homogenization's dual cone, entirely
-in integer arithmetic.
+in integer arithmetic; _lifted_basis answers each rank question.
 """
 
 from __future__ import annotations
 
 from operator import itemgetter
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
 from .graphs import (
     FACET_DIM_CAP, FACET_VERTEX_CAP, ORACLE_VERTEX_CAP, SimpleGraph, bits,
@@ -21,7 +21,7 @@ from .graphs import (
 from .linalg import (
     cone_rays, independent_mod2, independent_rows, lp_feasible, primitive,
 )
-from .skeleton import Skeleton, ZeroOnePolytope, _check_pair
+from .skeleton import Skeleton, ZeroOnePolytope, _check_pair, _element_masks
 
 
 class SizeLimitError(ValueError):
@@ -92,7 +92,7 @@ def oracle_is_edge(p: ZeroOnePolytope, a: int, b: int) -> bool:
       and the coordinates of a xor b; the other rows read 0 = 0 there.
     """
     _check_pair(p, a, b)
-    return _pair_is_edge(p, _holders(p), p.index[a], p.index[b])
+    return _pair_is_edge(p, _element_masks(p), p.index[a], p.index[b])
 
 
 def build_skeleton_oracle(p: ZeroOnePolytope) -> Skeleton:
@@ -103,39 +103,28 @@ def build_skeleton_oracle(p: ZeroOnePolytope) -> Skeleton:
         raise SizeLimitError(
             f"{nv} vertices exceeds the LP oracle cap of {ORACLE_VERTEX_CAP}"
         )
-    holders = _holders(p)
+    masks = _element_masks(p)
     return Skeleton(tuple(
-        tuple(j for j in range(i + 1, nv) if _pair_is_edge(p, holders, i, j))
+        tuple(j for j in range(i + 1, nv) if _pair_is_edge(p, masks, i, j))
         for i in range(nv)
     ), "oracle")
 
 
-def _holders(p: ZeroOnePolytope) -> list[int]:
-    """holders[k]: the bitmask of the indices of the vertices holding k."""
-    holders = [0] * p.n
-    for i, v in enumerate(p.vertices):
-        while v:
-            low = v & -v
-            holders[low.bit_length() - 1] |= 1 << i
-            v ^= low
-    return holders
-
-
-def _pair_is_edge(p: ZeroOnePolytope, holders: list[int], i: int, j: int) -> bool:
-    """oracle_is_edge for the vertices with indices i and j. The sandwich
-    is the AND of holders over a & b and of their complements outside
-    a | b, stopped at 0."""
+def _pair_is_edge(p: ZeroOnePolytope, masks: Sequence[int], i: int, j: int) -> bool:
+    """oracle_is_edge for the vertices with indices i and j, given p's
+    element masks. The sandwich is the AND of the masks over a & b and of
+    their complements outside a | b, stopped at 0."""
     verts = p.vertices
     a, b = verts[i], verts[j]
     sand = ((1 << len(verts)) - 1) ^ (1 << i) ^ (1 << j)
-    inside, outside = a & b, ((1 << len(holders)) - 1) & ~(a | b)
+    inside, outside = a & b, ((1 << p.n) - 1) & ~(a | b)
     while inside and sand:
         low = inside & -inside
-        sand &= holders[low.bit_length() - 1]
+        sand &= masks[low.bit_length() - 1]
         inside ^= low
     while outside and sand:
         low = outside & -outside
-        sand &= ~holders[low.bit_length() - 1]
+        sand &= ~masks[low.bit_length() - 1]
         outside ^= low
     index, diff, cols = p.index, a ^ b, []
     while sand:
@@ -166,30 +155,38 @@ def is_facet(p: ZeroOnePolytope, q: Inequality) -> bool:
     """True iff the face q cuts out has dimension dim(p) - 1.
 
     One evaluation per vertex sorts the lifted rows (1, v) into tight ones
-    and the rest. Tight rows are orthogonal to (-rhs, c), which is not 0
-    once some row is not tight, so their rank is then at most n. If n
-    tight rows are independent mod 2, hence over Q, the face is therefore
-    a facet iff the rest is not empty. Else an exact scan with (-rhs, c)
-    in front stops at rank n too, and the face is a facet iff one row of
-    the rest is chosen after a basis of the tight rows. An invalid q
-    raises ValueError.
+    and the rest. Once the rest is not empty, (-rhs, c) is not 0, and it is
+    orthogonal to every tight row but not to all of p's rows, so the tight
+    rows have rank at most one below p's. The face is a facet iff they
+    reach it; _lifted_basis gives both ranks. A coefficient or right-hand
+    side that is not a plain int raises TypeError, and an invalid q
+    ValueError.
     """
     if len(q.coeffs) != p.n:
         raise ValueError("inequality dimension does not match the polytope")
+    for x in (*q.coeffs, q.rhs):
+        if type(x) is not int:
+            raise TypeError(f"inequality entries must be ints, got {x!r}")
     tight, rest = [], []
     for v in p.vertices:
         value = q.evaluate(v)
         if value > q.rhs:
             raise ValueError("is_facet requires a valid inequality")
         (tight if value == q.rhs else rest).append(v)
-    if len(independent_mod2((v << 1 | 1 for v in tight), p.n)) == p.n:
-        return bool(rest)
-    rows = [_lifted(v, p.n) for v in tight]
-    face = [rows[i - 1] for i in independent_rows([(-q.rhs, *q.coeffs), *rows]) if i]
-    if len(face) == p.n:
-        return bool(rest)
-    chosen = independent_rows(face + [_lifted(v, p.n) for v in rest])
-    return sum(i >= len(face) for i in chosen) == 1
+    if not rest:
+        return False
+    rank = len(_lifted_basis(p.vertices, p.n, p.n + 1))
+    return len(_lifted_basis(tight, p.n, rank - 1)) == rank - 1
+
+
+def _lifted_basis(verts: Sequence[int], n: int, count: int) -> list[int]:
+    """Indices of count lifted rows (1, e_v) of verts independent over Q,
+    or of a basis of them all when their rank is lower: the first rows
+    independent mod 2 when count are, else the first basis found exactly."""
+    chosen = independent_mod2((v << 1 | 1 for v in verts), count)
+    if len(chosen) < count:
+        chosen = independent_rows([_lifted(v, n) for v in verts])
+    return chosen[:count]
 
 
 def _lifted(v: int, n: int) -> tuple[int, ...]:
@@ -211,8 +208,8 @@ def enumerate_facets(
     basis is chosen, so the basis and every later insertion follow lexmin
     order, cdd's default; insertion order can change the cost of double
     description by orders of magnitude (Avis, Bremner and Seidel, 1997).
-    The start basis is the first d rows independent mod 2, found exactly
-    only when there are fewer; the facets do not depend on it.
+    The start basis is the first d rows _lifted_basis finds; the facets do
+    not depend on it.
 
     A positive and a negative ray combine iff no third ray's zero set (the
     rows it is tight on) contains their common zero set z. Adjacent rays
@@ -234,13 +231,9 @@ def enumerate_facets(
     # ascending rows (1, e_v): v's bit string read from bit 0 up
     verts = sorted(p.vertices, key=lambda v: format(v, f"0{n}b")[::-1])
     d = n + 1
-    chosen = independent_mod2((v << 1 | 1 for v in verts), d)
-    if len(chosen) < d:
-        chosen = independent_rows([_lifted(v, n) for v in verts])
-        if len(chosen) != d:
-            raise ValueError(
-                "facet enumeration requires a full-dimensional polytope"
-            )
+    chosen = _lifted_basis(verts, n, d)
+    if len(chosen) != d:
+        raise ValueError("facet enumeration requires a full-dimensional polytope")
     if n == 0:
         return []
 

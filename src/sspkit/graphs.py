@@ -155,9 +155,16 @@ def _level_order(adj: Sequence[int]) -> list[int]:
     """Stable sets level by level: each set of a level, in order, gains
     each allowed vertex above its largest member, in increasing order. A
     new set's positions are its parent's plus one larger one, so a sorted
-    level makes a sorted next level, and each set is made once. The count
-    is checked after each set's extensions, so a graph past the cap costs
-    about the cap to refuse."""
+    level makes a sorted next level, and each set is made once. The empty
+    set, the n singletons and the non-adjacent pairs are stable, so a graph
+    with more of them than the cap is refused before the first level, whose
+    n sets each carry an n-bit mask; after that the count is checked after
+    each set's extensions, so a graph past the cap costs about the cap to
+    refuse."""
+    n = len(adj)
+    pairs = n * (n - 1) // 2 - sum(a.bit_count() for a in adj) // 2
+    if 1 + n + pairs > MAX_STABLE_SETS:
+        raise ValueError(f"graph has more than {MAX_STABLE_SETS} stable sets")
     out = [0]
     sets, allowed = [0], [(1 << len(adj)) - 1]  # vertices that may join each set
     while sets:

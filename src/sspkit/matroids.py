@@ -3,9 +3,10 @@ polytope constructor runs, the builders, bases and exchange steps."""
 
 from __future__ import annotations
 
-from itertools import combinations, product
-from math import comb, prod
-from typing import NamedTuple, Optional, Sequence
+from itertools import accumulate, combinations, product
+from math import comb
+from operator import mul
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .graphs import MAX_INDEPENDENTS, GroundSet, Label, _subset_sort_key, bits
 from .skeleton import ZeroOnePolytope, _largest
@@ -70,8 +71,9 @@ def build_uniform(n: int, k: int) -> ZeroOnePolytope:
     """Independent sets are all subsets of 1..n with at most k elements."""
     if not 0 <= k <= n:
         raise ValueError("need 0 <= k <= n")
-    # k + 1 nonzero terms exceed the cap once k >= MAX_INDEPENDENTS
-    _check_size(sum(comb(n, i) for i in range(min(k, MAX_INDEPENDENTS) + 1)))
+    # every term is at least 1, so the running sum passes the cap within
+    # MAX_INDEPENDENTS + 1 terms whenever the whole does
+    _check_size(accumulate(comb(n, i) for i in range(k + 1)))
     ground = GroundSet(range(1, n + 1))
     fam = [
         sum(1 << x for x in members)
@@ -87,7 +89,7 @@ def build_partition(block_sizes: Sequence[int]) -> ZeroOnePolytope:
     Blocks are consecutive runs of 1..sum(sizes)."""
     if any(s <= 0 for s in block_sizes):
         raise ValueError("block sizes must be positive")
-    _check_size(prod(s + 1 for s in block_sizes))
+    _check_size(accumulate((s + 1 for s in block_sizes), mul))
     ground = GroundSet(range(1, sum(block_sizes) + 1))
     choices = []  # per block: no element, or one of its elements
     at = 0
@@ -98,12 +100,15 @@ def build_partition(block_sizes: Sequence[int]) -> ZeroOnePolytope:
     return independence_polytope(ground, fam)
 
 
-def _check_size(count: int) -> None:
-    if count > MAX_INDEPENDENTS:
-        raise ValueError(
-            f"matroid has at least {count} independent sets; the builders "
-            f"stop at {MAX_INDEPENDENTS}"
-        )
+def _check_size(counts: Iterable[int]) -> None:
+    """Refuse at the first of a running count's values past the cap, so a
+    closed form stops there and the message holds a small number."""
+    for count in counts:
+        if count > MAX_INDEPENDENTS:
+            raise ValueError(
+                f"matroid has at least {count} independent sets; the builders "
+                f"stop at {MAX_INDEPENDENTS}"
+            )
 
 
 def build_graphic(edges: Sequence[tuple[Label, Label]]) -> ZeroOnePolytope:
@@ -137,7 +142,7 @@ def _forests(edge_labels: Sequence[tuple[Label, Label]]) -> list[int]:
             grown = {x: cu if c == cv else c for x, c in comp.items()}
             grown[u] = grown[v] = cu
             fam.append(mask | 1 << i)
-            _check_size(len(fam))
+            _check_size((len(fam),))
             stack.append((fam[-1], i + 1, grown))
     return fam
 

@@ -6,8 +6,9 @@ one way (namely {A, B} itself). For stable-set, restricted stable-set and
 matroid families this provably coincides with geometric adjacency; the
 geometry module provides the independent LP oracle used to cross-check
 that claim, and for kind "raw" the test is just a uniqueness predicate.
-For the two graph kinds the same test is decided by a connectivity check
-on the graph (see build_skeleton_E).
+For the two graph kinds the same test is a connectivity check on the
+graph (see build_skeleton_E) over the polytope's element masks, which the
+oracle reads too; the sum tally and the split search do not.
 """
 
 from __future__ import annotations
@@ -44,7 +45,7 @@ class ZeroOnePolytope:
     the other kinds take no graph.
     """
 
-    __slots__ = ("ground", "vertices", "kind", "graph", "rank", "index")
+    __slots__ = ("ground", "vertices", "kind", "graph", "rank", "index", "_masks")
 
     def __init__(
         self,
@@ -96,6 +97,7 @@ class ZeroOnePolytope:
         self.graph = graph
         self.rank = max(v.bit_count() for v in verts)
         self.index = index
+        self._masks: Optional[tuple[int, ...]] = None  # see _element_masks
 
     @classmethod
     def from_graph(cls, g: SimpleGraph) -> "ZeroOnePolytope":
@@ -111,6 +113,18 @@ class ZeroOnePolytope:
             f"ZeroOnePolytope(kind={self.kind!r}, n={self.n}, "
             f"vertices={len(self.vertices)})"
         )
+
+
+def _element_masks(p: ZeroOnePolytope) -> tuple[int, ...]:
+    """Mask k holds the indices of the vertices that contain ground element
+    k. p is never mutated, so it keeps the masks once built."""
+    if p._masks is None:
+        masks = [0] * p.n
+        for i, v in enumerate(p.vertices):
+            for k in bits(v):
+                masks[k] |= 1 << i
+        p._masks = tuple(masks)
+    return p._masks
 
 
 def birkhoff_restrict(g: SimpleGraph) -> ZeroOnePolytope:
@@ -223,7 +237,7 @@ def build_skeleton_E(p: ZeroOnePolytope) -> Skeleton:
     """
     if p.kind not in ("stable-set", "birkhoff"):
         return unique_sum_skeleton(p)
-    return Skeleton(_connected_rows(p.graph.adj, p.vertices), "condition-E")
+    return Skeleton(_connected_rows(p), "condition-E")
 
 
 # Pair bits per ground element in one pass of _connected_rows. Rows of
@@ -234,11 +248,9 @@ _BLOCK_BITS = 1 << 16
 _SELECTORS = bytes.maketrans(b"01", b"\0\1")
 
 
-def _connected_rows(
-    adj: Sequence[int], verts: Sequence[int]
-) -> tuple[tuple[int, ...], ...]:
-    """Per index a, the indices b > a, ascending, with G[verts[a] xor
-    verts[b]] connected.
+def _connected_rows(p: ZeroOnePolytope) -> tuple[tuple[int, ...], ...]:
+    """Per vertex index a of p, the indices b > a, ascending, with
+    G[verts[a] xor verts[b]] connected, for p's graph G.
 
     Bit-sliced: for a block of rows a and the columns b >= the block's
     first row, D[k] holds one bit per pair (a, b), set iff ground element
@@ -250,13 +262,9 @@ def _connected_rows(
     all zeros, by k in verts[a]) xor the column mask of k repeated per row;
     the padding columns are never read.
     """
-    nv = len(verts)
-    n = len(adj)
-    nbrs = [list(bits(m)) for m in adj]
-    cols = [0] * n
-    for b, v in enumerate(verts):
-        for k in bits(v):
-            cols[k] |= 1 << b
+    verts, cols = p.vertices, _element_masks(p)
+    nv, n = len(verts), p.n
+    nbrs = [list(bits(m)) for m in p.graph.adj]
     index = tuple(range(nv))
     out: list[tuple[int, ...]] = []
     r0 = 0

@@ -106,17 +106,38 @@ class TestBuild:
             {"uniform": [30, 15]},
             {"partition": [2] * 30},
             {"graphic": [[i, j] for i in range(1, 7) for j in range(i + 1, 7)]},
+            {"uniform": [10**9, 2000]},
+            {"partition": [1] * 10**6},
         ],
-        ids=["uniform-30-15", "partition-30-blocks", "graphic-k6"],
+        ids=["uniform-30-15", "partition-30-blocks", "graphic-k6",
+             "uniform-1e9-2000", "partition-1e6-blocks"],
     )
     def test_oversized_matroid_is_error(self, tmp_path, capsys, payload):
+        # The closed-form counts stop at the cap. The whole counts of the
+        # last two had more digits than int-to-str conversion allows, and
+        # the product over a million blocks took 15.7 s.
         mj = tmp_path / "m.json"
         mj.write_text(json.dumps(payload))
+        start = time.perf_counter()
         code, _, err = run(capsys, "build", "--family", "matroid",
                            "--input", str(mj))
+        assert time.perf_counter() - start < 1
         assert code == 2
-        assert err.startswith("error:") and "Traceback" not in err
+        assert err.startswith("error: matroid has at least ")
+        assert "Traceback" not in err
         assert len(err.strip().splitlines()) == 1
+
+    def test_wide_relation_is_refused_before_the_first_level(self, tmp_path, capsys):
+        # 200,000 labels and no pairs: 1.4 MB of input whose first level of
+        # stable sets alone would take gigabytes
+        rel = tmp_path / "rel.json"
+        rel.write_text(json.dumps({"labels": list(range(200_000)), "pairs": []}))
+        start = time.perf_counter()
+        code, out, err = run(capsys, "build", "--family", "relation",
+                             "--input", str(rel))
+        assert time.perf_counter() - start < 1
+        assert (code, out) == (2, "")
+        assert err == "error: graph has more than 32768 stable sets\n"
 
     @pytest.mark.parametrize(
         "family, n",

@@ -204,6 +204,70 @@ class TestOracle:
         assert len(results) == 49
         assert not any(results)
 
+    def test_masks_belong_to_the_polytope(self):
+        # Mask k holds the indices of the vertices that contain element k.
+        # The first query builds them; later queries, the oracle skeleton
+        # and the condition-E kernel read the same tuple.
+        p = ZeroOnePolytope.from_graph(build_bell_graph(4))
+        assert p._masks is None
+        verts = p.vertices
+        oracle_is_edge(p, verts[0], verts[1])
+        masks = p._masks
+        assert masks == tuple(
+            sum(1 << i for i, v in enumerate(verts) if v >> k & 1) for k in range(p.n)
+        )
+        for a, va in enumerate(verts):
+            for vb in verts[a + 1 :]:
+                oracle_is_edge(p, va, vb)
+        assert build_skeleton_oracle(p).rows == build_skeleton_E(p).rows
+        assert p._masks is masks
+        assert not hasattr(geometry, "_holders")
+
+
+class TestOraclePastTheCap:
+    """Point queries on polytopes above ORACLE_VERTEX_CAP, where the oracle
+    skeleton is refused: nc9 (4,862 vertices) and bell8 (4,140). Seeded
+    samples of 200 condition-E edges, 200 condition-E non-edges and 200
+    uniform pairs each get the condition-E verdict from the oracle. Building
+    the polytope and build_skeleton_E took 0.6 s (nc9) and 0.35 s (bell8),
+    and the 600 queries 0.04 s each, on a 2-core box (CPython 3.11); the
+    budgets sit near five times the whole. The masks are built once, by
+    build_skeleton_E, and every query reads them."""
+
+    @pytest.mark.parametrize(
+        "build, budget",
+        [(lambda: build_noncrossing_graph(9), 3.5), (lambda: build_bell_graph(8), 2.0)],
+        ids=["nc9", "bell8"],
+    )
+    def test_sample_agrees_with_condition_E(self, build, budget):
+        start = time.monotonic()
+        p = ZeroOnePolytope.from_graph(build())
+        assert len(p.vertices) > geometry.ORACLE_VERTEX_CAP
+        rows = build_skeleton_E(p).rows
+        masks = p._masks
+        rng = random.Random(7919)
+        nv = len(p.vertices)
+        edges, non_edges, uniform = [], [], []
+        while len(edges) < 200:
+            a = rng.randrange(nv)
+            if rows[a]:
+                edges.append((a, rng.choice(rows[a])))
+        while len(non_edges) < 200:
+            a, b = sorted(rng.sample(range(nv), 2))
+            if b not in rows[a]:
+                non_edges.append((a, b))
+        while len(uniform) < 200:
+            uniform.append(tuple(sorted(rng.sample(range(nv), 2))))
+        verts = p.vertices
+        disagree = [
+            (a, b) for a, b in edges + non_edges + uniform
+            if oracle_is_edge(p, verts[a], verts[b]) != (b in rows[a])
+        ]
+        elapsed = time.monotonic() - start
+        assert disagree == []
+        assert masks is not None and p._masks is masks
+        assert elapsed < budget, f"budget exceeded: {elapsed:.2f}s"
+
 
 class TestInequality:
     def test_evaluate_sums_the_members(self):
@@ -256,6 +320,25 @@ class TestValidityAndFacets:
         g, p = path3_polytope()
         with pytest.raises(ValueError):
             is_facet(p, Inequality((1, 1, 1), 1))
+
+    @pytest.mark.parametrize(
+        "build, q",
+        [
+            # valid on the 3-cube, though 0.1 + 0.1 + 0.1 > 0.3 in floats
+            (build_empty_graph, Inequality((0.1, 0.1, 0.1), 0.3)),
+            # the simplex's facet x1 + x2 + x3 <= 1, scaled by a half
+            (build_complete_graph, Inequality((Fraction(1, 2),) * 3, Fraction(1, 2))),
+            (build_complete_graph, Inequality((0.5, 0.5, 0.5), 0.5)),
+            (build_complete_graph, Inequality((0, 0, -1), 0.0)),
+        ],
+        ids=["float-cube", "fraction-simplex", "float-simplex", "float-rhs"],
+    )
+    def test_entries_that_are_not_ints_raise_type_error(self, build, q):
+        # refused before any vertex is evaluated, whatever route the rank
+        # questions would take
+        p = ZeroOnePolytope.from_graph(build(3))
+        with pytest.raises(TypeError, match="must be ints"):
+            is_facet(p, q)
 
     def test_always_facets_all_pass(self):
         rng = random.Random(23)

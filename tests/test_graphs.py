@@ -2,6 +2,7 @@
 
 import random
 import time
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -111,6 +112,23 @@ class TestStableSets:
         with pytest.raises(ValueError, match="more than 32768 stable sets"):
             enumerate_stable_sets(build_empty_graph(n))
         assert time.perf_counter() - start < 0.5
+
+    @pytest.mark.parametrize("n", [40_000, MAX_STABLE_SETS - 1])
+    def test_wide_graph_refused_before_the_first_level(self, n):
+        # The empty set, the singletons and the non-adjacent pairs are
+        # stable, so the count is past the cap before any set is made.
+        # Building the singletons first, each with an n-bit mask, peaked at
+        # 323 MB traced on 40,000 vertices, and with the next level's first
+        # extensions at 434 MB on 32,767.
+        g = build_empty_graph(n)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="more than 32768 stable sets"):
+                enumerate_stable_sets(g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
 
     @settings(max_examples=150, deadline=None)
     @given(st.integers(0, 11).flatmap(

@@ -227,29 +227,39 @@ class TestBuilderSizes:
         assert len(build_uniform(10, 10).vertices) == MAX_INDEPENDENTS
 
     @pytest.mark.parametrize(
-        "build",
+        "build, count",
         [
-            lambda: build_uniform(11, 11),
-            lambda: build_uniform(30, 15),
-            lambda: build_uniform(10**6, 10**6),
-            lambda: build_partition([2] * 30),
-            lambda: build_partition([1] * 11),
-            lambda: build_graphic(K6_EDGES),
-            lambda: build_graphic(list(combinations(range(300), 2))),
+            (lambda: build_uniform(11, 11), 1486),
+            (lambda: build_uniform(30, 15), 4526),
+            (lambda: build_uniform(10**6, 10**6), 10**6 + 1),
+            (lambda: build_uniform(10**9, 2000), 10**9 + 1),
+            (lambda: build_partition([2] * 30), 2187),
+            (lambda: build_partition([1] * 11), 2048),
+            (lambda: build_partition([1] * 10**5), 2048),
+            (lambda: build_graphic(K6_EDGES), 1025),
+            (lambda: build_graphic(list(combinations(range(300), 2))), 1025),
         ],
         ids=[
             "free-11",
             "uniform-30-15",
             "huge-k",
+            "uniform-1e9-2000",
             "partition-30x2",
             "partition-11x1",
+            "partition-1e5x1",
             "graphic-k6",
             "graphic-k300",
         ],
     )
-    def test_refused_before_enumeration(self, build):
-        with pytest.raises(ValueError, match="independent sets"):
+    def test_refused_before_enumeration(self, build, count):
+        # Closed forms stop at the first running count past the cap; the
+        # whole count of huge-k has about 300,000 digits.
+        with pytest.raises(ValueError) as info:
             build()
+        assert str(info.value) == (
+            f"matroid has at least {count} independent sets; the builders "
+            "stop at 1024"
+        )
 
 
 class TestPolytopes:
