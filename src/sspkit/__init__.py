@@ -24,12 +24,12 @@ _EXPORTS = {
         "is_nonnesting", "pair_ground",
     ),
     "geometry": (
-        "Inequality", "SizeLimitError", "always_facet_inequalities",
-        "build_skeleton_oracle", "classify_inequality", "clique_inequality",
-        "enumerate_facets", "is_facet", "nonnegativity", "oracle_is_edge",
+        "Inequality", "always_facet_inequalities", "classify_inequality",
+        "clique_inequality", "enumerate_facets", "is_facet", "nonnegativity",
     ),
     "graphs": (
-        "GroundSet", "SimpleGraph", "enumerate_max_cliques",
+        "GroundSet", "SimpleGraph", "Skeleton", "SizeLimitError",
+        "ZeroOnePolytope", "birkhoff_restrict", "enumerate_max_cliques",
         "enumerate_stable_sets", "is_union_of_complete_graphs",
     ),
     "linalg": ("PivotLimitError", "lp_feasible"),
@@ -42,8 +42,8 @@ _EXPORTS = {
         "is_stable_set_family", "maximal_family_polytope", "modified_cube",
         "remark_graph", "verify_remark",
     ),
+    "oracle": ("build_skeleton_oracle", "oracle_is_edge"),
     "skeleton": (
-        "Skeleton", "ZeroOnePolytope", "birkhoff_restrict",
         "build_skeleton_E", "diameter", "flip_path", "is_edge_E",
         "is_edge_walk", "quasimatroid_exchange", "unique_sum_skeleton",
     ),

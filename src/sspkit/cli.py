@@ -6,9 +6,11 @@ Files are JSON (see serialize); skeletons can also leave as DOT. Exit code
 is gone, exits 2 with a message.
 
 Start-up is most of a short call's wall time, so each cmd_* imports only the
-layers it runs: geometry for --oracle and facets, families for build,
+layers it runs: the condition-E kernels (skeleton) for skeleton, diameter
+and path, oracle for --oracle, geometry for facets, families for build,
 matroids for --family matroid and matroid-independence files (read with an
-axiom check), and verify, whose suites import their own.
+axiom check), and verify, whose suites import their own. At module level cli
+loads only serialize and graphs, which holds the polytope model.
 For the same reason argv is read against one option table, COMMANDS, and
 not by argparse, whose import (with gettext) and parser set-up cost more
 than reading the handful of options a call has. Run as the program (argv
@@ -27,15 +29,8 @@ from types import SimpleNamespace
 from typing import Callable, NoReturn, Optional, Sequence
 
 from . import serialize
-from .graphs import FACET_DIM_CAP, FACET_VERTEX_CAP
-from .skeleton import (
-    ZeroOnePolytope,
-    birkhoff_restrict,
-    build_skeleton_E,
-    diameter,
-    flip_path,
-    is_edge_walk,
-)
+from .graphs import FACET_DIM_CAP, FACET_VERTEX_CAP, ZeroOnePolytope, birkhoff_restrict
+
 
 def _read_json(path: str) -> dict:
     with open(path, "r", encoding="utf-8") as fh:
@@ -86,10 +81,12 @@ def cmd_build(args: SimpleNamespace) -> int:
 def cmd_skeleton(args: SimpleNamespace) -> int:
     p = serialize.polytope_from_json(_read_json(args.input))
     if args.oracle:
-        from .geometry import build_skeleton_oracle
+        from .oracle import build_skeleton_oracle
 
         s = build_skeleton_oracle(p)
     else:
+        from .skeleton import build_skeleton_E
+
         s = build_skeleton_E(p)
     if args.format == "dot":
         _emit(serialize.skeleton_to_dot(p, s), args.output)
@@ -104,6 +101,8 @@ def cmd_skeleton(args: SimpleNamespace) -> int:
 
 
 def cmd_diameter(args: SimpleNamespace) -> int:
+    from .skeleton import build_skeleton_E, diameter
+
     p = serialize.polytope_from_json(_read_json(args.input))
     s = build_skeleton_E(p)
     d = diameter(s)
@@ -155,6 +154,8 @@ def _endpoint(p: ZeroOnePolytope, text: str) -> int:
 
 
 def cmd_path(args: SimpleNamespace) -> int:
+    from .skeleton import flip_path, is_edge_walk
+
     p = serialize.polytope_from_json(_read_json(args.input))
     walk = flip_path(p, _endpoint(p, args.frm), _endpoint(p, args.to))
     valid = is_edge_walk(p, walk)
@@ -190,8 +191,8 @@ def cmd_verify(args: SimpleNamespace) -> int:
 
 REQUIRED = ...  # the default of an option that must be given
 # command: (handler, help, {option: (default, kind)}); kind is bool (a flag),
-# int, str or a tuple of choices, spelled out so that parsing imports neither
-# families, geometry nor verify (tests pin the choices to FAMILY_BUILDERS and
+# int, str or a tuple of choices, spelled out so that parsing imports no layer
+# past graphs and serialize (tests pin the choices to FAMILY_BUILDERS and
 # SUITES; the facet caps are graphs' constants, which serialize loads anyway).
 COMMANDS = {
     "build": (cmd_build, "write a polytope JSON file (--input for relation, chain "

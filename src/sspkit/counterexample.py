@@ -11,9 +11,9 @@ fails loudly.
 
 from __future__ import annotations
 
-from .graphs import GroundSet, SimpleGraph, enumerate_stable_sets
-from .geometry import oracle_is_edge
-from .skeleton import ZeroOnePolytope, is_edge_E
+from .graphs import GroundSet, SimpleGraph, ZeroOnePolytope, enumerate_stable_sets
+from .oracle import oracle_is_edge
+from .skeleton import is_edge_E
 
 REMARK_EDGES: tuple[tuple[int, int], ...] = (
     (1, 7), (1, 4), (2, 8), (2, 5), (3, 9), (3, 6),

@@ -1,13 +1,18 @@
-"""Simple graphs over an ordered ground set, with subsets as bitmasks.
+"""Simple graphs over an ordered ground set, with subsets as bitmasks, and
+the polytope model that every call reads: ZeroOnePolytope, Skeleton and the
+size caps, with SizeLimitError for the caps a layer enforces.
 
 The vertex order of the GroundSet is the coordinate order of every vector
 and bitmask in the package, so enumeration orders here are what make all
 downstream artifacts (skeletons, facet files, DOT exports) deterministic.
+The algorithm families live in their own modules, each loaded only by the
+calls that run it: condition E's kernels in skeleton, the LP oracle in
+oracle, double description and facet certification in geometry.
 """
 
 from __future__ import annotations
 
-from typing import Hashable, Iterable, Iterator, Optional, Sequence
+from typing import Hashable, Iterable, Iterator, NamedTuple, Optional, Sequence
 
 Label = Hashable
 
@@ -142,6 +147,10 @@ FACET_DIM_CAP = 28
 ORACLE_VERTEX_CAP = 2048
 
 
+class SizeLimitError(ValueError):
+    """Facet enumeration or the LP oracle refused: input exceeds a cap."""
+
+
 def enumerate_stable_sets(g: SimpleGraph) -> list[int]:
     """All stable sets, sorted by cardinality then position order: a new
     list per call of the one enumeration that g keeps. Raises ValueError
@@ -250,3 +259,166 @@ def is_union_of_complete_graphs(g: SimpleGraph) -> bool:
             if g.adj[v] != comp & ~(1 << v):
                 return False
     return True
+
+
+KINDS = ("stable-set", "birkhoff", "matroid-independence", "matroid-bases", "raw")
+
+
+class ZeroOnePolytope:
+    """conv{e_A : A in family} with the family kept as bitmasks.
+
+    kind tags what the family is and drives validation:
+      stable-set           all stable sets of the attached graph
+      birkhoff             the maximum-cardinality stable sets of the graph
+      matroid-independence the independent sets of a matroid (the axioms
+                           are matroids.check_matroid_axioms)
+      matroid-bases        equal-cardinality family
+      raw                  any distinct subsets
+
+    rank is the largest vertex cardinality, the paper's bound on the
+    skeleton diameter. Every polytope is built through the checks here; a
+    graph kind compares with the stable sets its graph enumerates once, and
+    the other kinds take no graph. A polytope is never mutated, so it keeps
+    what the layers derive from it once built: the element masks
+    (_element_masks) and the rank of its lifted vertex rows
+    (geometry.is_facet).
+    """
+
+    __slots__ = (
+        "ground", "vertices", "kind", "graph", "rank", "index", "_masks",
+        "_lifted_rank",
+    )
+
+    def __init__(
+        self,
+        ground: GroundSet,
+        vertices: Sequence[int],
+        kind: str,
+        graph: Optional[SimpleGraph] = None,
+    ):
+        if kind not in KINDS:
+            raise ValueError(f"unknown polytope kind {kind!r}")
+        verts = tuple(vertices)
+        if not verts:
+            raise ValueError("a polytope needs at least one vertex")
+        index: dict[int, int] = {}
+        for i, v in enumerate(verts):
+            ground.check_mask(v)
+            if v in index:
+                raise ValueError("vertices must be pairwise distinct")
+            index[v] = i
+        if kind in ("stable-set", "birkhoff"):
+            if graph is None:
+                raise ValueError(f"kind {kind!r} requires its graph")
+            if graph.ground != ground:
+                raise ValueError("graph ground set does not match")
+            family = enumerate_stable_sets(graph)
+            what = "the stable sets of the graph"
+            if kind == "birkhoff":
+                family, what = _largest(family), "the maximum stable sets"
+            if index.keys() != set(family):
+                raise ValueError(f"{kind} kind requires exactly {what}")
+        elif graph is not None:
+            raise ValueError(f"kind {kind!r} takes no graph")
+        elif kind == "matroid-independence":
+            from .matroids import check_matroid_axioms  # only matroid kinds load it
+
+            bad = check_matroid_axioms(ground, verts)
+            if bad is not None:
+                raise ValueError(
+                    f"independence axioms fail: {bad.axiom} with witness "
+                    f"{[ground.labels_of(w) for w in bad.witness]}"
+                )
+        elif kind == "matroid-bases":
+            cards = {v.bit_count() for v in verts}
+            if len(cards) != 1:
+                raise ValueError("basis family must have equal cardinalities")
+        self.ground = ground
+        self.vertices = verts
+        self.kind = kind
+        self.graph = graph
+        self.rank = max(v.bit_count() for v in verts)
+        self.index = index
+        self._masks: Optional[tuple[int, ...]] = None  # see _element_masks
+        self._lifted_rank: Optional[int] = None  # see geometry.is_facet
+
+    @classmethod
+    def from_graph(cls, g: SimpleGraph) -> "ZeroOnePolytope":
+        """Stable-set polytope of g, vertices in enumeration order."""
+        return cls(g.ground, enumerate_stable_sets(g), "stable-set", g)
+
+    @property
+    def n(self) -> int:
+        return len(self.ground)
+
+    def __repr__(self) -> str:
+        return (
+            f"ZeroOnePolytope(kind={self.kind!r}, n={self.n}, "
+            f"vertices={len(self.vertices)})"
+        )
+
+
+def _element_masks(p: ZeroOnePolytope) -> tuple[int, ...]:
+    """Mask k holds the indices of the vertices that contain ground element
+    k. p is never mutated, so it keeps the masks once built."""
+    if p._masks is None:
+        masks = [0] * p.n
+        for i, v in enumerate(p.vertices):
+            for k in bits(v):
+                masks[k] |= 1 << i
+        p._masks = tuple(masks)
+    return p._masks
+
+
+def birkhoff_restrict(g: SimpleGraph) -> ZeroOnePolytope:
+    """Restriction of the stable-set polytope of g to its top cardinality."""
+    return ZeroOnePolytope(
+        g.ground, _largest(enumerate_stable_sets(g)), "birkhoff", g
+    )
+
+
+def _largest(sets: Sequence[int]) -> list[int]:
+    """The members of maximum cardinality, in their given order."""
+    r = max(s.bit_count() for s in sets)
+    return [s for s in sets if s.bit_count() == r]
+
+
+def _check_vertices(p: ZeroOnePolytope, a: int, b: int) -> None:
+    """The membership rule of every point query: a and b are vertices of p."""
+    if a not in p.index or b not in p.index:
+        raise ValueError("endpoints must be vertices of the polytope")
+
+
+def _check_pair(p: ZeroOnePolytope, a: int, b: int) -> None:
+    _check_vertices(p, a, b)
+    if a == b:
+        raise ValueError("edge test needs two distinct vertices")
+
+
+class Skeleton(NamedTuple):
+    """A polytope graph as one neighbour row per vertex, with the method
+    that produced it. rows[a] lists the neighbours b > a, ascending, so
+    every edge is held once, by its lower end, and no edge is an object.
+
+    A NamedTuple rather than a dataclass: no sspkit module imports dataclasses,
+    whose import costs milliseconds of start-up; tests/test_imports.py keeps it so.
+
+    Only the kernels make one: skeleton.unique_sum_skeleton,
+    skeleton.build_skeleton_E and oracle.build_skeleton_oracle. Skeleton
+    JSON is an output only."""
+
+    rows: tuple[tuple[int, ...], ...]
+    provenance: str
+
+    @property
+    def vertex_count(self) -> int:
+        return len(self.rows)
+
+    @property
+    def edge_count(self) -> int:
+        return sum(map(len, self.rows))
+
+    @property
+    def edges(self) -> tuple[tuple[int, int], ...]:
+        """Each edge as (a, b) with a < b, ascending."""
+        return tuple((a, b) for a, row in enumerate(self.rows) for b in row)

@@ -8,8 +8,10 @@ from math import comb
 from operator import mul
 from typing import Iterable, NamedTuple, Optional, Sequence
 
-from .graphs import MAX_INDEPENDENTS, GroundSet, Label, _subset_sort_key, bits
-from .skeleton import ZeroOnePolytope, _largest
+from .graphs import (
+    MAX_INDEPENDENTS, GroundSet, Label, ZeroOnePolytope, _largest, _subset_sort_key,
+    bits,
+)
 
 
 class AxiomViolation(NamedTuple):

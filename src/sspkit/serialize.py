@@ -10,8 +10,9 @@ from __future__ import annotations
 import json
 from typing import TYPE_CHECKING, Any, Sequence
 
-from .graphs import MAX_INDEPENDENTS, GroundSet, Label, SimpleGraph, bits
-from .skeleton import Skeleton, ZeroOnePolytope
+from .graphs import (
+    MAX_INDEPENDENTS, GroundSet, Label, SimpleGraph, Skeleton, ZeroOnePolytope, bits,
+)
 
 if TYPE_CHECKING:
     from .geometry import Inequality
@@ -19,7 +20,7 @@ if TYPE_CHECKING:
 
 def dumps(obj: Any) -> str:
     """json.dumps(obj, indent=2, sort_keys=True) plus a newline: the form of
-    every file and report (skeleton_json writes its edge list itself)."""
+    every file and report (skeleton_json joins its lists itself)."""
     return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
 
@@ -78,18 +79,12 @@ def _pairs(obj: dict, key: str) -> list[tuple[Label, Label]]:
     return out
 
 
-def _vertex_labels(p: ZeroOnePolytope) -> list[list[Any]]:
-    """Each vertex as the list of its encoded labels, in ground order."""
-    labels = [encode_label(x) for x in p.ground.labels]
-    return [[labels[k] for k in bits(v)] for v in p.vertices]
-
-
 def polytope_to_json(p: ZeroOnePolytope) -> dict:
     labels = [encode_label(x) for x in p.ground.labels]
     out: dict[str, Any] = {
         "kind": p.kind,
         "ground": labels,
-        "vertices": _vertex_labels(p),
+        "vertices": [[labels[k] for k in bits(v)] for v in p.vertices],
         "rank": p.rank,
     }
     if p.graph is not None:
@@ -132,14 +127,19 @@ def _edge_runs(s: Skeleton, head: str, tail: str, sep: str) -> list[str]:
 
 def skeleton_json(p: ZeroOnePolytope, s: Skeleton) -> str:
     """The skeleton file as dumps writes {"edges": [[a, b], ...],
-    "provenance": ..., "vertices": ...}, with the edge list, the key that
-    sorts first, written straight from the rows."""
+    "provenance": ..., "vertices": [[label, ...], ...]}, with the edge list
+    written straight from the rows and each vertex joined from its labels'
+    texts, each ground label encoded once and indented to its depth of 3."""
     if s.vertex_count != len(p.vertices):
         raise ValueError("skeleton does not match the polytope")
     runs = _edge_runs(s, "[\n      %d,\n      ", "\n    ]", ",\n    ")
     edges = "[\n    " + ",\n    ".join(runs) + "\n  ]" if runs else "[]"
-    rest = dumps({"provenance": s.provenance, "vertices": _vertex_labels(p)})
-    return '{\n  "edges": ' + edges + ",\n" + rest[2:]
+    texts = [json.dumps(encode_label(x), indent=2).replace("\n", "\n      ")
+             for x in p.ground.labels]
+    verts = ["[\n      " + ",\n      ".join([texts[k] for k in bits(v)]) + "\n    ]"
+             if v else "[]" for v in p.vertices]
+    return ('{\n  "edges": ' + edges + ',\n  "provenance": ' + json.dumps(s.provenance)
+            + ',\n  "vertices": [\n    ' + ",\n    ".join(verts) + "\n  ]\n}\n")
 
 
 def facets_to_json(facets: Sequence[Inequality]) -> dict:

@@ -7,7 +7,10 @@ checks a list of (name, passed, details) triples in the order they ran; it
 does all its work in the call, so timing a SUITES entry times the suite.
 run_suites alone builds the report that `verify` prints: "suite", "seed",
 "params", "checks" (as {"name", "passed", "details"} dicts) and "passed":
-the suite ran at least one check and every check passed."""
+the suite ran at least one check and every check passed. Each suite imports
+the layers it runs (condition E's kernels, the LP oracle, the facet
+machinery, families, matroids) in its own body, so a one-suite call loads
+only those."""
 
 from __future__ import annotations
 
@@ -15,12 +18,8 @@ import random
 from typing import Callable, Sequence
 
 from .graphs import (
-    SimpleGraph, bits, connected_components, enumerate_max_cliques,
-    enumerate_stable_sets, is_union_of_complete_graphs,
-)
-from .skeleton import (
-    ZeroOnePolytope, birkhoff_restrict, build_skeleton_E, diameter, flip_path,
-    is_edge_E, is_edge_walk, quasimatroid_exchange, unique_sum_skeleton,
+    SimpleGraph, ZeroOnePolytope, birkhoff_restrict, bits, connected_components,
+    enumerate_max_cliques, enumerate_stable_sets, is_union_of_complete_graphs,
 )
 
 # a suite's (params, checks), each check a (name, passed, details) triple
@@ -54,6 +53,8 @@ def _walks_ok(rng: random.Random, p: ZeroOnePolytope, k: int) -> bool:
     """flip_path between k seeded vertex pairs of p gives valid edge walks
     of at most rank hops. Each pair is drawn from the vertex indices, so
     no list of all pairs is built; one vertex has no pair to walk."""
+    from .skeleton import flip_path, is_edge_walk
+
     nv = len(p.vertices)
     for _ in range(k if nv > 1 else 0):
         i, j = rng.sample(range(nv), 2)
@@ -69,7 +70,8 @@ def suite_oracle_vs_e(seed: int, graphs: int, max_n: int) -> Suite:
     """Three routes give one skeleton on stable-set and top-cardinality
     polytopes of the random corpus: the unique-sum test, the connectivity
     test of build_skeleton_E and the LP oracle."""
-    from .geometry import build_skeleton_oracle
+    from .oracle import build_skeleton_oracle
+    from .skeleton import build_skeleton_E, unique_sum_skeleton
 
     checks = []
     for idx, g in enumerate(random_graph_corpus(seed, graphs, max_n)):
@@ -91,6 +93,7 @@ def suite_diameter_bounds(seed: int, graphs: int, max_n: int) -> Suite:
     """Skeleton diameters within the top cardinality r, and the
     constructive walks valid with at most r hops."""
     from .families import build_bell_graph, build_empty_graph
+    from .skeleton import build_skeleton_E, diameter
 
     checks = []
     rng = random.Random(seed ^ 0x5EED)
@@ -172,11 +175,14 @@ def suite_matroid_e(seed: int, graphs: int, max_n: int) -> Suite:
     independence and basis polytopes, basis adjacency is the two-element
     swap, diameters respect the rank, and the exchange steps agree."""
     from .families import build_complete_graph
-    from .geometry import build_skeleton_oracle
     from .matroids import (
         basis_exchange_adjacent, basis_polytope, build_uniform, strong_exchange,
     )
+    from .oracle import build_skeleton_oracle
     from .serialize import matroid_from_json
+    from .skeleton import (
+        build_skeleton_E, diameter, is_edge_E, quasimatroid_exchange,
+    )
 
     checks = []
     for name, spec in MATROID_CATALOG.items():
@@ -263,7 +269,8 @@ def suite_remark43(seed: int, graphs: int, max_n: int) -> Suite:
     """The pinned disagreement family, plus the modified cube that agrees
     with the oracle without being any graph's stable-set family."""
     from .counterexample import is_stable_set_family, modified_cube, verify_remark
-    from .geometry import build_skeleton_oracle
+    from .oracle import build_skeleton_oracle
+    from .skeleton import build_skeleton_E
 
     checks = verify_remark()
     cube = modified_cube()

@@ -3,8 +3,7 @@ geometry tests."""
 
 from hypothesis import strategies as st
 
-from sspkit.graphs import GroundSet, SimpleGraph
-from sspkit.skeleton import ZeroOnePolytope, birkhoff_restrict
+from sspkit.graphs import GroundSet, SimpleGraph, ZeroOnePolytope, birkhoff_restrict
 
 
 @st.composite

@@ -28,17 +28,15 @@ from sspkit.families import (
 from sspkit.geometry import (
     Inequality,
     always_facet_inequalities,
-    build_skeleton_oracle,
     classify_inequality,
     enumerate_facets,
     is_facet,
-    oracle_is_edge,
 )
+from sspkit.graphs import ZeroOnePolytope, birkhoff_restrict
 from sspkit.linalg import independent_rows
 from sspkit.matroids import basis_exchange_adjacent, basis_polytope
+from sspkit.oracle import build_skeleton_oracle, oracle_is_edge
 from sspkit.skeleton import (
-    ZeroOnePolytope,
-    birkhoff_restrict,
     build_skeleton_E,
     diameter,
     flip_path,

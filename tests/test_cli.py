@@ -22,9 +22,8 @@ from sspkit.cli import COMMANDS, _parse, main
 from sspkit.counterexample import maximal_family_polytope, modified_cube, remark_graph
 from sspkit.families import FAMILY_BUILDERS
 from sspkit.geometry import enumerate_facets
-from sspkit.graphs import GroundSet
+from sspkit.graphs import GroundSet, ZeroOnePolytope
 from sspkit.serialize import dumps, polytope_to_json
-from sspkit.skeleton import ZeroOnePolytope
 from sspkit.verify import MATROID_CATALOG, SUITES
 
 
@@ -312,12 +311,12 @@ class TestSkeletonCmd:
     @pytest.mark.parametrize("family, n, count", [("empty", "12", 4096), ("nc", "9", 4862)])
     def test_oracle_cap_refuses_before_the_first_pair(self, tmp_path, capsys,
                                                       monkeypatch, family, n, count):
-        from sspkit import geometry
+        from sspkit import oracle
 
         def broken(*args):
             raise AssertionError("a pair was tested past the oracle cap")
 
-        monkeypatch.setattr(geometry, "_pair_is_edge", broken)
+        monkeypatch.setattr(oracle, "_pair_is_edge", broken)
         p = tmp_path / "p.json"
         run(capsys, "build", "--family", family, "--n", n, "--output", str(p))
         start = time.perf_counter()

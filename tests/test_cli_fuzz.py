@@ -21,7 +21,8 @@ from hypothesis import strategies as st
 from sspkit import serialize
 from sspkit.cli import main
 from sspkit.families import build_bell_graph
-from sspkit.skeleton import ZeroOnePolytope, build_skeleton_E
+from sspkit.graphs import ZeroOnePolytope
+from sspkit.skeleton import build_skeleton_E
 
 KEYS = [
     "labels", "pairs", "less_than", "uniform", "partition", "graphic",

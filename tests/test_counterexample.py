@@ -14,8 +14,8 @@ from sspkit.counterexample import (
     remark_graph,
     verify_remark,
 )
-from sspkit.geometry import build_skeleton_oracle, oracle_is_edge
 from sspkit.graphs import enumerate_stable_sets
+from sspkit.oracle import build_skeleton_oracle, oracle_is_edge
 from sspkit.skeleton import build_skeleton_E, is_edge_E
 
 

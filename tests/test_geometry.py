@@ -15,7 +15,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from sspkit import geometry, skeleton
+from sspkit import geometry, oracle, skeleton
 from sspkit.counterexample import (
     maximal_family_polytope,
     modified_cube,
@@ -33,15 +33,19 @@ from sspkit.geometry import (
     Inequality,
     SizeLimitError,
     always_facet_inequalities,
-    build_skeleton_oracle,
     classify_inequality,
     clique_inequality,
     enumerate_facets,
     is_facet,
     nonnegativity,
-    oracle_is_edge,
 )
-from sspkit.graphs import SimpleGraph, enumerate_max_cliques
+from sspkit.graphs import (
+    GroundSet,
+    SimpleGraph,
+    ZeroOnePolytope,
+    birkhoff_restrict,
+    enumerate_max_cliques,
+)
 from sspkit.linalg import (
     cone_rays,
     independent_mod2,
@@ -49,14 +53,9 @@ from sspkit.linalg import (
     lp_feasible,
     primitive,
 )
-from sspkit.graphs import GroundSet
 from sspkit.matroids import basis_polytope, build_uniform
-from sspkit.skeleton import (
-    ZeroOnePolytope,
-    birkhoff_restrict,
-    build_skeleton_E,
-    diameter,
-)
+from sspkit.oracle import build_skeleton_oracle, oracle_is_edge
+from sspkit.skeleton import build_skeleton_E, diameter
 from sspkit.verify import random_graph, random_graph_corpus
 from strategies import graph_polytopes, raw_polytopes
 
@@ -159,7 +158,7 @@ class TestOracle:
         # and -M outside A | B, with M = |P||Q| + 1. Checked over every
         # vertex in integers, by code of this test's own.
         lps = []
-        monkeypatch.setattr(geometry, "lp_feasible", lambda *args: lps.append(1))
+        monkeypatch.setattr(oracle, "lp_feasible", lambda *args: lps.append(1))
         for p in make():
             for a, va in enumerate(p.vertices):
                 for vb in p.vertices[a + 1 :]:
@@ -198,7 +197,7 @@ class TestOracle:
             results.append(lp_feasible(lhs, rhs))
             return results[-1]
 
-        monkeypatch.setattr(geometry, "lp_feasible", counted)
+        monkeypatch.setattr(oracle, "lp_feasible", counted)
         p = ZeroOnePolytope.from_graph(build_noncrossing_graph(5))
         s = build_skeleton_oracle(p)
         assert len(results) == 49
@@ -221,7 +220,7 @@ class TestOracle:
                 oracle_is_edge(p, va, vb)
         assert build_skeleton_oracle(p).rows == build_skeleton_E(p).rows
         assert p._masks is masks
-        assert not hasattr(geometry, "_holders")
+        assert not hasattr(oracle, "_holders")
 
 
 class TestOraclePastTheCap:
@@ -242,7 +241,7 @@ class TestOraclePastTheCap:
     def test_sample_agrees_with_condition_E(self, build, budget):
         start = time.monotonic()
         p = ZeroOnePolytope.from_graph(build())
-        assert len(p.vertices) > geometry.ORACLE_VERTEX_CAP
+        assert len(p.vertices) > oracle.ORACLE_VERTEX_CAP
         rows = build_skeleton_E(p).rows
         masks = p._masks
         rng = random.Random(7919)
@@ -749,6 +748,28 @@ class TestMod2Route:
         assert calls
         assert len(facets) == 4 and facets == reference_facets(p)
         assert all(is_facet(p, q) for q in facets)
+
+    def test_polytope_keeps_its_lifted_rank(self, monkeypatch):
+        # The octahedron (the bases of U(4, 2)) is not full-dimensional, so
+        # the rank of its lifted rows takes an exact scan of all six. Many
+        # is_facet calls run that scan once: the polytope keeps the rank.
+        p = basis_polytope(build_uniform(4, 2))
+        calls = []
+
+        def counted(matrix):
+            calls.append(len(matrix))
+            return independent_rows(matrix)
+
+        monkeypatch.setattr(geometry, "independent_rows", counted)
+        assert p._lifted_rank is None
+        qs = [nonnegativity(4, v) for v in range(4)]
+        qs += [Inequality(tuple(int(k == v) for k in range(4)), 1) for v in range(4)]
+        qs.append(Inequality((1, 1, 0, 0), 2))  # tight on one vertex: no facet
+        for _ in range(3):
+            assert [is_facet(p, q) for q in qs] == [True] * 8 + [False]
+        assert [reference_is_facet(p, q) for q in qs] == [True] * 8 + [False]
+        assert calls.count(len(p.vertices)) == 1
+        assert p._lifted_rank == 4
 
     def test_nc7_and_the_facets_always_corpus_need_no_exact_scan(self, monkeypatch):
         def broken(matrix):

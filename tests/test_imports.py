@@ -1,13 +1,18 @@
 """Each CLI call imports only what its subcommand runs.
 
 A fresh interpreter runs one subcommand through `cli.main` and reports the
-modules it loaded. `skeleton`, `diameter` and `path` must not load the LP,
-facet, matroid, family or verify layers; `skeleton --oracle` and `facets`
-may load geometry, but not the verify suites; `build` of a graph family
-does not load matroids. Reading a matroid-independence file loads
-matroids too, whose axiom check the polytope constructor runs. Each
-`verify` suite loads exactly the layers it runs, so `oracle-vs-E` loads
-neither families, matroids nor counterexample. No call loads `dataclasses`
+modules it loaded. `import sspkit.cli` alone loads `cli`, `serialize` and
+`graphs`, which holds the polytope model. Each algorithm family is its own
+module: `skeleton`, `diameter` and `path` add condition E's kernels
+(`skeleton`) and no LP, facet, matroid, family or verify layer;
+`skeleton --oracle` adds the LP oracle (`oracle`) and `facets` the facet
+machinery (`geometry`), each with `linalg` and neither with the other's
+layer or the kernels; `build` of a graph family adds `families` alone.
+Reading a matroid-independence file loads matroids too, whose axiom check
+the polytope constructor runs. Each `verify` suite loads exactly the layers
+it runs, so `oracle-vs-E` loads neither families, matroids nor
+counterexample, and `facets-always` neither the kernels nor the oracle.
+No call loads `dataclasses`
 (which pulls in `inspect`), nor `argparse` or `gettext`: the CLI reads
 argv against its own option table.
 Exact arithmetic is plain int throughout, so the LP and facet subcommands
@@ -31,8 +36,8 @@ import pytest
 import sspkit
 from sspkit import serialize
 from sspkit.families import build_bell_graph
+from sspkit.graphs import ZeroOnePolytope
 from sspkit.matroids import build_uniform
-from sspkit.skeleton import ZeroOnePolytope
 from sspkit.verify import SUITES
 
 SRC = str(Path(sspkit.__file__).resolve().parents[1])
@@ -46,22 +51,24 @@ print(json.dumps({"code": code, "modules": sorted(sys.modules)}))
 """
 
 LIGHT_ONLY = [
-    "sspkit.verify", "sspkit.geometry", "sspkit.linalg", "sspkit.matroids",
-    "sspkit.families", "sspkit.counterexample", "dataclasses",
+    "sspkit.verify", "sspkit.geometry", "sspkit.oracle", "sspkit.linalg",
+    "sspkit.matroids", "sspkit.families", "sspkit.counterexample", "dataclasses",
 ]
 NO_SUITES = ["sspkit.verify", "sspkit.matroids", "sspkit.counterexample"]
-# Every verify call loads cli, serialize, verify, graphs and skeleton;
-# these are the layers each suite adds.
+# What `import sspkit.cli` loads, and so every call.
+CLI_BASE = {"cli", "serialize", "graphs"}
+# Every verify call loads cli, serialize, verify and graphs; these are the
+# layers each suite adds.
 SUITE_LAYERS = {
-    "oracle-vs-E": {"geometry", "linalg"},
-    "diameter-bounds": {"families"},
+    "oracle-vs-E": {"skeleton", "oracle", "linalg"},
+    "diameter-bounds": {"families", "skeleton"},
     "facets-always": {"families", "geometry", "linalg"},
-    "matroid-E": {"families", "geometry", "linalg", "matroids"},
+    "matroid-E": {"families", "skeleton", "oracle", "linalg", "matroids"},
     "prop62": {"matroids"},
-    "remark43": {"counterexample", "geometry", "linalg"},
+    "remark43": {"counterexample", "skeleton", "oracle", "linalg"},
     "partitions": {"families"},
 }
-VERIFY_BASE = {"cli", "serialize", "verify", "graphs", "skeleton"}
+VERIFY_BASE = {"cli", "serialize", "verify", "graphs"}
 NUMBER_TYPES = ["fractions", "decimal"]
 PARSERS = ["argparse", "gettext"]  # no call loads these
 
@@ -94,6 +101,42 @@ def loaded(*argv):
     return mods
 
 
+def layers(mods):
+    return {m.removeprefix("sspkit.") for m in mods if m.startswith("sspkit.")}
+
+
+def test_cli_import_loads_only_the_model():
+    # what the benchmark's cli.startup_s times: no kernel, oracle or facet layer
+    env = dict(os.environ, PYTHONPATH=SRC)
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import json, sys, sspkit.cli; print(json.dumps(sorted(sys.modules)))"],
+        env=env, capture_output=True, text=True, check=True,
+    )
+    mods = set(json.loads(proc.stdout))
+    assert {m for m in mods if m.split(".")[0] == "sspkit"} == {
+        "sspkit", *(f"sspkit.{m}" for m in CLI_BASE)
+    }
+    assert mods.isdisjoint(PARSERS + ["dataclasses"])
+
+
+@pytest.mark.parametrize(
+    "argv, added",
+    [
+        (["skeleton", "--input", "{p}"], {"skeleton"}),
+        (["diameter", "--input", "{p}"], {"skeleton"}),
+        (["path", "--input", "{p}", "--from", "[]", "--to", "[[1, 2]]"], {"skeleton"}),
+        (["skeleton", "--oracle", "--input", "{p}"], {"oracle", "linalg"}),
+        (["facets", "--input", "{p}"], {"geometry", "linalg"}),
+        (["build", "--family", "nc", "--n", "4"], {"families"}),
+    ],
+    ids=["skeleton", "diameter", "path", "oracle", "facets", "build"],
+)
+def test_each_subcommand_loads_exactly_its_layers(bell3, argv, added):
+    mods = loaded(*(a.replace("{p}", bell3) for a in argv))
+    assert layers(mods) == CLI_BASE | added
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -110,13 +153,14 @@ def test_light_subcommands_skip_the_heavy_layers(bell3, argv):
 
 
 @pytest.mark.parametrize(
-    "argv",
-    [["skeleton", "--oracle", "--input", "{p}"], ["facets", "--input", "{p}"]],
+    "argv, layer",
+    [(["skeleton", "--oracle", "--input", "{p}"], "sspkit.oracle"),
+     (["facets", "--input", "{p}"], "sspkit.geometry")],
     ids=["oracle", "facets"],
 )
-def test_geometry_subcommands_skip_the_suites(bell3, argv):
+def test_geometry_subcommands_skip_the_suites(bell3, argv, layer):
     mods = loaded(*(a.replace("{p}", bell3) for a in argv))
-    assert "sspkit.geometry" in mods
+    assert layer in mods
     assert mods.isdisjoint(NO_SUITES), sorted(mods & set(NO_SUITES))
 
 
@@ -138,8 +182,7 @@ def test_exact_subcommands_load_no_rational_types(bell3, argv):
 @pytest.mark.parametrize("suite", sorted(SUITES))
 def test_each_suite_loads_only_its_layers(suite):
     mods = loaded("verify", "--suite", suite, "--graphs", "5", "--max-n", "4")
-    layers = {m.removeprefix("sspkit.") for m in mods if m.startswith("sspkit.")}
-    assert layers == VERIFY_BASE | SUITE_LAYERS[suite]
+    assert layers(mods) == VERIFY_BASE | SUITE_LAYERS[suite]
     assert "dataclasses" not in mods
 
 
@@ -149,8 +192,7 @@ def test_each_suite_loads_only_its_layers(suite):
 )
 def test_skeleton_layers_by_kind(request, polytope, extra):
     mods = loaded("skeleton", "--input", request.getfixturevalue(polytope))
-    layers = {m.removeprefix("sspkit.") for m in mods if m.startswith("sspkit.")}
-    assert layers == {"cli", "serialize", "skeleton", "graphs"} | extra
+    assert layers(mods) == CLI_BASE | {"skeleton"} | extra
 
 
 def test_graph_family_build_skips_matroids():

@@ -11,8 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sspkit.families import build_complete_graph
-from sspkit.geometry import build_skeleton_oracle
-from sspkit.graphs import GroundSet, SimpleGraph, enumerate_stable_sets
+from sspkit.graphs import GroundSet, SimpleGraph, ZeroOnePolytope, enumerate_stable_sets
 from sspkit.matroids import (
     MAX_INDEPENDENTS,
     AxiomViolation,
@@ -26,7 +25,8 @@ from sspkit.matroids import (
     independence_polytope,
     strong_exchange,
 )
-from sspkit.skeleton import ZeroOnePolytope, build_skeleton_E
+from sspkit.oracle import build_skeleton_oracle
+from sspkit.skeleton import build_skeleton_E
 
 K4_EDGES = [(1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4)]
 K6_EDGES = [(i, j) for i in range(1, 7) for j in range(i + 1, 7)]

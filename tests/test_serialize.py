@@ -14,18 +14,20 @@ from sspkit.families import (
     build_nonnesting_graph,
 )
 from sspkit.geometry import Inequality, enumerate_facets
-from sspkit.graphs import MAX_INDEPENDENTS, GroundSet, SimpleGraph
+from sspkit.graphs import (
+    MAX_INDEPENDENTS,
+    GroundSet,
+    SimpleGraph,
+    ZeroOnePolytope,
+    birkhoff_restrict,
+)
 from sspkit.matroids import (
     basis_polytope,
     build_graphic,
     build_partition,
     build_uniform,
 )
-from sspkit.skeleton import (
-    ZeroOnePolytope,
-    birkhoff_restrict,
-    build_skeleton_E,
-)
+from sspkit.skeleton import build_skeleton_E
 
 
 def vertex_labels(p):
@@ -205,6 +207,18 @@ class TestWriters:
     def test_matroid_kinds(self, birkhoff):
         p = build_uniform(4, 2)
         self.check(basis_polytope(p) if birkhoff else p)
+
+    def test_relation_labels_json_must_escape_or_nest(self):
+        # skeleton_json encodes each label once and indents it to its depth
+        # in the file: a quote, a backslash, a non-ASCII letter, a newline,
+        # a nested list, an empty list, a float and a bool
+        labels = ['q"', "b\\", "é", "a\nb", [1, [2, ["x"]]], [], 1.5, True]
+        obj = {"labels": labels, "pairs": [[labels[0], labels[4]], [labels[3], labels[5]],
+                                           [labels[5], labels[7]], [labels[1], labels[6]]]}
+        g = serialize.relation_graph_from_json(obj)
+        self.check(ZeroOnePolytope.from_graph(g))
+        self.check(birkhoff_restrict(g))
+        self.check(ZeroOnePolytope(g.ground, [0, 0b10110, 0b11110000, 0b11111111], "raw"))
 
 
 class TestFacetsJson:

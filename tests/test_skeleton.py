@@ -22,14 +22,18 @@ from sspkit.families import (
     build_nonnesting_graph,
     build_rook_graph,
 )
-from sspkit.geometry import build_skeleton_oracle, oracle_is_edge
-from sspkit.graphs import GroundSet, connected_components, reach
-from sspkit.matroids import basis_polytope, build_partition, build_uniform
-from sspkit.skeleton import (
+from sspkit.graphs import (
+    GroundSet,
     Skeleton,
     ZeroOnePolytope,
-    _other_split,
     birkhoff_restrict,
+    connected_components,
+    reach,
+)
+from sspkit.matroids import basis_polytope, build_partition, build_uniform
+from sspkit.oracle import build_skeleton_oracle, oracle_is_edge
+from sspkit.skeleton import (
+    _other_split,
     build_skeleton_E,
     diameter,
     flip_path,
