@@ -3,7 +3,10 @@
 Subcommands: build, skeleton, diameter, facets, path, verify.
 Files are JSON (see serialize); skeletons can also leave as DOT. Exit code
 0 means every requested check passed; bad input, or a stdout whose reader
-is gone, exits 2 with a message.
+is gone, exits 2 with a message. Each cmd_* returns its exit code and the
+text it made, and writes nothing but verify's suite lines (to stderr);
+main alone writes that text, to --output (opened only once the handler has
+returned) or to stdout, and prints the one error line of an exit 2.
 
 Start-up is most of a short call's wall time, so each cmd_* imports only the
 layers it runs: the condition-E kernels (skeleton) for skeleton, diameter
@@ -37,20 +40,12 @@ def _read_json(path: str) -> dict:
         return json.load(fh)
 
 
-def _emit(text: str, output: Optional[str]) -> None:
-    if output:
-        with open(output, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
-
-
-def _emit_text(fields: dict, output: Optional[str]) -> None:
+def _text(fields: dict) -> str:
     """One line of "name value" pairs, for --format text."""
-    _emit(" ".join(f"{k} {v}" for k, v in fields.items()) + "\n", output)
+    return " ".join(f"{k} {v}" for k, v in fields.items()) + "\n"
 
 
-def cmd_build(args: SimpleNamespace) -> int:
+def cmd_build(args: SimpleNamespace) -> tuple[int, str]:
     from .families import FAMILY_BUILDERS, check_edge_count, check_stable_set_count
 
     fam = args.family
@@ -74,11 +69,10 @@ def cmd_build(args: SimpleNamespace) -> int:
             check_edge_count(fam, args.n)
             g = FAMILY_BUILDERS[fam](args.n)
         p = birkhoff_restrict(g) if args.birkhoff else ZeroOnePolytope.from_graph(g)
-    _emit(serialize.dumps(serialize.polytope_to_json(p)), args.output)
-    return 0
+    return 0, serialize.dumps(serialize.polytope_to_json(p))
 
 
-def cmd_skeleton(args: SimpleNamespace) -> int:
+def cmd_skeleton(args: SimpleNamespace) -> tuple[int, str]:
     p = serialize.polytope_from_json(_read_json(args.input))
     if args.oracle:
         from .oracle import build_skeleton_oracle
@@ -89,18 +83,14 @@ def cmd_skeleton(args: SimpleNamespace) -> int:
 
         s = build_skeleton_E(p)
     if args.format == "dot":
-        _emit(serialize.skeleton_to_dot(p, s), args.output)
-    elif args.format == "text":
-        _emit_text({
-            "vertices": s.vertex_count, "edges": s.edge_count,
-            "provenance": s.provenance,
-        }, args.output)
-    else:
-        _emit(serialize.skeleton_json(p, s), args.output)
-    return 0
+        return 0, serialize.skeleton_to_dot(p, s)
+    if args.format == "text":
+        return 0, _text({"vertices": s.vertex_count, "edges": s.edge_count,
+                         "provenance": s.provenance})
+    return 0, serialize.skeleton_json(p, s)
 
 
-def cmd_diameter(args: SimpleNamespace) -> int:
+def cmd_diameter(args: SimpleNamespace) -> tuple[int, str]:
     from .skeleton import build_skeleton_E, diameter
 
     p = serialize.polytope_from_json(_read_json(args.input))
@@ -114,15 +104,11 @@ def cmd_diameter(args: SimpleNamespace) -> int:
         "edges": s.edge_count,
     }
     if args.format == "text":
-        _emit_text(
-            {k: report[k] for k in ("diameter", "rank", "bound_holds")}, args.output
-        )
-    else:
-        _emit(serialize.dumps(report), args.output)
-    return 0
+        return 0, _text({k: report[k] for k in ("diameter", "rank", "bound_holds")})
+    return 0, serialize.dumps(report)
 
 
-def cmd_facets(args: SimpleNamespace) -> int:
+def cmd_facets(args: SimpleNamespace) -> tuple[int, str]:
     from .geometry import classify_inequality, enumerate_facets
 
     p = serialize.polytope_from_json(_read_json(args.input))
@@ -138,10 +124,8 @@ def cmd_facets(args: SimpleNamespace) -> int:
     out["classification"] = counts
     out["non_clique_facets"] = others
     if args.format == "text":
-        _emit_text({"facets": len(facets), **counts}, args.output)
-    else:
-        _emit(serialize.dumps(out), args.output)
-    return 0
+        return 0, _text({"facets": len(facets), **counts})
+    return 0, serialize.dumps(out)
 
 
 def _endpoint(p: ZeroOnePolytope, text: str) -> int:
@@ -153,7 +137,7 @@ def _endpoint(p: ZeroOnePolytope, text: str) -> int:
     return p.ground.mask_of(serialize.decode_label(x) for x in labels)
 
 
-def cmd_path(args: SimpleNamespace) -> int:
+def cmd_path(args: SimpleNamespace) -> tuple[int, str]:
     from .skeleton import flip_path, is_edge_walk
 
     p = serialize.polytope_from_json(_read_json(args.input))
@@ -169,24 +153,22 @@ def cmd_path(args: SimpleNamespace) -> int:
         "within_bound": len(walk) - 1 <= p.rank,
         "edges_valid": valid,
     }
-    _emit(serialize.dumps(report), args.output)
-    return 0 if valid and report["within_bound"] else 1
+    return 0 if valid and report["within_bound"] else 1, serialize.dumps(report)
 
 
-def cmd_verify(args: SimpleNamespace) -> int:
+def cmd_verify(args: SimpleNamespace) -> tuple[int, str]:
     from .verify import SUITES, run_suites
 
     names = list(SUITES) if args.suite == "all" else [args.suite]
     reports = run_suites(names, args.seed, args.graphs, args.max_n)
-    payload = {"passed": all(r["passed"] for r in reports), "reports": reports}
-    _emit(serialize.dumps(payload), args.output)
+    passed = all(r["passed"] for r in reports)
     for r in reports:
         bad = [c["name"] for c in r["checks"] if not c["passed"]]
         line = f"suite {r['suite']}: {'pass' if r['passed'] else 'FAIL'}"
         if bad:
             line += f" ({len(bad)} failing: {', '.join(bad[:5])})"
         print(line, file=sys.stderr)
-    return 0 if payload["passed"] else 1
+    return 0 if passed else 1, serialize.dumps({"passed": passed, "reports": reports})
 
 
 REQUIRED = ...  # the default of an option that must be given
@@ -249,7 +231,7 @@ def _fail(cmd: Optional[str], message: str) -> NoReturn:
     raise SystemExit(2)
 
 
-def _parse(argv: Sequence[str]) -> tuple[Callable[..., int], SimpleNamespace]:
+def _parse(argv: Sequence[str]) -> tuple[Callable[..., tuple[int, str]], SimpleNamespace]:
     """The handler of argv's command, and its options by attribute name
     (--max-n as max_n, --from as frm). A value may follow its option or an
     "=" and start with "-"; the last of a repeated option counts, and no
@@ -292,7 +274,12 @@ def _parse(argv: Sequence[str]) -> tuple[Callable[..., int], SimpleNamespace]:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     try:  # _parse flushes help, so a closed pipe is caught below there too
         fn, args = _parse(sys.argv[1:] if argv is None else argv)
-        code = fn(args)
+        code, text = fn(args)
+        if args.output:  # opened only now: a failing call leaves the file be
+            with open(args.output, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        else:
+            sys.stdout.write(text)
         sys.stdout.flush()  # here, so that a closed pipe is caught below
         if argv is None:  # run as the program: the collections CPython runs
             gc.freeze()  # at exit then skip every object alive now
@@ -301,17 +288,15 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         # stdout's reader is gone: point fd 1 at devnull, so the
         # interpreter's last flush of what is left is silent
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        message = str(exc)
     except KeyError as exc:
-        print(f"error: input is missing required key {exc}", file=sys.stderr)
-        return 2
+        message = f"input is missing required key {exc}"
     except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        message = str(exc)
     except RecursionError:  # json and the label codecs recurse per level
-        print("error: input is nested too deeply", file=sys.stderr)
-        return 2
+        message = "input is nested too deeply"
+    print(f"error: {message}", file=sys.stderr)
+    return 2
 
 
 if __name__ == "__main__":

@@ -133,13 +133,16 @@ def skeleton_json(p: ZeroOnePolytope, s: Skeleton) -> str:
     if s.vertex_count != len(p.vertices):
         raise ValueError("skeleton does not match the polytope")
     runs = _edge_runs(s, "[\n      %d,\n      ", "\n    ]", ",\n    ")
-    edges = "[\n    " + ",\n    ".join(runs) + "\n  ]" if runs else "[]"
+    # the edge section as its rows and separators, joined only into the text
+    edges = ["[\n    ", *[",\n    "] * (2 * len(runs) - 1), "\n  ]"] if runs else ["[]"]
+    edges[1:-1:2] = runs
     texts = [json.dumps(encode_label(x), indent=2).replace("\n", "\n      ")
              for x in p.ground.labels]
     verts = ["[\n      " + ",\n      ".join([texts[k] for k in bits(v)]) + "\n    ]"
              if v else "[]" for v in p.vertices]
-    return ('{\n  "edges": ' + edges + ',\n  "provenance": ' + json.dumps(s.provenance)
-            + ',\n  "vertices": [\n    ' + ",\n    ".join(verts) + "\n  ]\n}\n")
+    return "".join(['{\n  "edges": ', *edges, ',\n  "provenance": ',
+                    json.dumps(s.provenance), ',\n  "vertices": [\n    ',
+                    ",\n    ".join(verts), "\n  ]\n}\n"])
 
 
 def facets_to_json(facets: Sequence[Inequality]) -> dict:

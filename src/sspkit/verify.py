@@ -75,12 +75,12 @@ def suite_oracle_vs_e(seed: int, graphs: int, max_n: int) -> Suite:
 
     checks = []
     for idx, g in enumerate(random_graph_corpus(seed, graphs, max_n)):
-        ssp = ZeroOnePolytope.from_graph(g)
-        se = build_skeleton_E(ssp)
-        bp = birkhoff_restrict(g)
-        be = build_skeleton_E(bp)
-        ok = all(unique_sum_skeleton(p).rows == s.rows == build_skeleton_oracle(p).rows
-                 for p, s in ((ssp, se), (bp, be)))
+        ssp, bp = ZeroOnePolytope.from_graph(g), birkhoff_restrict(g)
+        # the oracle first: its vertex cap refuses before the uncapped tally
+        oracle = [build_skeleton_oracle(p).rows for p in (ssp, bp)]
+        se, be = build_skeleton_E(ssp), build_skeleton_E(bp)
+        ok = all(unique_sum_skeleton(p).rows == s.rows == rows
+                 for p, s, rows in zip((ssp, bp), (se, be), oracle))
         checks.append((f"graph-{idx}", ok, {
             "n": g.n, "m": g.edge_count(), "ssp_vertices": len(ssp.vertices),
             "ssp_edges": se.edge_count, "bp_vertices": len(bp.vertices),

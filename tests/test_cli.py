@@ -1325,3 +1325,72 @@ class TestProgramRun:
             stdout, argv = out.read_bytes(), argv[:-2]
         assert main(argv) == 0
         assert stdout == capsys.readouterr().out.encode()
+
+
+class TestOneWriter:
+    """Each cmd_* returns its exit code and text and writes no stdout; main
+    writes the text once, to --output or to stdout, and opens --output only
+    after the handler has returned, so a call that exits 2 leaves the file
+    as it was."""
+
+    CALLS = {
+        "build": ["build", "--family", "bell", "--n", "4"],
+        "skeleton": ["skeleton", "--input", "{nc6}"],
+        "skeleton-dot": ["skeleton", "--input", "{nc6}", "--format", "dot"],
+        "skeleton-text": ["skeleton", "--input", "{nc6}", "--format", "text"],
+        "skeleton-oracle": ["skeleton", "--input", "{nc6}", "--oracle"],
+        "diameter": ["diameter", "--input", "{nc6}"],
+        "diameter-text": ["diameter", "--input", "{nc6}", "--format", "text"],
+        "facets": ["facets", "--input", "{nc6}"],
+        "facets-text": ["facets", "--input", "{nc6}", "--format", "text"],
+        "path": ["path", "--input", "{nc6}", "--from", "[]", "--to", "{last}"],
+        "verify": ["verify", "--suite", "remark43"],
+    }
+
+    @staticmethod
+    def argv(nc6, name):
+        last = json.dumps(json.loads(Path(nc6).read_text())["vertices"][-1])
+        return [a.format(nc6=nc6, last=last) for a in TestOneWriter.CALLS[name]]
+
+    @pytest.mark.parametrize("name", list(CALLS))
+    def test_output_file_holds_the_stdout_bytes(self, tmp_path, capsys, nc6, name):
+        argv = self.argv(nc6, name)
+        code, out, err = run(capsys, *argv)
+        assert code == 0 and out
+        target = tmp_path / "out"
+        assert run(capsys, *argv, "--output", str(target)) == (0, "", err)
+        assert target.read_bytes() == out.encode("utf-8")
+
+    @pytest.mark.parametrize("argv", [
+        ["diameter", "--input", "{nc6}.missing"],
+        ["path", "--input", "{nc6}", "--from", "[[1, 2], [1, 3]]", "--to", "[]"],
+    ], ids=["missing-input", "non-vertex-endpoint"])
+    def test_exit_2_leaves_the_output_file(self, tmp_path, capsys, nc6, argv):
+        target = tmp_path / "out"
+        target.write_bytes(b"kept\n")
+        argv = [a.format(nc6=nc6) for a in argv]
+        code, out, err = run(capsys, *argv, "--output", str(target))
+        assert (code, out) == (2, "") and err.startswith("error: ")
+        assert target.read_bytes() == b"kept\n"
+
+    def test_handlers_return_their_text(self, capsys, nc6):
+        handlers = set()
+        for name in self.CALLS:
+            argv = self.argv(nc6, name)
+            fn, args = _parse(argv)
+            handlers.add(fn)
+            code, text = fn(args)
+            out, err = capsys.readouterr()
+            assert out == ""
+            assert run(capsys, *argv) == (code, text, err)
+        assert handlers == {entry[0] for entry in COMMANDS.values()}
+
+    def test_verify_prints_its_suite_lines_before_the_report(self):
+        proc = python("-m", "sspkit.cli", "verify", "--suite", "all", "--graphs", "30",
+                      "--max-n", "5", stdout=subprocess.PIPE,
+                      stderr=subprocess.STDOUT, text=True)
+        assert proc.returncode == 0
+        lines = proc.stdout.splitlines(keepends=True)
+        assert [line.split(":")[0] for line in lines[:len(SUITES)]] == [
+            f"suite {name}" for name in SUITES]
+        assert json.loads("".join(lines[len(SUITES):]))["passed"] is True

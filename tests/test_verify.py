@@ -3,7 +3,10 @@
 import random
 import tracemalloc
 
-from sspkit.families import build_comparability_graph
+import pytest
+
+from sspkit.families import build_comparability_graph, build_empty_graph
+from sspkit.graphs import SizeLimitError
 from sspkit.verify import (
     SUITES,
     _random_pairs,
@@ -104,3 +107,21 @@ def test_diameter_bounds_draws_pairs_without_listing_them():
         tracemalloc.stop()
     assert rep["passed"]
     assert peak < 16_000_000
+
+
+def test_oracle_cap_refuses_before_the_other_routes(monkeypatch):
+    # The unique-sum tally holds a key per vertex pair with no cap; on the
+    # 4096 vertices of the 12-cube it must never start, since the oracle
+    # refuses that polytope at once.
+    import sspkit.skeleton
+    import sspkit.verify
+
+    def never(p):
+        raise AssertionError("ran before the oracle's cap")
+
+    monkeypatch.setattr(sspkit.verify, "random_graph_corpus",
+                        lambda *args: [build_empty_graph(12)])
+    monkeypatch.setattr(sspkit.skeleton, "build_skeleton_E", never)
+    monkeypatch.setattr(sspkit.skeleton, "unique_sum_skeleton", never)
+    with pytest.raises(SizeLimitError):
+        run_suites(["oracle-vs-E"], seed=7, graphs=1, max_n=12)
