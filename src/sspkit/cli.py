@@ -69,7 +69,7 @@ def cmd_build(args: SimpleNamespace) -> tuple[int, str]:
             check_edge_count(fam, args.n)
             g = FAMILY_BUILDERS[fam](args.n)
         p = birkhoff_restrict(g) if args.birkhoff else ZeroOnePolytope.from_graph(g)
-    return 0, serialize.dumps(serialize.polytope_to_json(p))
+    return 0, serialize.polytope_json(p)
 
 
 def cmd_skeleton(args: SimpleNamespace) -> tuple[int, str]:
@@ -131,9 +131,7 @@ def cmd_facets(args: SimpleNamespace) -> tuple[int, str]:
 def _endpoint(p: ZeroOnePolytope, text: str) -> int:
     labels = json.loads(text)
     if not isinstance(labels, list):
-        raise ValueError(
-            f"path endpoint must be a JSON list of labels, got {text}"
-        )
+        raise ValueError(f"path endpoint must be a JSON list of labels, got {text}")
     return p.ground.mask_of(serialize.decode_label(x) for x in labels)
 
 
@@ -144,10 +142,8 @@ def cmd_path(args: SimpleNamespace) -> tuple[int, str]:
     walk = flip_path(p, _endpoint(p, args.frm), _endpoint(p, args.to))
     valid = is_edge_walk(p, walk)
     report = {
-        "path": [
-            [serialize.encode_label(x) for x in p.ground.labels_of(v)]
-            for v in walk
-        ],
+        "path": [[serialize.encode_label(x) for x in p.ground.labels_of(v)]
+                 for v in walk],
         "hops": len(walk) - 1,
         "rank": p.rank,
         "within_bound": len(walk) - 1 <= p.rank,
@@ -181,29 +177,26 @@ COMMANDS = {
               "and matroid; --birkhoff keeps the top cardinality)", {
         "--family": (REQUIRED, ("bell", "complete", "empty", "nc", "nn", "rook",
                                 "relation", "chain", "matroid")),
-        "--n": (None, int), "--input": (None, str), "--birkhoff": (False, bool),
-        "--output": (None, str)}),
+        "--n": (None, int), "--input": (None, str), "--birkhoff": (False, bool)}),
     "skeleton": (cmd_skeleton, "compute the edge graph (--oracle: by LP instead of "
                  "the unique-sum test)", {
         "--input": (REQUIRED, str), "--oracle": (False, bool),
-        "--format": ("json", ("json", "dot", "text")), "--output": (None, str)}),
+        "--format": ("json", ("json", "dot", "text"))}),
     "diameter": (cmd_diameter, "skeleton diameter and rank bound", {
-        "--input": (REQUIRED, str), "--format": ("json", ("json", "text")),
-        "--output": (None, str)}),
+        "--input": (REQUIRED, str), "--format": ("json", ("json", "text"))}),
     "facets": (cmd_facets, "complete facet list (double description)", {
         "--input": (REQUIRED, str), "--facet-vertex-cap": (FACET_VERTEX_CAP, int),
         "--facet-dim-cap": (FACET_DIM_CAP, int),
-        "--format": ("json", ("json", "text")), "--output": (None, str)}),
+        "--format": ("json", ("json", "text"))}),
     "path": (cmd_path, "edge walk between two vertices, each a JSON label list", {
-        "--input": (REQUIRED, str), "--from": (REQUIRED, str), "--to": (REQUIRED, str),
-        "--output": (None, str)}),
+        "--input": (REQUIRED, str), "--from": (REQUIRED, str), "--to": (REQUIRED, str)}),
     "verify": (cmd_verify, "run a cross-validation suite", {
         "--suite": (REQUIRED, ("diameter-bounds", "facets-always", "matroid-E",
                                "oracle-vs-E", "partitions", "prop62", "remark43",
                                "all")),
-        "--seed": (7, int), "--graphs": (200, int), "--max-n": (6, int),
-        "--output": (None, str)}),
+        "--seed": (7, int), "--graphs": (200, int), "--max-n": (6, int)}),
 }
+OUTPUT = {"--output": (None, str)}  # every command takes it, last; main alone reads it
 
 
 def _usage(cmd: Optional[str], full: bool = False) -> str:
@@ -214,7 +207,7 @@ def _usage(cmd: Optional[str], full: bool = False) -> str:
         more += [f"  {name:<11} {entry[1]}" for name, entry in COMMANDS.items()]
     else:
         words, more = [f"usage: sspkit {cmd} [-h]"], [COMMANDS[cmd][1]]
-        for option, (default, kind) in COMMANDS[cmd][2].items():
+        for option, (default, kind) in {**COMMANDS[cmd][2], **OUTPUT}.items():
             if type(kind) is tuple:  # --format defaults to its first choice
                 option += " {" + ",".join(kind) + "}"
             elif kind is not bool:  # an int default stands in for its value
@@ -243,7 +236,7 @@ def _parse(argv: Sequence[str]) -> tuple[Callable[..., tuple[int, str]], SimpleN
     if cmd not in COMMANDS:
         _fail(None, f"argument command: invalid choice: {cmd!r}" if argv else
               "the following arguments are required: command")
-    fn, _, table = COMMANDS[cmd]
+    fn, table = COMMANDS[cmd][0], {**COMMANDS[cmd][2], **OUTPUT}
     values = {option: default for option, (default, _) in table.items()}
     tokens = iter(rest)
     for token in tokens:

@@ -46,14 +46,18 @@ def oracle_is_edge(p: ZeroOnePolytope, a: int, b: int) -> bool:
     return _pair_is_edge(p, _element_masks(p), p.index[a], p.index[b])
 
 
+def check_oracle_cap(nv: int) -> None:
+    """Refuse nv vertices past ORACLE_VERTEX_CAP, before any pair is tested."""
+    if nv > ORACLE_VERTEX_CAP:
+        raise SizeLimitError(f"{nv} vertices exceeds the LP oracle cap of "
+                             f"{ORACLE_VERTEX_CAP}")
+
+
 def build_skeleton_oracle(p: ZeroOnePolytope) -> Skeleton:
     """Skeleton under the LP adjacency oracle, all vertex pairs. Refused
-    before the first pair past ORACLE_VERTEX_CAP vertices."""
+    by check_oracle_cap before the first pair."""
     nv = len(p.vertices)
-    if nv > ORACLE_VERTEX_CAP:
-        raise SizeLimitError(
-            f"{nv} vertices exceeds the LP oracle cap of {ORACLE_VERTEX_CAP}"
-        )
+    check_oracle_cap(nv)
     masks = _element_masks(p)
     return Skeleton(tuple(
         tuple(j for j in range(i + 1, nv) if _pair_is_edge(p, masks, i, j))

@@ -20,7 +20,7 @@ if TYPE_CHECKING:
 
 def dumps(obj: Any) -> str:
     """json.dumps(obj, indent=2, sort_keys=True) plus a newline: the form of
-    every file and report (skeleton_json joins its lists itself)."""
+    every file and report (polytope_json and skeleton_json join theirs)."""
     return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
 
@@ -79,19 +79,6 @@ def _pairs(obj: dict, key: str) -> list[tuple[Label, Label]]:
     return out
 
 
-def polytope_to_json(p: ZeroOnePolytope) -> dict:
-    labels = [encode_label(x) for x in p.ground.labels]
-    out: dict[str, Any] = {
-        "kind": p.kind,
-        "ground": labels,
-        "vertices": [[labels[k] for k in bits(v)] for v in p.vertices],
-        "rank": p.rank,
-    }
-    if p.graph is not None:
-        out["graph"] = {"edges": [[labels[i], labels[j]] for i, j in p.graph.edges()]}
-    return out
-
-
 def polytope_from_json(obj: dict) -> ZeroOnePolytope:
     obj = _object(obj)
     ground = GroundSet(_labels(obj, "ground"))
@@ -125,24 +112,39 @@ def _edge_runs(s: Skeleton, head: str, tail: str, sep: str) -> list[str]:
     return runs
 
 
+def _vertex_list(p: ZeroOnePolytope) -> list[str]:
+    """The pieces of a file's last member, "vertices": [[label, ...], ...],
+    and its closing brace, each vertex joined from its labels' texts, each
+    ground label encoded once and indented to its depth of 3."""
+    texts = [json.dumps(encode_label(x), indent=2).replace("\n", "\n      ")
+             for x in p.ground.labels]
+    verts = ["[\n      " + ",\n      ".join([texts[k] for k in bits(v)]) + "\n    ]"
+             if v else "[]" for v in p.vertices]
+    return [',\n  "vertices": [\n    ', ",\n    ".join(verts), "\n  ]\n}\n"]
+
+
+def polytope_json(p: ZeroOnePolytope) -> str:
+    """The polytope file as dumps writes {"graph": {"edges": ...}, "ground":
+    [...], "kind": ..., "rank": ..., "vertices": [...]}: the keys that sort
+    before "vertices" by dumps, less its closing brace, then _vertex_list."""
+    labels = [encode_label(x) for x in p.ground.labels]
+    head: dict[str, Any] = {"kind": p.kind, "ground": labels, "rank": p.rank}
+    if p.graph is not None:
+        head["graph"] = {"edges": [[labels[i], labels[j]] for i, j in p.graph.edges()]}
+    return "".join([dumps(head)[:-3], *_vertex_list(p)])
+
+
 def skeleton_json(p: ZeroOnePolytope, s: Skeleton) -> str:
-    """The skeleton file as dumps writes {"edges": [[a, b], ...],
-    "provenance": ..., "vertices": [[label, ...], ...]}, with the edge list
-    written straight from the rows and each vertex joined from its labels'
-    texts, each ground label encoded once and indented to its depth of 3."""
+    """The skeleton file as dumps writes {"edges": [[a, b], ...], "provenance":
+    ..., "vertices": [...]}, the edge list straight from the rows."""
     if s.vertex_count != len(p.vertices):
         raise ValueError("skeleton does not match the polytope")
     runs = _edge_runs(s, "[\n      %d,\n      ", "\n    ]", ",\n    ")
     # the edge section as its rows and separators, joined only into the text
     edges = ["[\n    ", *[",\n    "] * (2 * len(runs) - 1), "\n  ]"] if runs else ["[]"]
     edges[1:-1:2] = runs
-    texts = [json.dumps(encode_label(x), indent=2).replace("\n", "\n      ")
-             for x in p.ground.labels]
-    verts = ["[\n      " + ",\n      ".join([texts[k] for k in bits(v)]) + "\n    ]"
-             if v else "[]" for v in p.vertices]
     return "".join(['{\n  "edges": ', *edges, ',\n  "provenance": ',
-                    json.dumps(s.provenance), ',\n  "vertices": [\n    ',
-                    ",\n    ".join(verts), "\n  ]\n}\n"])
+                    json.dumps(s.provenance), *_vertex_list(p)])
 
 
 def facets_to_json(facets: Sequence[Inequality]) -> dict:

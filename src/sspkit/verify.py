@@ -70,13 +70,14 @@ def suite_oracle_vs_e(seed: int, graphs: int, max_n: int) -> Suite:
     """Three routes give one skeleton on stable-set and top-cardinality
     polytopes of the random corpus: the unique-sum test, the connectivity
     test of build_skeleton_E and the LP oracle."""
-    from .oracle import build_skeleton_oracle
+    from .oracle import build_skeleton_oracle, check_oracle_cap
     from .skeleton import build_skeleton_E, unique_sum_skeleton
 
-    checks = []
-    for idx, g in enumerate(random_graph_corpus(seed, graphs, max_n)):
+    checks, corpus = [], random_graph_corpus(seed, graphs, max_n)
+    for g in corpus:  # the oracle's cap is checked before the first graph runs;
+        check_oracle_cap(len(enumerate_stable_sets(g)))  # g keeps the sets it counts
+    for idx, g in enumerate(corpus):
         ssp, bp = ZeroOnePolytope.from_graph(g), birkhoff_restrict(g)
-        # the oracle first: its vertex cap refuses before the uncapped tally
         oracle = [build_skeleton_oracle(p).rows for p in (ssp, bp)]
         se, be = build_skeleton_E(ssp), build_skeleton_E(bp)
         ok = all(unique_sum_skeleton(p).rows == s.rows == rows

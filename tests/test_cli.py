@@ -23,7 +23,7 @@ from sspkit.counterexample import maximal_family_polytope, modified_cube, remark
 from sspkit.families import FAMILY_BUILDERS
 from sspkit.geometry import enumerate_facets
 from sspkit.graphs import GroundSet, ZeroOnePolytope
-from sspkit.serialize import dumps, polytope_to_json
+from sspkit.serialize import dumps, polytope_json
 from sspkit.verify import MATROID_CATALOG, SUITES
 
 
@@ -612,7 +612,7 @@ class TestGoldenStdout:
         else:
             masks = random.Random(7).sample(range(1 << 7), 100)
             p = ZeroOnePolytope(GroundSet(range(1, 8)), masks, "raw")
-        return dumps(polytope_to_json(p))
+        return polytope_json(p)
 
     @pytest.mark.parametrize("name", list(COUNTED))
     def test_counted_digests(self, tmp_path, capsys, name):
@@ -670,7 +670,7 @@ class TestGoldenStdout:
     @classmethod
     def facets_file(cls, tmp_path, capsys, name):
         if name == "modified-cube":
-            return dumps(polytope_to_json(modified_cube()))
+            return polytope_json(modified_cube())
         if name == "raw-nc6":
             code, out, _ = run(capsys, "build", "--family", "nc", "--n", "6")
             assert code == 0
@@ -1065,6 +1065,49 @@ class TestSubsetInputs:
         }))
         err = self.refused(capsys, "build", "--family", "matroid", "--input", str(mj))
         assert err == "error: field 'independents' lists more than 1024 sets\n"
+
+
+class TestInputRules:
+    """Each rule a polytope file, a matroid spec or a size breaks is bad
+    input: exit 2, nothing on stdout, and its one error line."""
+
+    @pytest.mark.parametrize(
+        "file, argv, message",
+        [
+            ({"kind": "matroid-bases", "ground": [1, 2, 3], "vertices": [[1], [2, 3]]},
+             ["skeleton"], "basis family must have equal cardinalities"),
+            ({"kind": "polymatroid", "ground": [1, 2], "vertices": [[1]]},
+             ["skeleton"], "unknown polytope kind 'polymatroid'"),
+            ({"kind": "raw", "ground": [1, 2], "vertices": []},
+             ["skeleton"], "a polytope needs at least one vertex"),
+            ({"kind": "stable-set", "ground": [1, 2], "vertices": [[], [1]]},
+             ["skeleton"], "kind 'stable-set' requires its graph"),
+            ({"kind": "raw", "ground": [{"a": 1}], "vertices": [[]]},
+             ["skeleton"], "a label must be a number, a string or a list"),
+            ({"kind": "stable-set", "ground": [1, 2, 3], "vertices": [[]],
+              "graph": {"edges": [[1, 2, 3]]}},
+             ["skeleton"], "each entry of 'edges' must have two elements"),
+            ({"uniform": [4]}, ["build", "--family", "matroid"],
+             "field 'uniform' must be [n, k]"),
+            ({"uniform": [3, 5]}, ["build", "--family", "matroid"], "need 0 <= k <= n"),
+            ({"partition": [2, 0]}, ["build", "--family", "matroid"],
+             "block sizes must be positive"),
+            ({"graphic": [[1, 2], [2, 1]]}, ["build", "--family", "matroid"],
+             "graphic matroid input must have distinct edges"),
+            (None, ["build", "--family", "complete", "--n", "-1"], "n must be nonnegative"),
+            (None, ["build", "--family", "empty", "--n", "-1"], "n must be nonnegative"),
+            (None, ["build", "--family", "rook", "--n", "-1"], "n must be nonnegative"),
+        ],
+        ids=["unequal-bases", "unknown-kind", "no-vertex", "no-graph", "dict-label",
+             "three-label-edge", "uniform-arity", "uniform-k", "empty-block",
+             "repeated-edge", "complete-n", "empty-n", "rook-n"],
+    )
+    def test_exit_2_with_its_line(self, tmp_path, capsys, file, argv, message):
+        if file is not None:
+            path = tmp_path / "in.json"
+            path.write_text(json.dumps(file), encoding="utf-8")
+            argv = [*argv, "--input", str(path)]
+        assert run(capsys, *argv) == (2, "", f"error: {message}\n")
 
 
 class TestMatroidAxiomsOnRead:

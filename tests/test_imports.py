@@ -77,14 +77,14 @@ PARSERS = ["argparse", "gettext"]  # no call loads these
 def bell3(tmp_path_factory):
     path = tmp_path_factory.mktemp("imports") / "bell3.json"
     p = ZeroOnePolytope.from_graph(build_bell_graph(3))
-    path.write_text(serialize.dumps(serialize.polytope_to_json(p)))
+    path.write_text(serialize.polytope_json(p))
     return str(path)
 
 
 @pytest.fixture(scope="module")
 def u24(tmp_path_factory):
     path = tmp_path_factory.mktemp("imports") / "u24.json"
-    path.write_text(serialize.dumps(serialize.polytope_to_json(build_uniform(4, 2))))
+    path.write_text(serialize.polytope_json(build_uniform(4, 2)))
     return str(path)
 
 

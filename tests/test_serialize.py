@@ -36,6 +36,15 @@ def vertex_labels(p):
     return [[encode(x) for x in p.ground.labels_of(v)] for v in p.vertices]
 
 
+def polytope_to_json(p):
+    """Reference: the polytope file as the dict that json.dumps writes."""
+    labels = [serialize.encode_label(x) for x in p.ground.labels]
+    out = {"kind": p.kind, "ground": labels, "vertices": vertex_labels(p), "rank": p.rank}
+    if p.graph is not None:
+        out["graph"] = {"edges": [[labels[i], labels[j]] for i, j in p.graph.edges()]}
+    return out
+
+
 def skeleton_to_json(p, s):
     """Reference: the skeleton file as the dict that json.dumps writes."""
     return {
@@ -93,7 +102,7 @@ class TestGraphJson:
 
     def test_round_trip(self):
         p = ZeroOnePolytope.from_graph(build_bell_graph(3))
-        blob = serialize.dumps(serialize.polytope_to_json(p))
+        blob = serialize.polytope_json(p)
         g2 = serialize.polytope_from_json(json.loads(blob)).graph
         assert g2.ground == p.graph.ground
         assert g2.adj == p.graph.adj
@@ -104,7 +113,7 @@ class TestGraphJson:
     def test_labels_decode_to_tuples(self):
         p = ZeroOnePolytope.from_graph(build_bell_graph(3))
         p2 = serialize.polytope_from_json(json.loads(
-            serialize.dumps(serialize.polytope_to_json(p))
+            serialize.polytope_json(p)
         ))
         assert p2.graph.ground.labels[0] == (1, 2)
 
@@ -112,17 +121,17 @@ class TestGraphJson:
 class TestPolytopeJson:
     def test_stable_set_round_trip(self):
         p = ZeroOnePolytope.from_graph(build_nonnesting_graph(3))
-        blob = serialize.dumps(serialize.polytope_to_json(p))
+        blob = serialize.polytope_json(p)
         p2 = serialize.polytope_from_json(json.loads(blob))
         assert p2.kind == p.kind
         assert p2.vertices == p.vertices
         assert p2.rank == p.rank
-        assert serialize.dumps(serialize.polytope_to_json(p2)) == blob
+        assert serialize.polytope_json(p2) == blob
 
     def test_birkhoff_round_trip(self):
         p = birkhoff_restrict(build_bell_graph(3))
         p2 = serialize.polytope_from_json(json.loads(
-            serialize.dumps(serialize.polytope_to_json(p))
+            serialize.polytope_json(p)
         ))
         assert p2.kind == "birkhoff"
         assert p2.vertices == p.vertices
@@ -130,14 +139,14 @@ class TestPolytopeJson:
     def test_matroid_polytopes_round_trip(self):
         for p in (build_uniform(4, 2), basis_polytope(build_uniform(4, 2))):
             p2 = serialize.polytope_from_json(json.loads(
-                serialize.dumps(serialize.polytope_to_json(p))
+                serialize.polytope_json(p)
             ))
             assert p2.kind == p.kind
             assert p2.vertices == p.vertices
 
     @pytest.mark.parametrize("rank", [1, -3])
     def test_wrong_rank_is_error(self, rank):
-        obj = serialize.polytope_to_json(
+        obj = polytope_to_json(
             ZeroOnePolytope.from_graph(build_noncrossing_graph(5))
         )
         obj["rank"] = rank
@@ -146,7 +155,7 @@ class TestPolytopeJson:
 
     def test_rank_is_optional(self):
         p = ZeroOnePolytope.from_graph(build_noncrossing_graph(5))
-        obj = serialize.polytope_to_json(p)
+        obj = polytope_to_json(p)
         del obj["rank"]
         assert serialize.polytope_from_json(obj).rank == p.rank == 4
 
@@ -182,12 +191,14 @@ def labelled_graphs(draw):
 
 
 class TestWriters:
-    """skeleton_json and skeleton_to_dot write their edge lists straight
-    from the rows; every byte must be what json.dumps(indent=2,
-    sort_keys=True) makes of the reference dict above, and the DOT lines
-    what one line per edge pair makes."""
+    """polytope_json and skeleton_json share one vertex-list writer, and
+    skeleton_json and skeleton_to_dot write their edge lists straight from
+    the rows; every byte must be what json.dumps(indent=2, sort_keys=True)
+    makes of the reference dicts above, and the DOT lines what one line per
+    edge pair makes."""
 
     def check(self, p):
+        assert serialize.polytope_json(p) == reference_text(polytope_to_json(p))
         s = build_skeleton_E(p)
         assert serialize.skeleton_json(p, s) == reference_text(skeleton_to_json(p, s))
         assert serialize.skeleton_to_dot(p, s) == skeleton_to_dot(p, s)

@@ -4,6 +4,7 @@ Ground truth throughout is the exact LP adjacency oracle; frozen edge
 lists for the 3-pair clash graph were additionally worked out by hand.
 """
 
+import math
 import random
 import time
 from collections import deque
@@ -617,6 +618,32 @@ class TestPastTheLadder:
         assert elapsed < budget, f"budget exceeded: {elapsed:.2f}s"
         if recount:
             assert unique_sum_skeleton(p).rows == s.rows
+
+
+class TestClosedForms:
+    """Edge counts and diameters known in closed form. Two permutation
+    matrices are adjacent on the Birkhoff polytope B_n iff they differ by
+    one cycle (Balinski and Russakoff 1974), so B_n has n!/2 times the
+    sum over k = 2..n of C(n, k) (k - 1)! edges; its diameter is 1 for
+    n = 3 and 2 after. The cube Q_n, the stable-set polytope of the
+    edgeless graph on n nodes, has n 2^(n-1) edges and diameter n, its
+    rank."""
+
+    @pytest.mark.parametrize("n, edges", [(3, 15), (4, 240), (5, 5040), (6, 147240)])
+    def test_birkhoff(self, n, edges):
+        cycles = sum(math.comb(n, k) * math.factorial(k - 1) for k in range(2, n + 1))
+        assert math.factorial(n) * cycles // 2 == edges
+        p = birkhoff_restrict(build_rook_graph(n))
+        s = build_skeleton_E(p)
+        assert (len(p.vertices), s.edge_count, p.rank) == (math.factorial(n), edges, n)
+        assert diameter(s) == (1 if n == 3 else 2)
+
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_cube(self, n):
+        p = ZeroOnePolytope.from_graph(build_empty_graph(n))
+        s = build_skeleton_E(p)
+        assert (len(p.vertices), s.edge_count) == (2 ** n, n * 2 ** (n - 1))
+        assert diameter(s) == p.rank == n
 
 
 class TestQuasimatroidExchange:

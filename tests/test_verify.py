@@ -5,7 +5,9 @@ import tracemalloc
 
 import pytest
 
-from sspkit.families import build_comparability_graph, build_empty_graph
+from sspkit.families import (
+    build_bell_graph, build_comparability_graph, build_empty_graph,
+)
 from sspkit.graphs import SizeLimitError
 from sspkit.verify import (
     SUITES,
@@ -112,16 +114,20 @@ def test_diameter_bounds_draws_pairs_without_listing_them():
 def test_oracle_cap_refuses_before_the_other_routes(monkeypatch):
     # The unique-sum tally holds a key per vertex pair with no cap; on the
     # 4096 vertices of the 12-cube it must never start, since the oracle
-    # refuses that polytope at once.
+    # refuses that polytope at once. Behind a graph within the cap, the
+    # 12-cube is refused before any route runs on that first graph.
+    import sspkit.oracle
     import sspkit.skeleton
     import sspkit.verify
 
     def never(p):
         raise AssertionError("ran before the oracle's cap")
 
-    monkeypatch.setattr(sspkit.verify, "random_graph_corpus",
-                        lambda *args: [build_empty_graph(12)])
     monkeypatch.setattr(sspkit.skeleton, "build_skeleton_E", never)
     monkeypatch.setattr(sspkit.skeleton, "unique_sum_skeleton", never)
-    with pytest.raises(SizeLimitError):
-        run_suites(["oracle-vs-E"], seed=7, graphs=1, max_n=12)
+    for corpus in ([build_empty_graph(12)], [build_bell_graph(3), build_empty_graph(12)]):
+        monkeypatch.setattr(sspkit.verify, "random_graph_corpus", lambda *args: corpus)
+        with pytest.raises(SizeLimitError, match="^4096 vertices exceeds the LP oracle cap "
+                                                 "of 2048$"):
+            run_suites(["oracle-vs-E"], seed=7, graphs=len(corpus), max_n=12)
+        monkeypatch.setattr(sspkit.oracle, "build_skeleton_oracle", never)
